@@ -37,7 +37,6 @@ from .mlp import (
     TrainConfig,
     adam_step,
     backward,
-    forward,
     init_mlp,
     load_model,
     loss_mse,
@@ -53,9 +52,6 @@ from .pipelines import (
     nmse,
     persistence_nmse,
     prepare_link,
-    run_jl,
-    run_jldt,
-    run_sl,
     snr_sweep,
 )
 

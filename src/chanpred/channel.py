@@ -164,17 +164,16 @@ class ChannelTensor:
 
     def series(self, index: int) -> np.ndarray:
         """The domain's series `index` as an (N, D) array of complex vectors."""
-        if self.domain == DOMAIN_SUBCARRIER:
-            return self.values[:, index, :]
-        return self.values[:, :, index]
+        return series_view(self.values, self.domain)[:, index]
 
     @property
     def n_series(self) -> int:
-        return self.n_subcarriers if self.domain == DOMAIN_SUBCARRIER else self.n_antennas
+        return series_view(self.values, self.domain).shape[1]
 
-    @property
-    def series_dim(self) -> int:
-        return self.n_antennas if self.domain == DOMAIN_SUBCARRIER else self.n_subcarriers
+
+def series_view(values: np.ndarray, domain: str) -> np.ndarray:
+    """View of (..., L, M) values as (..., S, D): series s of `domain` is [..., s, :]."""
+    return values if domain == DOMAIN_SUBCARRIER else values.swapaxes(-1, -2)
 
 
 def steering_vector(theta: float, phi: float, m_h: int, m_v: int) -> np.ndarray:

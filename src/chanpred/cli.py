@@ -22,7 +22,7 @@ from .correlation import correlation_report
 from .errors import ChanpredError, ConfigError
 from .estimation import estimate_trace
 from .mlp import save_model
-from .pipelines import APPROACHES, ExperimentConfig, persistence_nmse, prepare_link, snr_sweep
+from .pipelines import APPROACHES, ExperimentConfig, snr_sweep
 from .rng import stream
 
 EXIT_OK = 0
@@ -77,6 +77,31 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+def _cast_scalar(key: str, value, kind: type):
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {key!r}: expected a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")
+    return kind(value)
+
+
+def _cast(key: str, value, default):
+    """Cast `value` to the type of the field's default (element-wise for tuples)."""
+    if not isinstance(default, tuple):
+        return _cast_scalar(key, value, type(default))
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config key {key!r}: expected a list, got {value!r}")
+    return tuple(_cast_scalar(key, v, type(default[0])) for v in value)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     known = set(_CHANNEL_KEYS) | set(_EXPERIMENT_KEYS) | {"preset"}
     unknown = set(data) - known
@@ -89,39 +114,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     merged.update(PRESETS[preset])
     merged.update({k: v for k, v in data.items() if k != "preset"})
 
-    chan_kwargs = {}
-    for key, attr in _CHANNEL_KEYS.items():
-        if key in merged:
-            value = merged.pop(key)
-            field_type = int if attr not in ("subcarrier_spacing", "carrier_freq",
-                                             "speed", "block_duration",
-                                             "delay_spread", "doppler_offset") else float
-            try:
-                chan_kwargs[attr] = field_type(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    try:
-        channel = ChannelConfig(**chan_kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    exp_kwargs = {"channel": channel}
-    casts = {
-        "tau": int, "pilot_column": int, "n0": int, "n_tr": int, "n_tr_prime": int,
-        "n_gap": int, "n_te": int, "batch_size": int, "epochs": int,
-        "learning_rate": float,
-        "snr_db": lambda v: tuple(float(x) for x in v),
-        "hidden": lambda v: tuple(int(x) for x in v),
-        "seeds": lambda v: tuple(int(x) for x in v),
-        "approaches": lambda v: tuple(str(x) for x in v),
-    }
-    for key in _EXPERIMENT_KEYS:
-        if key in merged:
-            try:
-                exp_kwargs[key] = casts[key](merged.pop(key))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    cfg = ExperimentConfig(**exp_kwargs)
+    chan_defaults = _defaults(ChannelConfig)
+    channel = ChannelConfig(**{attr: _cast(key, merged[key], chan_defaults[attr])
+                               for key, attr in _CHANNEL_KEYS.items() if key in merged})
+    exp_defaults = _defaults(ExperimentConfig)
+    cfg = ExperimentConfig(channel=channel, **{key: _cast(key, merged[key], exp_defaults[key])
+                                               for key in _EXPERIMENT_KEYS if key in merged})
     cfg.validate()
     return cfg
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelTensor, DOMAIN_SUBCARRIER, PROVENANCE_TRUE
-from .domains import to_antenna_domain
+from .channel import ChannelTensor, DOMAIN_ANTENNA, DOMAIN_SUBCARRIER, PROVENANCE_TRUE, series_view
 from .errors import ContractError
 from .rng import stream
 
@@ -139,11 +138,9 @@ def correlation_report(tensor: ChannelTensor, max_shift: int = 16,
             f"tensor has {tensor.n_blocks} blocks, need >= n_avg + max_shift = "
             f"{n_avg + max_shift}")
 
-    sub = tensor.values                                   # (N, L, M): series l, vectors over m
+    sub = series_view(tensor.values, DOMAIN_SUBCARRIER)             # series l, vectors over m
     sub_auto, sub_cross = _domain_curves(sub, max_shift, n_avg)
-
-    ant_tensor = to_antenna_domain(tensor)
-    ant = np.ascontiguousarray(ant_tensor.values.transpose(0, 2, 1))  # series m, vectors over l
+    ant = np.ascontiguousarray(series_view(tensor.values, DOMAIN_ANTENNA))  # series m, vectors over l
     ant_auto, ant_cross = _domain_curves(ant, max_shift, n_avg)
 
     return CorrelationReport(max_shift, n_avg, sub_auto, sub_cross, ant_auto, ant_cross)

@@ -3,9 +3,15 @@
 Blocks are 1-based in the window arithmetic below, matching the estimator
 indexing: a training row with window end n holds the estimated channels of
 blocks n-n0+1 .. n as features and block n+1 as label. Window ends run
-n = n0 .. n_tr+n0-1 for training and n = n_gap+n0 .. n_gap+n_te+n0-1 for test;
-n_gap > n_tr keeps the two ranges disjoint. Complex vectors are split into
-(all real parts, then all imaginary parts) per window, oldest window first.
+n = n0 .. n_tr+n0-1 for training and n = n_gap+n0 .. n_gap+n_te+n0-1 for test.
+Training therefore touches blocks 1 .. n_tr+n0 and the first test window
+starts at block n_gap+1; the separation rule n_gap >= n_tr+n0 keeps every
+training block, feature or label, before the first test block. Complex
+vectors are split into (all real parts, then all imaginary parts) per window,
+oldest window first.
+
+One routine cuts the windows of every selected column of a domain's
+(N, S, D) series view; pooled rows are series-major, time-minor.
 
 Test rows additionally carry the true channel of block n+1 (label_truth) so
 prediction quality can be scored against the ground truth, while training
@@ -17,9 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ChannelTensor, DOMAIN_SUBCARRIER, PROVENANCE_ESTIMATED, PROVENANCE_TRUE
-from .domains import to_antenna_domain
+from .channel import (
+    ChannelTensor,
+    DOMAIN_ANTENNA,
+    DOMAIN_SUBCARRIER,
+    PROVENANCE_ESTIMATED,
+    PROVENANCE_TRUE,
+    series_view,
+)
 from .errors import ConfigError, ContractError
 
 PHASE_TRAIN = "train"
@@ -27,9 +40,13 @@ PHASE_TEST = "test"
 
 
 def complex_to_real(v: np.ndarray) -> np.ndarray:
-    """(..., D) complex -> (..., 2D) real: real parts then imaginary parts."""
+    """(..., D) complex -> C-contiguous (..., 2D) real: real parts then imaginary parts."""
     v = np.asarray(v)
-    return np.concatenate([v.real, v.imag], axis=-1)
+    d = v.shape[-1]
+    out = np.empty(v.shape[:-1] + (2 * d,), dtype=v.real.dtype)
+    out[..., :d] = v.real
+    out[..., d:] = v.imag
+    return out
 
 
 def real_to_complex(x: np.ndarray) -> np.ndarray:
@@ -57,10 +74,11 @@ class DatasetSpec:
             raise ConfigError(f"n_tr must be >= 1, got {self.n_tr}")
         if self.n_te < 1:
             raise ConfigError(f"n_te must be >= 1, got {self.n_te}")
-        if self.n_gap <= self.n_tr:
+        if self.n_gap < self.n_tr + self.n0:
             raise ConfigError(
-                f"n_gap must exceed n_tr to separate training from test "
-                f"(n_tr={self.n_tr}, n_gap={self.n_gap})")
+                f"n_gap must be at least n_tr + n0 so that every training block "
+                f"precedes the first test block (n_tr={self.n_tr}, n0={self.n0}, "
+                f"n_gap={self.n_gap})")
         return self
 
     def min_blocks(self, phase: str) -> int:
@@ -113,16 +131,61 @@ class WindowedDataset:
         """The newest window of each row as complex vectors, de-normalized."""
         return real_to_complex(self.features[:, -2 * self.dim:] * self.scale)
 
-    def labels_complex(self) -> np.ndarray:
-        return real_to_complex(self.labels * self.scale)
+
+def _windows(view: np.ndarray, start: int, rows: int, n0: int):
+    """Features and labels of `rows` windows of every series of an (N, S, D) view.
+
+    Row r of series s holds blocks start+r .. start+r+n0-1 (0-based) as
+    features and block start+r+n0 as label. Rows are series-major,
+    time-minor, and both arrays are C-contiguous.
+    """
+    n_series = view.shape[1]
+    past = sliding_window_view(view[start:start + rows + n0 - 1], n0, axis=0)  # (rows, S, D, n0)
+    feats = complex_to_real(past.transpose(1, 0, 3, 2))                       # (S, rows, n0, 2D)
+    labels = complex_to_real(view[start + n0:start + n0 + rows].transpose(1, 0, 2))
+    return feats.reshape(n_series * rows, -1), labels.reshape(n_series * rows, -1)
 
 
-def _window_rows(values: np.ndarray, start: int, rows: int, n0: int):
-    idx = start + np.arange(rows)[:, None] + np.arange(n0)[None, :]
-    windows = values[idx]                                    # (rows, n0, D)
-    feats = complex_to_real(windows).reshape(rows, -1)       # window-major layout
-    labels = complex_to_real(values[start + n0 + np.arange(rows)])
-    return feats, labels
+def check_tensors(est: ChannelTensor, spec: DatasetSpec, phase: str,
+                  truth: ChannelTensor | None) -> None:
+    """Validate the inputs of one builder call, once however many series it cuts."""
+    est.validate()
+    spec.validate()
+    if phase not in (PHASE_TRAIN, PHASE_TEST):
+        raise ContractError(f"phase must be 'train' or 'test', got {phase!r}")
+    if est.provenance != PROVENANCE_ESTIMATED:
+        raise ContractError(f"datasets are built from estimated tensors, got "
+                            f"provenance {est.provenance!r}")
+    need = spec.min_blocks(phase)
+    if est.n_blocks < need:
+        raise ContractError(f"tensor has {est.n_blocks} blocks, phase {phase!r} "
+                            f"needs at least {need}")
+    if phase == PHASE_TEST:
+        if truth is None:
+            raise ContractError("test datasets need the true tensor for label_truth")
+        truth.validate()
+        if truth.provenance != PROVENANCE_TRUE:
+            raise ContractError(f"truth tensor has provenance {truth.provenance!r}")
+        if truth.domain != est.domain or truth.values.shape != est.values.shape:
+            raise ContractError("truth tensor layout does not match estimated tensor")
+
+
+def _dataset(est: ChannelTensor, truth: ChannelTensor | None, domain: str,
+             cols: slice, spec: DatasetSpec, phase: str) -> WindowedDataset:
+    """Windows of the series `cols` of `domain`, for inputs check_tensors accepted."""
+    view = series_view(est.values, domain)
+    ids = np.arange(view.shape[1])[cols]
+    start, rows = (0, spec.n_tr) if phase == PHASE_TRAIN else (spec.n_gap, spec.n_te)
+    feats, labels = _windows(view[:, cols], start, rows, spec.n0)
+    label_truth = None
+    if phase == PHASE_TEST:
+        nxt = series_view(truth.values, domain)[start + spec.n0:start + spec.n0 + rows, cols]
+        label_truth = nxt.transpose(1, 0, 2).reshape(ids.size * rows, -1)
+    return WindowedDataset(
+        features=feats, labels=labels, n0=spec.n0, dim=view.shape[2],
+        series=np.repeat(ids, rows),
+        block_end=np.tile(start + spec.n0 + np.arange(rows), ids.size),  # 1-based window end
+        label_truth=label_truth).validate()
 
 
 def build_series_dataset(est: ChannelTensor, series: tuple[str, int],
@@ -134,60 +197,21 @@ def build_series_dataset(est: ChannelTensor, series: tuple[str, int],
     the test phase a true tensor of identical layout must be supplied; its
     block-(n+1) vectors become label_truth.
     """
-    est.validate()
-    spec.validate()
+    check_tensors(est, spec, phase, truth)
     domain, index = series
-    if phase not in (PHASE_TRAIN, PHASE_TEST):
-        raise ContractError(f"phase must be 'train' or 'test', got {phase!r}")
-    if est.provenance != PROVENANCE_ESTIMATED:
-        raise ContractError(f"datasets are built from estimated tensors, got "
-                            f"provenance {est.provenance!r}")
     if est.domain != domain:
         raise ContractError(f"series domain {domain!r} does not match tensor domain {est.domain!r}")
     if not 0 <= index < est.n_series:
         raise ContractError(f"series index {index} out of range [0, {est.n_series})")
-    need = spec.min_blocks(phase)
-    if est.n_blocks < need:
-        raise ContractError(f"tensor has {est.n_blocks} blocks, phase {phase!r} "
-                            f"needs at least {need}")
-
-    if phase == PHASE_TEST:
-        if truth is None:
-            raise ContractError("test datasets need the true tensor for label_truth")
-        truth.validate()
-        if truth.provenance != PROVENANCE_TRUE:
-            raise ContractError(f"truth tensor has provenance {truth.provenance!r}")
-        if truth.domain != est.domain or truth.values.shape != est.values.shape:
-            raise ContractError("truth tensor layout does not match estimated tensor")
-
-    values = est.series(index)
-    if phase == PHASE_TRAIN:
-        start, rows = 0, spec.n_tr
-        label_truth = None
-    else:
-        start, rows = spec.n_gap, spec.n_te
-        label_truth = truth.series(index)[start + spec.n0 + np.arange(rows)]
-
-    feats, labels = _window_rows(values, start, rows, spec.n0)
-    block_end = start + spec.n0 + np.arange(rows)            # 1-based window-end block
-    return WindowedDataset(
-        features=feats, labels=labels, n0=spec.n0, dim=values.shape[1],
-        series=np.full(rows, index, dtype=np.int64), block_end=block_end,
-        label_truth=label_truth).validate()
+    return _dataset(est, truth, domain, slice(index, index + 1), spec, phase)
 
 
-def _concat(parts: list[WindowedDataset]) -> WindowedDataset:
-    first = parts[0]
-    truth = None
-    if first.label_truth is not None:
-        truth = np.concatenate([p.label_truth for p in parts])
-    return WindowedDataset(
-        features=np.concatenate([p.features for p in parts]),
-        labels=np.concatenate([p.labels for p in parts]),
-        n0=first.n0, dim=first.dim,
-        series=np.concatenate([p.series for p in parts]),
-        block_end=np.concatenate([p.block_end for p in parts]),
-        label_truth=truth, scale=first.scale).validate()
+def _pooled(domain: str, est: ChannelTensor, spec: DatasetSpec, truth: ChannelTensor | None):
+    if est.domain != DOMAIN_SUBCARRIER:
+        raise ContractError(f"pooled datasets need a subcarrier-domain tensor, got {est.domain}")
+    check_tensors(est, spec, PHASE_TEST, truth)   # the test phase needs the most blocks
+    return tuple(_dataset(est, truth, domain, slice(None), spec, phase)
+                 for phase in (PHASE_TRAIN, PHASE_TEST))
 
 
 def build_jl(est: ChannelTensor, spec: DatasetSpec,
@@ -197,31 +221,16 @@ def build_jl(est: ChannelTensor, spec: DatasetSpec,
     spec.n_tr is interpreted per series (N'_tr), so the pooled training set
     has L*n_tr rows in series-major, time-minor order.
     """
-    if est.domain != DOMAIN_SUBCARRIER:
-        raise ContractError(f"build_jl expects a subcarrier-domain tensor, got {est.domain}")
-    train = _concat([build_series_dataset(est, (DOMAIN_SUBCARRIER, l), spec, PHASE_TRAIN)
-                     for l in range(est.n_subcarriers)])
-    test = _concat([build_series_dataset(est, (DOMAIN_SUBCARRIER, l), spec, PHASE_TEST, truth)
-                    for l in range(est.n_subcarriers)])
-    return train, test
+    return _pooled(DOMAIN_SUBCARRIER, est, spec, truth)
 
 
 def build_jldt(est: ChannelTensor, spec: DatasetSpec,
                truth: ChannelTensor | None = None):
-    """Antenna-domain pooled datasets: transform, then union over antennas.
+    """Antenna-domain pooled datasets: the same windows read by antenna.
 
     Rows are length-L vector windows; the pooled training set has M*n_tr rows.
     """
-    if est.domain != DOMAIN_SUBCARRIER:
-        raise ContractError(f"build_jldt expects a subcarrier-domain tensor, got {est.domain}")
-    est_a = to_antenna_domain(est)
-    truth_a = to_antenna_domain(truth) if truth is not None else None
-    from .channel import DOMAIN_ANTENNA
-    train = _concat([build_series_dataset(est_a, (DOMAIN_ANTENNA, m), spec, PHASE_TRAIN)
-                     for m in range(est_a.n_antennas)])
-    test = _concat([build_series_dataset(est_a, (DOMAIN_ANTENNA, m), spec, PHASE_TEST, truth_a)
-                    for m in range(est_a.n_antennas)])
-    return train, test
+    return _pooled(DOMAIN_ANTENNA, est, spec, truth)
 
 
 def fit_scale(train: WindowedDataset) -> float:

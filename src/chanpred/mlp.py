@@ -7,7 +7,7 @@ against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class MlpModel:
 
     weights: list
     biases: list
-    activation: str = "relu"
     seed: int | None = None
 
     @property
@@ -101,14 +100,6 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
         z = a @ w.T + b
         a = np.maximum(z, 0.0) if i < last else z
     return a
-
-
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Single-vector forward pass."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractError(f"forward expects a vector, got shape {x.shape}")
-    return predict(model, x[None, :])[0]
 
 
 def loss_mse(pred: np.ndarray, label: np.ndarray) -> float:
@@ -256,6 +247,7 @@ def train(model: MlpModel, dataset, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = "chanpred-mlp v1"
+_CKPT_ACTIVATION = "activation relu"   # hidden layers are always ReLU
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -264,7 +256,7 @@ def save_model(model: MlpModel, path) -> None:
     with open(path, "w") as f:
         f.write(_CKPT_MAGIC + "\n")
         f.write("dims " + " ".join(str(d) for d in model.dims) + "\n")
-        f.write(f"activation {model.activation}\n")
+        f.write(_CKPT_ACTIVATION + "\n")
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             f.write(f"layer {i}\n")
             np.savetxt(f, w.reshape(1, -1), fmt="%.17g")
@@ -277,13 +269,14 @@ def load_model(path) -> MlpModel:
         lines = f.read().splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
         raise TraceFormatError(f"line 1: expected {_CKPT_MAGIC!r}")
-    if len(lines) < 3 or not lines[1].startswith("dims ") or not lines[2].startswith("activation "):
-        raise TraceFormatError("checkpoint header must be: dims ..., activation ...")
+    if len(lines) < 3 or not lines[1].startswith("dims "):
+        raise TraceFormatError(f"checkpoint header must be: dims ..., {_CKPT_ACTIVATION}")
     try:
         dims = [int(t) for t in lines[1].split()[1:]]
     except ValueError as exc:
         raise TraceFormatError(f"line 2: bad dims: {exc}") from exc
-    activation = lines[2].split(maxsplit=1)[1]
+    if lines[2] != _CKPT_ACTIVATION:
+        raise TraceFormatError(f"line 3: expected {_CKPT_ACTIVATION!r}, got {lines[2]!r}")
 
     weights, biases = [], []
     cursor = 3
@@ -302,4 +295,4 @@ def load_model(path) -> MlpModel:
         weights.append(w.reshape(fan_out, fan_in))
         biases.append(b)
         cursor += 3
-    return MlpModel(weights, biases, activation=activation).validate()
+    return MlpModel(weights, biases).validate()

@@ -18,7 +18,7 @@ n_tr_prime blocks for the other three.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .channel import (
     DOMAIN_SUBCARRIER,
     PROVENANCE_PREDICTED,
     draw_paths,
+    series_view,
     synthesize,
 )
 from .datasets import (
@@ -39,10 +40,10 @@ from .datasets import (
     build_jl,
     build_jldt,
     build_series_dataset,
+    check_tensors,
     fit_scale,
     real_to_complex,
 )
-from .domains import to_subcarrier_domain
 from .errors import ConfigError, ContractError
 from .estimation import PilotScheme, db_to_linear, dft_pilot, estimate_trace
 from .mlp import TrainConfig, init_mlp, predict, train
@@ -106,7 +107,7 @@ class ExperimentConfig:
 
     @property
     def required_blocks(self) -> int:
-        return self.n_gap + self.n_te + self.n0 + 1
+        return self.dataset_spec().min_blocks(PHASE_TEST)
 
     def overhead_blocks(self, approach: str) -> int:
         return self.n_tr if approach == "sl" else self.n_tr_prime
@@ -136,16 +137,73 @@ def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
     return truth, est
 
 
+def score(pred: ChannelTensor, truth: ChannelTensor, spec: DatasetSpec) -> float:
+    """NMSE of an (n_te, L, M) prediction against the truth at the test label blocks.
+
+    Rows are the length-M subcarrier vectors in (subcarrier, block) order.
+    """
+    label = truth.values[spec.n_gap + spec.n0 + np.arange(spec.n_te)]
+    if pred.values.shape != label.shape:
+        raise ContractError(f"prediction shape {pred.values.shape} != label shape {label.shape}")
+    rows = [v.transpose(1, 0, 2).reshape(-1, label.shape[2]) for v in (pred.values, label)]
+    return nmse(*rows)
+
+
 def persistence_nmse(truth: ChannelTensor, est: ChannelTensor,
                      cfg: ExperimentConfig) -> float:
     """Sanity floor: predict h_(n+1) by the newest estimate g_n."""
     spec = cfg.dataset_spec()
-    preds, truths = [], []
-    for l in range(est.n_subcarriers):
-        ds = build_series_dataset(est, (DOMAIN_SUBCARRIER, l), spec, PHASE_TEST, truth)
-        preds.append(ds.last_window())
-        truths.append(ds.label_truth)
-    return nmse(np.concatenate(preds), np.concatenate(truths))
+    check_tensors(est, spec, PHASE_TEST, truth)
+    newest = est.values[spec.n_gap + spec.n0 - 1 + np.arange(spec.n_te)]
+    return score(ChannelTensor(newest, DOMAIN_SUBCARRIER, PROVENANCE_PREDICTED), truth, spec)
+
+
+@dataclass(frozen=True)
+class TrainJob:
+    """One model to train: which series it sees and its random-stream tag.
+
+    `series` is one series index of `domain`, or None for all of them pooled;
+    `n_tr` is the training rows per series. `index` tags the init stream,
+    the shuffle seed and the job's entry in histories and models.
+    """
+
+    domain: str
+    series: int | None
+    n_tr: int
+    index: int
+
+    def datasets(self, est: ChannelTensor, truth: ChannelTensor, spec: DatasetSpec):
+        """(train, test) windowed datasets of this job."""
+        if self.series is None:
+            build = build_jldt if self.domain == DOMAIN_ANTENNA else build_jl
+            return build(est, spec, truth)
+        series = (self.domain, self.series)
+        return (build_series_dataset(est, series, spec, PHASE_TRAIN),
+                build_series_dataset(est, series, spec, PHASE_TEST, truth))
+
+
+def train_jobs(cfg: ExperimentConfig, approach: str) -> list:
+    """sl and sl_small train one model per subcarrier; jl and jldt one pooled model."""
+    if approach in ("sl", "sl_small"):
+        n_tr = cfg.overhead_blocks(approach)
+        return [TrainJob(DOMAIN_SUBCARRIER, l, n_tr, l)
+                for l in range(cfg.channel.n_subcarriers)]
+    domain = DOMAIN_ANTENNA if approach == "jldt" else DOMAIN_SUBCARRIER
+    return [TrainJob(domain, None, cfg.n_tr_prime, 0)]
+
+
+def assemble_predictions(parts, spec: DatasetSpec, shape: tuple) -> ChannelTensor:
+    """Map predicted test rows back to an (n_te, L, M) subcarrier tensor.
+
+    `parts` holds (domain, block_end, series, predicted rows) per job, with the
+    row tags of the job's test dataset; each row goes to its window's label
+    block and its series in that domain's series view. An entry that no job
+    predicts stays NaN and fails validation.
+    """
+    values = np.full((spec.n_te, *shape), np.nan, dtype=np.complex128)
+    for domain, block_end, series, preds in parts:
+        series_view(values, domain)[block_end - spec.n_gap - spec.n0, series] = preds
+    return ChannelTensor(values, DOMAIN_SUBCARRIER, PROVENANCE_PREDICTED).validate()
 
 
 @dataclass
@@ -156,8 +214,8 @@ class CellResult:
     snr_db: float
     seed: int
     nmse: float
-    histories: dict = field(default_factory=dict)   # series tag -> per-epoch loss
-    models: dict = field(default_factory=dict)      # series tag -> MlpModel (opt-in)
+    histories: dict = field(default_factory=dict)   # job index -> per-epoch loss
+    models: dict = field(default_factory=dict)      # job index -> MlpModel (opt-in)
 
 
 def _train_predict(train_ds, test_ds, cfg, init_stream, shuffle_seed):
@@ -178,63 +236,19 @@ def evaluate_cell(truth: ChannelTensor, est: ChannelTensor, cfg: ExperimentConfi
     if approach not in APPROACHES:
         raise ConfigError(f"unknown approach {approach!r}")
     result = CellResult(approach, float("nan"), seed, float("nan"))
-
-    if approach in ("sl", "sl_small"):
-        n_tr = cfg.overhead_blocks(approach)
-        spec = cfg.dataset_spec(n_tr)
-        preds, truths = [], []
-        for l in range(est.n_subcarriers):
-            train_ds = build_series_dataset(est, (DOMAIN_SUBCARRIER, l), spec, PHASE_TRAIN)
-            test_ds = build_series_dataset(est, (DOMAIN_SUBCARRIER, l), spec, PHASE_TEST, truth)
-            p, model, hist = _train_predict(train_ds, test_ds, cfg,
-                                            stream(seed, "mlp-init", l),
-                                            derive_seed(seed, "shuffle", l))
-            preds.append(p)
-            truths.append(test_ds.label_truth)
-            result.histories[l] = hist
-            if collect_models:
-                result.models[l] = model
-        result.nmse = nmse(np.concatenate(preds), np.concatenate(truths))
-        return result
-
-    spec = cfg.dataset_spec(cfg.n_tr_prime)
-    if approach == "jl":
-        train_ds, test_ds = build_jl(est, spec, truth)
-        preds, model, hist = _train_predict(train_ds, test_ds, cfg,
-                                            stream(seed, "mlp-init", 0),
-                                            derive_seed(seed, "shuffle", 0))
-        result.nmse = nmse(preds, test_ds.label_truth)
-    else:  # jldt
-        train_ds, test_ds = build_jldt(est, spec, truth)
-        preds, model, hist = _train_predict(train_ds, test_ds, cfg,
-                                            stream(seed, "mlp-init", 0),
-                                            derive_seed(seed, "shuffle", 0))
-        pred_sub = reconstruct_subcarrier_predictions(preds, est.n_antennas, cfg.n_te)
-        label_blocks = spec.n_gap + spec.n0 + np.arange(spec.n_te)
-        truth_sub = truth.values[label_blocks]
-        result.nmse = nmse(pred_sub.values.reshape(-1, est.n_antennas),
-                           truth_sub.reshape(-1, est.n_antennas))
-    result.histories[0] = hist
-    if collect_models:
-        result.models[0] = model
+    parts = []
+    for job in train_jobs(cfg, approach):
+        train_ds, test_ds = job.datasets(est, truth, cfg.dataset_spec(job.n_tr))
+        preds, model, history = _train_predict(train_ds, test_ds, cfg,
+                                               stream(seed, "mlp-init", job.index),
+                                               derive_seed(seed, "shuffle", job.index))
+        parts.append((job.domain, test_ds.block_end, test_ds.series, preds))  # not the features
+        result.histories[job.index] = history
+        if collect_models:
+            result.models[job.index] = model
+    spec = cfg.dataset_spec()
+    result.nmse = score(assemble_predictions(parts, spec, est.values.shape[1:]), truth, spec)
     return result
-
-
-def reconstruct_subcarrier_predictions(preds: np.ndarray, n_antennas: int,
-                                       n_te: int) -> ChannelTensor:
-    """Reassemble pooled antenna-domain predictions into a subcarrier tensor.
-
-    `preds` holds M*n_te rows in antenna-major, time-minor order, each a
-    length-L predicted antenna-domain vector.
-    """
-    n_sub = preds.shape[1]
-    if preds.shape[0] != n_antennas * n_te:
-        raise ContractError(f"expected {n_antennas * n_te} prediction rows, "
-                            f"got {preds.shape[0]}")
-    values = np.ascontiguousarray(
-        preds.reshape(n_antennas, n_te, n_sub).transpose(1, 2, 0))
-    tensor = ChannelTensor(values, DOMAIN_ANTENNA, PROVENANCE_PREDICTED)
-    return to_subcarrier_domain(tensor)
 
 
 @dataclass(frozen=True)
@@ -314,18 +328,3 @@ def snr_sweep(cfg: ExperimentConfig, snr_db=None, approaches=None, seeds=None,
                                      cfg.overhead_blocks(approach), len(seeds)))
     return NmseReport(entries, seeds, persistence,
                       time.perf_counter() - started, cells)
-
-
-def run_sl(cfg: ExperimentConfig, small: bool = False) -> NmseReport:
-    """Separate-learning experiment (one predictor per subcarrier)."""
-    return snr_sweep(cfg, approaches=("sl_small" if small else "sl",))
-
-
-def run_jl(cfg: ExperimentConfig) -> NmseReport:
-    """Joint-learning experiment (single predictor pooled over subcarriers)."""
-    return snr_sweep(cfg, approaches=("jl",))
-
-
-def run_jldt(cfg: ExperimentConfig) -> NmseReport:
-    """Joint learning on antenna-domain series with reconstruction."""
-    return snr_sweep(cfg, approaches=("jldt",))

@@ -79,6 +79,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_tr"):
             config_from_dict({**MICRO, "n_tr": 13})
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_tr_prime", 10.9),   # non-integral number in an integer field
+        ("m_h", 4.7),
+        ("epochs", True),       # boolean
+        ("seeds", "12"),        # string where a list is expected
+        ("hidden", "64"),
+    ])
+    def test_coercible_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=repr(key)):
+            config_from_dict({**MICRO, key: value})
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.json")

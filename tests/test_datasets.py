@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chanpred import (
     ChannelConfig,
@@ -57,14 +58,16 @@ class TestDatasetSpec:
             DatasetSpec(n0=3, n_tr=1000, n_te=10, n_gap=900).validate()
 
     def test_valid(self):
-        DatasetSpec(n0=3, n_tr=5, n_te=3, n_gap=6).validate()
+        DatasetSpec(n0=3, n_tr=5, n_te=3, n_gap=8).validate()   # n_gap = n_tr + n0
+        with pytest.raises(ConfigError, match="n_gap"):
+            DatasetSpec(n0=3, n_tr=5, n_te=3, n_gap=7).validate()
 
 
 class TestBuildSeriesDataset:
     def test_train_window_arithmetic(self):
         # n0=3, n_tr=5: first row features from blocks (1,2,3), label block 4
         truth, est = _pair()
-        spec = DatasetSpec(n0=3, n_tr=5, n_te=2, n_gap=6)
+        spec = DatasetSpec(n0=3, n_tr=5, n_te=2, n_gap=8)
         ds = build_series_dataset(est, ("subcarrier", 1), spec, "train")
         assert ds.n_rows == 5
         v = est.series(1)
@@ -94,7 +97,7 @@ class TestBuildSeriesDataset:
         truth = synthesize(cfg, draw_paths(cfg), 12)
         est = estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=10.0), stream(0, "n"))
         ds = build_series_dataset(est, ("subcarrier", 0),
-                                  DatasetSpec(n0=3, n_tr=4, n_te=1, n_gap=5), "train")
+                                  DatasetSpec(n0=3, n_tr=4, n_te=1, n_gap=7), "train")
         assert ds.features.shape == (4, 384)
         assert ds.labels.shape == (4, 128)
 
@@ -116,14 +119,14 @@ class TestBuildSeriesDataset:
         truth, est = _pair(n=20)
         with pytest.raises(ContractError):
             build_series_dataset(est, ("subcarrier", 0),
-                                 DatasetSpec(n0=3, n_tr=30, n_te=2, n_gap=31), "train")
+                                 DatasetSpec(n0=3, n_tr=30, n_te=2, n_gap=33), "train")
         with pytest.raises(ContractError):
             build_series_dataset(est, ("subcarrier", 0),
-                                 DatasetSpec(n0=3, n_tr=5, n_te=10, n_gap=7), "test", truth)
+                                 DatasetSpec(n0=3, n_tr=5, n_te=10, n_gap=8), "test", truth)
 
     def test_provenance_and_domain_contracts(self):
         truth, est = _pair()
-        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=5)
+        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
         with pytest.raises(ContractError):
             build_series_dataset(truth, ("subcarrier", 0), spec, "train")
         with pytest.raises(ContractError):
@@ -206,7 +209,7 @@ class TestScaling:
     def test_rms_of_plus_minus_two_is_two(self):
         import dataclasses
         truth, est = _pair()
-        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=5)
+        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
         ds = build_series_dataset(est, ("subcarrier", 0), spec, "train")
         signs = np.sign(stream(0, "s").standard_normal(ds.features.shape))
         rigged = dataclasses.replace(ds, features=2.0 * signs)
@@ -214,7 +217,7 @@ class TestScaling:
 
     def test_apply_then_invert(self):
         truth, est = _pair()
-        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=5)
+        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
         ds = build_series_dataset(est, ("subcarrier", 0), spec, "train")
         s = fit_scale(ds)
         scaled = apply_scale(ds, s)
@@ -225,7 +228,7 @@ class TestScaling:
     def test_zero_dataset_rejected(self):
         import dataclasses
         truth, est = _pair()
-        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=5)
+        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
         ds = build_series_dataset(est, ("subcarrier", 0), spec, "train")
         zeroed = dataclasses.replace(ds, features=np.zeros_like(ds.features))
         with pytest.raises(ContractError):
@@ -233,16 +236,78 @@ class TestScaling:
 
     def test_label_truth_not_scaled(self):
         truth, est = _pair()
-        spec = DatasetSpec(n0=2, n_tr=4, n_te=3, n_gap=5)
+        spec = DatasetSpec(n0=2, n_tr=4, n_te=3, n_gap=6)
         ds = build_series_dataset(est, ("subcarrier", 0), spec, "test", truth)
         scaled = apply_scale(ds, 7.0)
         assert np.array_equal(scaled.label_truth, ds.label_truth)
 
     def test_last_window_denormalizes(self):
         truth, est = _pair()
-        spec = DatasetSpec(n0=2, n_tr=4, n_te=3, n_gap=5)
+        spec = DatasetSpec(n0=2, n_tr=4, n_te=3, n_gap=6)
         ds = build_series_dataset(est, ("subcarrier", 0), spec, "test", truth)
         scaled = apply_scale(ds, 3.0)
         v = est.series(0)
         expected = v[scaled.block_end - 1]
         assert np.allclose(scaled.last_window(), expected, atol=1e-12)
+
+
+def _naive_rows(est_values, truth_values, domain, ids, spec, phase):
+    """Per-row loop over the window arithmetic of the module docstring."""
+    start, rows = (0, spec.n_tr) if phase == "train" else (spec.n_gap, spec.n_te)
+    feats, labels, label_truth, series, block_end = [], [], [], [], []
+    for s in ids:
+        v = est_values[:, s, :] if domain == "subcarrier" else est_values[:, :, s]
+        t = truth_values[:, s, :] if domain == "subcarrier" else truth_values[:, :, s]
+        for r in range(rows):
+            end = start + spec.n0 + r            # 1-based window end n
+            window = [v[end - spec.n0 + w] for w in range(spec.n0)]   # blocks n-n0+1 .. n
+            feats.append(np.concatenate([np.concatenate([x.real, x.imag]) for x in window]))
+            labels.append(np.concatenate([v[end].real, v[end].imag]))   # block n+1
+            label_truth.append(t[end])
+            series.append(s)
+            block_end.append(end)
+    return (np.array(feats), np.array(labels), np.array(label_truth),
+            np.array(series), np.array(block_end))
+
+
+@st.composite
+def _window_cases(draw):
+    n0 = draw(st.integers(1, 4))
+    n_tr = draw(st.integers(1, 6))
+    n_te = draw(st.integers(1, 5))
+    spec = DatasetSpec(n0=n0, n_tr=n_tr, n_te=n_te, n_gap=n_tr + n0 + draw(st.integers(0, 4)))
+    shape = (spec.min_blocks("test") + draw(st.integers(0, 3)),
+             draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    rng = stream(draw(st.integers(0, 2 ** 32 - 1)), "windows")
+    est, truth = (ChannelTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                                "subcarrier", provenance)
+                  for provenance in ("estimated", "true"))
+    return spec, est, truth
+
+
+class TestWindowsProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(_window_cases())
+    def test_builders_match_naive_loop(self, case):
+        spec, est, truth = case
+        ant, ant_truth = to_antenna_domain(est), to_antenna_domain(truth)
+        pooled = {"subcarrier": build_jl(est, spec, truth), "antenna": build_jldt(est, spec, truth)}
+        for domain, (tensor, tensor_truth) in (("subcarrier", (est, truth)),
+                                               ("antenna", (ant, ant_truth))):
+            n_series = tensor.n_series
+            for p, phase in enumerate(("train", "test")):
+                cases = [(pooled[domain][p], range(n_series))]
+                cases += [(build_series_dataset(tensor, (domain, s), spec, phase, tensor_truth),
+                           [s]) for s in range(n_series)]
+                for ds, ids in cases:
+                    feats, labels, label_truth, series, block_end = _naive_rows(
+                        est.values, truth.values, domain, ids, spec, phase)
+                    assert ds.features.flags["C_CONTIGUOUS"]
+                    assert np.array_equal(ds.features, feats)
+                    assert np.array_equal(ds.labels, labels)
+                    assert np.array_equal(ds.series, series)
+                    assert np.array_equal(ds.block_end, block_end)
+                    if phase == "test":
+                        assert np.array_equal(ds.label_truth, label_truth)
+                    else:
+                        assert ds.label_truth is None

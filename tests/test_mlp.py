@@ -9,10 +9,10 @@ from chanpred import (
     ContractError,
     MlpModel,
     TrainConfig,
+    TraceFormatError,
     TrainingDivergedError,
     adam_step,
     backward,
-    forward,
     init_mlp,
     load_model,
     loss_mse,
@@ -64,12 +64,12 @@ class TestForward:
         model = init_mlp((3, 4, 2), 0)
         for w in model.weights:
             w[:] = 0.0
-        assert np.array_equal(forward(model, np.ones(3)), np.zeros(2))
+        assert np.array_equal(predict(model, np.ones(3)[None])[0], np.zeros(2))
 
     def test_single_layer_identity(self):
         model = MlpModel([np.eye(3)], [np.zeros(3)])
         x = np.array([0.5, -1.0, 2.0])
-        assert np.array_equal(forward(model, x), x)
+        assert np.array_equal(predict(model, x[None])[0], x)
 
     def test_hand_built_2_2_1(self):
         # by hand: z1 = (-0.25, 1.05) -> relu (0, 1.05)
@@ -77,13 +77,13 @@ class TestForward:
         model = MlpModel(
             [np.array([[0.1, -0.2], [0.3, 0.4]]), np.array([[0.5, -0.6]])],
             [np.array([0.05, -0.05]), np.array([0.2])])
-        out = forward(model, np.array([1.0, 2.0]))
+        out = predict(model, np.array([1.0, 2.0])[None])[0]
         assert abs(out[0] - (-0.43)) < 1e-12
 
     def test_dimension_mismatch(self):
         model = init_mlp((3, 2), 0)
         with pytest.raises(ContractError):
-            forward(model, np.ones(4))
+            predict(model, np.ones(4)[None])[0]
 
 
 class TestLoss:
@@ -282,4 +282,14 @@ class TestCheckpoint:
         path = tmp_path / "bad.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(Exception):
+            load_model(path)
+
+    def test_activation_other_than_relu_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(init_mlp((2, 3, 1), 1), path)
+        lines = path.read_text().splitlines()
+        assert lines[2] == "activation relu"
+        lines[2] = "activation tanh"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match="line 3"):
             load_model(path)

@@ -13,12 +13,9 @@ from chanpred import (
     nmse,
     persistence_nmse,
     prepare_link,
-    run_jl,
-    run_sl,
     snr_sweep,
 )
-from chanpred.channel import ChannelTensor
-from chanpred.pipelines import evaluate_cell, reconstruct_subcarrier_predictions
+from chanpred.pipelines import assemble_predictions, evaluate_cell
 from chanpred.rng import stream
 
 
@@ -80,14 +77,6 @@ class TestDegenerateEquivalences:
         b = evaluate_cell(truth, est, cfg, "jldt", seed=2)
         assert a.nmse == pytest.approx(b.nmse, abs=1e-15)
 
-    def test_sweep_single_cell_wraps_run(self):
-        cfg = micro_config()
-        direct = run_sl(cfg)
-        wrapped = snr_sweep(cfg, approaches=("sl",))
-        assert direct.entry("sl", 10.0).nmse == wrapped.entry("sl", 10.0).nmse
-        jl = run_jl(cfg)
-        assert jl.entry("jl", 10.0).nmse == snr_sweep(cfg, approaches=("jl",)).entry("jl", 10.0).nmse
-
 
 class TestStaticChannel:
     def test_noise_free_static_channel_learned_exactly(self):
@@ -112,8 +101,8 @@ class TestJldtReconstruction:
         from chanpred.datasets import build_jldt
         spec = cfg.dataset_spec(cfg.n_tr_prime)
         _, test_ds = build_jldt(est, spec, truth)
-        rebuilt = reconstruct_subcarrier_predictions(
-            test_ds.label_truth, truth.n_antennas, cfg.n_te)
+        part = ("antenna", test_ds.block_end, test_ds.series, test_ds.label_truth)
+        rebuilt = assemble_predictions([part], spec, truth.values.shape[1:])
         label_blocks = spec.n_gap + spec.n0 + np.arange(spec.n_te)
         assert np.array_equal(rebuilt.values, truth.values[label_blocks])
         assert rebuilt.domain == "subcarrier"
@@ -175,7 +164,7 @@ def _desk_like_micro():
         l=4, n_tr_prime=10, m_h=2, m_v=2,
         channel={"n_paths": 13, "speed": 6.0 / 3.6, "doppler_grid_blocks": 60,
                  "delay_spread": 4e-7, "doppler_offset": 10.0},
-        n0=3, n_gap=42, n_te=30, hidden=(64,), batch_size=32,
+        n0=3, n_gap=43, n_te=30, hidden=(64,), batch_size=32,
         learning_rate=1e-3, epochs=80, snr_db=(0.0, 20.0), seeds=(1, 2, 3))
 
 
