@@ -14,7 +14,6 @@ from .correlation import CorrelationReport, auto_correlation, correlation_report
 from .datasets import (
     DatasetSpec,
     WindowedDataset,
-    apply_scale,
     build_jl,
     build_jldt,
     build_series_dataset,

@@ -302,18 +302,50 @@ def _parse_header(line: str) -> dict:
         fields[key] = value
     for key in ("N", "L", "M", "domain", "provenance"):
         if key not in fields:
-            raise TraceFormatError(f"trace header missing field {key!r}")
+            raise TraceFormatError(f"line 2: trace header missing field {key!r}")
     try:
         dims = {k: int(fields[k]) for k in ("N", "L", "M")}
     except ValueError as exc:
-        raise TraceFormatError(f"non-integer dimension in trace header: {exc}") from exc
+        raise TraceFormatError(f"line 2: non-integer dimension in trace header: {exc}") from exc
     if any(v < 1 for v in dims.values()):
-        raise TraceFormatError(f"trace dimensions must be >= 1, got {dims}")
+        raise TraceFormatError(f"line 2: trace dimensions must be >= 1, got {dims}")
     if fields["domain"] not in DOMAINS:
-        raise TraceFormatError(f"unknown domain {fields['domain']!r} in trace header")
+        raise TraceFormatError(f"line 2: unknown domain {fields['domain']!r} in trace header")
     if fields["provenance"] not in PROVENANCES:
-        raise TraceFormatError(f"unknown provenance {fields['provenance']!r} in trace header")
+        raise TraceFormatError(
+            f"line 2: unknown provenance {fields['provenance']!r} in trace header")
     return {**dims, "domain": fields["domain"], "provenance": fields["provenance"]}
+
+
+def _record_error(path, N: int, L: int, M: int, parse_error: str) -> str:
+    """Name the first record line that breaks the format.
+
+    Only runs after the bulk parse has rejected the records, so it may read
+    the file line by line. `parse_error` is the bulk parser's complaint, kept
+    for a record this check accepts but the bulk parser did not.
+    """
+    with open(path, errors="replace") as f:
+        lines = f.read().splitlines()[2:]
+    expected = N * L * M
+    for i, line in enumerate(lines[:expected]):
+        where = f"line {i + 3}"
+        want = (i // (L * M) + 1, i // M % L + 1, i % M + 1)
+        tokens = line.split()
+        try:
+            fields = [float(t) for t in tokens]
+        except ValueError:
+            return f"unparseable trace record at {where}: {line!r}"
+        if len(fields) != 5:
+            return f"{where}: expected 5 fields 'n l m re im', found {len(fields)}"
+        if tuple(fields[:3]) != want:
+            return (f"trace dimension mismatch at {where}: expected record "
+                    f"(n,l,m)={want}, found {tuple(tokens[:3])}")
+        if not (np.isfinite(fields[3]) and np.isfinite(fields[4])):
+            return f"non-finite channel value at {where} (record (n,l,m)={want})"
+    if len(lines) != expected:
+        return (f"trace dimension mismatch at line {min(len(lines), expected) + 3}: header "
+                f"declares {N}x{L}x{M} = {expected} records, found {len(lines)} lines")
+    return f"unparseable trace records from line 3: {parse_error}"
 
 
 def import_trace(path) -> ChannelTensor:
@@ -322,41 +354,26 @@ def import_trace(path) -> ChannelTensor:
     Records must appear in canonical (n, l, m) order with 1-based indices;
     errors name the offending line.
     """
-    with open(path) as f:
+    with open(path, errors="replace") as f:
         magic = f.readline().rstrip("\n")
         if magic != _TRACE_MAGIC:
             raise TraceFormatError(f"line 1: expected {_TRACE_MAGIC!r}, got {magic!r}")
         header = _parse_header(f.readline().rstrip("\n"))
         try:
-            records = np.loadtxt(f, ndmin=2)
+            records, parse_error = np.loadtxt(f, ndmin=2), ""
         except ValueError as exc:
-            raise TraceFormatError(f"unparseable trace record: {exc}") from exc
+            records, parse_error = None, str(exc)
 
     N, L, M = header["N"], header["L"], header["M"]
-    expected = N * L * M
-    if records.shape[0] != expected or records.shape[1] != 5:
-        raise TraceFormatError(
-            f"trace dimension mismatch: header declares {N}x{L}x{M} = {expected} "
-            f"records of 5 fields, found {records.shape[0]} records of "
-            f"{records.shape[1] if records.size else 0} fields")
-
+    if records is None or records.shape != (N * L * M, 5):
+        raise TraceFormatError(_record_error(path, N, L, M, parse_error))
     n_idx, l_idx, m_idx = np.meshgrid(np.arange(1, N + 1), np.arange(1, L + 1),
                                       np.arange(1, M + 1), indexing="ij")
     want = np.column_stack([n_idx.reshape(-1), l_idx.reshape(-1), m_idx.reshape(-1)])
-    got = records[:, :3].astype(np.int64)
-    bad = np.nonzero((got != want).any(axis=1))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise TraceFormatError(
-            f"trace dimension mismatch at line {i + 3}: expected record "
-            f"(n,l,m)={tuple(want[i])}, found {tuple(got[i])}")
+    if (records[:, :3] != want).any() or not np.isfinite(records[:, 3:]).all():
+        raise TraceFormatError(_record_error(path, N, L, M, parse_error))
 
-    values = records[:, 3] + 1j * records[:, 4]
-    nonfinite = np.nonzero(~np.isfinite(values))[0]
-    if nonfinite.size:
-        i = int(nonfinite[0])
-        raise TraceFormatError(
-            f"non-finite channel value at line {i + 3} (record (n,l,m)={tuple(want[i])})")
-
+    # a complex view of the (re, im) columns keeps every bit, the sign of zero included
+    values = np.ascontiguousarray(records[:, 3:5]).view(np.complex128)[:, 0]
     tensor = ChannelTensor(values.reshape(N, L, M), header["domain"], header["provenance"])
     return tensor.validate()

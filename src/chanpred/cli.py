@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -61,7 +62,7 @@ PRESETS = {
         "doppler_grid_blocks": 250,
         "doppler_offset_hz": 9.6,
         "delay_spread_s": 4e-7,
-        "n_tr": 160, "n_tr_prime": 10, "n_gap": 240, "n_te": 100,
+        "n_tr_prime": 10, "n_gap": 240, "n_te": 100,
         "epochs": 200,
     },
 }
@@ -119,7 +120,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                                for key, attr in _CHANNEL_KEYS.items() if key in merged})
     exp_defaults = _defaults(ExperimentConfig)
     cfg = ExperimentConfig(channel=channel, **{key: _cast(key, merged[key], exp_defaults[key])
-                                               for key in _EXPERIMENT_KEYS if key in merged})
+                                               for key in _EXPERIMENT_KEYS
+                                               if key in merged and key != "n_tr"})
+    # n_tr is derived from n_tr_prime; a given value must agree with it
+    if "n_tr" in merged and _cast("n_tr", merged["n_tr"], 0) != cfg.n_tr:
+        raise ConfigError(
+            f"n_tr must equal n_tr_prime * L for a fair comparison "
+            f"(n_tr={merged['n_tr']}, n_tr_prime={cfg.n_tr_prime}, "
+            f"L={cfg.channel.n_subcarriers})")
     cfg.validate()
     return cfg
 
@@ -199,15 +207,15 @@ def _float_list(text: str):
 
 def _effective_config(args) -> ExperimentConfig:
     overrides = {}
-    if getattr(args, "snr_db", None):
+    if args.snr_db is not None:
         overrides["snr_db"] = args.snr_db
-    if getattr(args, "tau", None):
+    if args.tau is not None:
         overrides["tau"] = args.tau
-    if getattr(args, "seeds", None):
+    if args.seeds is not None:
         overrides["seeds"] = args.seeds
-    elif getattr(args, "seed", None) is not None:
+    elif args.seed is not None:
         overrides["seeds"] = [args.seed]
-    if getattr(args, "approach", None):
+    if getattr(args, "approach", None) is not None:
         overrides["approaches"] = [args.approach]
     cfg = parse_config(args.config, overrides, preset=args.preset)
     if args.emit_config:
@@ -222,7 +230,7 @@ def _cmd_generate(args) -> int:
     seed = cfg.seeds[0]
     _echo_config(cfg, [seed])
     chan = cfg.channel.with_seed(seed)
-    blocks = args.blocks or cfg.required_blocks
+    blocks = cfg.required_blocks if args.blocks is None else args.blocks
     tensor = synthesize(chan, draw_paths(chan), blocks)
     export_trace(tensor, args.out)
     print(f"wrote trace: {args.out} (N={tensor.n_blocks} L={tensor.n_subcarriers} "
@@ -270,10 +278,11 @@ def _cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def _run_and_write(cfg, args, approaches) -> int:
+def _cmd_sweep(args) -> int:
+    """`sweep` runs the configured approaches; `run` the one given by --approach."""
+    cfg = _effective_config(args)
     _echo_config(cfg, cfg.seeds)
-    report = snr_sweep(cfg, approaches=approaches,
-                       collect_models=bool(getattr(args, "save_models", None)))
+    report = snr_sweep(cfg, collect_models=bool(getattr(args, "save_models", None)))
     for entry in report.entries:
         print(f"{entry.approach:9s} snr={entry.snr_db:6.1f} dB  "
               f"nmse={entry.nmse_db:8.2f} dB  overhead={entry.overhead_blocks} blocks")
@@ -284,7 +293,7 @@ def _run_and_write(cfg, args, approaches) -> int:
         header, rows = report.csv_rows()
         _write_csv(args.out, cfg, header, rows)
         print(f"wrote report: {args.out}")
-    if getattr(args, "loss_out", None):
+    if args.loss_out:
         rows = []
         for cell in report.cells:
             for series, hist in sorted(cell.histories.items()):
@@ -294,7 +303,6 @@ def _run_and_write(cfg, args, approaches) -> int:
                    ("approach", "snr_db", "seed", "series", "epoch", "loss"), rows)
         print(f"wrote loss history: {args.loss_out}")
     if getattr(args, "save_models", None):
-        import os
         os.makedirs(args.save_models, exist_ok=True)
         for cell in report.cells:
             for series, model in cell.models.items():
@@ -302,16 +310,6 @@ def _run_and_write(cfg, args, approaches) -> int:
                 save_model(model, os.path.join(args.save_models, name))
         print(f"saved models under: {args.save_models}")
     return EXIT_OK
-
-
-def _cmd_run(args) -> int:
-    cfg = _effective_config(args)
-    return _run_and_write(cfg, args, (args.approach,))
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _effective_config(args)
-    return _run_and_write(cfg, args, cfg.approaches)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--loss-out", dest="loss_out")
     p.add_argument("--save-models", dest="save_models")
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("sweep", help="run all configured approaches over the SNR grid")
     _add_common(p)

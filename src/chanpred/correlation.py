@@ -15,10 +15,6 @@ import numpy as np
 
 from .channel import ChannelTensor, DOMAIN_ANTENNA, DOMAIN_SUBCARRIER, PROVENANCE_TRUE, series_view
 from .errors import ContractError
-from .rng import stream
-
-PAIR_SAMPLE_CAP = 2500  # max unordered series pairs before seeded subsampling
-_PAIR_SAMPLE_SEED = 20210814
 
 
 def _check_window(length: int, shift: int, n_avg: int) -> None:
@@ -86,21 +82,10 @@ def _gram(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 
 def _domain_curves(x: np.ndarray, max_shift: int, n_avg: int):
     # x: (N, S, D) series-major view of the tensor for one domain
-    n_series = x.shape[1]
     g0 = _gram(x[:n_avg], x[:n_avg])
     diag0 = np.real(np.diag(g0))
     denom = np.sqrt(np.outer(diag0, diag0))
-
-    n_pairs_all = n_series * (n_series - 1) // 2
-    if n_pairs_all <= PAIR_SAMPLE_CAP:
-        mask = ~np.eye(n_series, dtype=bool)
-        pair_idx = None
-    else:
-        rng = stream(_PAIR_SAMPLE_SEED, "corr-pairs")
-        iu = np.triu_indices(n_series, k=1)
-        pick = rng.choice(n_pairs_all, size=PAIR_SAMPLE_CAP, replace=False)
-        pair_idx = (iu[0][pick], iu[1][pick])
-        mask = None
+    mask = ~np.eye(x.shape[1], dtype=bool)
 
     auto = np.empty(max_shift + 1)
     cross = np.empty(max_shift + 1)
@@ -108,12 +93,7 @@ def _domain_curves(x: np.ndarray, max_shift: int, n_avg: int):
         g = _gram(x[:n_avg], x[shift:shift + n_avg])
         norm = np.abs(g) / denom
         auto[shift] = float(np.mean(np.diag(norm)))
-        if mask is not None:
-            cross[shift] = float(np.mean(norm[mask]))
-        else:
-            # both orientations of each sampled unordered pair
-            cross[shift] = float(np.mean(
-                0.5 * (norm[pair_idx[0], pair_idx[1]] + norm[pair_idx[1], pair_idx[0]])))
+        cross[shift] = float(np.mean(norm[mask]))
     return auto, cross
 
 
@@ -122,8 +102,7 @@ def correlation_report(tensor: ChannelTensor, max_shift: int = 16,
     """Correlation study of a true channel tensor in both domains.
 
     Auto-correlation magnitudes are averaged over all series of each domain;
-    cross-correlation magnitudes over all unordered series pairs, or over a
-    seeded subsample of PAIR_SAMPLE_CAP pairs when there are more.
+    cross-correlation magnitudes over all ordered pairs of distinct series.
     """
     tensor.validate()
     if tensor.provenance != PROVENANCE_TRUE:
@@ -133,10 +112,7 @@ def correlation_report(tensor: ChannelTensor, max_shift: int = 16,
         raise ContractError("correlation_report expects a subcarrier-domain tensor")
     if max_shift < 0:
         raise ContractError(f"max_shift must be >= 0, got {max_shift}")
-    if tensor.n_blocks < n_avg + max_shift:
-        raise ContractError(
-            f"tensor has {tensor.n_blocks} blocks, need >= n_avg + max_shift = "
-            f"{n_avg + max_shift}")
+    _check_window(tensor.n_blocks, max_shift, n_avg)
 
     sub = series_view(tensor.values, DOMAIN_SUBCARRIER)             # series l, vectors over m
     sub_auto, sub_cross = _domain_curves(sub, max_shift, n_avg)

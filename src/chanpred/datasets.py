@@ -20,7 +20,7 @@ labels remain estimated channels (the true channel is never measurable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,8 +94,7 @@ class WindowedDataset:
     features: (rows, 2*n0*dim), labels: (rows, 2*dim); `series` tags the
     source series index of each row and `block_end` its window-end block
     (1-based). `label_truth` holds the true complex channel at block n+1 for
-    test rows, None for training rows. `scale` records the normalization
-    already divided out of features and labels.
+    test rows, None for training rows.
     """
 
     features: np.ndarray
@@ -105,7 +104,6 @@ class WindowedDataset:
     series: np.ndarray
     block_end: np.ndarray
     label_truth: np.ndarray | None = None
-    scale: float = 1.0
 
     @property
     def n_rows(self) -> int:
@@ -123,13 +121,7 @@ class WindowedDataset:
         if self.label_truth is not None and self.label_truth.shape != (rows, self.dim):
             raise ContractError(f"label_truth shape {self.label_truth.shape} "
                                 f"inconsistent with dim={self.dim}")
-        if not self.scale > 0:
-            raise ContractError(f"scale must be positive, got {self.scale}")
         return self
-
-    def last_window(self) -> np.ndarray:
-        """The newest window of each row as complex vectors, de-normalized."""
-        return real_to_complex(self.features[:, -2 * self.dim:] * self.scale)
 
 
 def _windows(view: np.ndarray, start: int, rows: int, n0: int):
@@ -242,13 +234,3 @@ def fit_scale(train: WindowedDataset) -> float:
     if rms == 0.0:
         raise ContractError("cannot fit a scale on an all-zero dataset")
     return rms
-
-
-def apply_scale(dataset: WindowedDataset, scale: float) -> WindowedDataset:
-    """Divide features and labels by `scale`; label_truth stays physical."""
-    if not scale > 0:
-        raise ContractError(f"scale must be positive, got {scale}")
-    return replace(dataset,
-                   features=dataset.features / scale,
-                   labels=dataset.labels / scale,
-                   scale=dataset.scale * scale).validate()

@@ -14,14 +14,17 @@ import numpy as np
 from .errors import ConfigError, ContractError, TraceFormatError, TrainingDivergedError
 from .rng import stream
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class MlpModel:
-    """Layer weights (out x in) and biases, plus the init seed echo."""
+    """Layer weights (out x in) and biases."""
 
     weights: list
     biases: list
-    seed: int | None = None
 
     @property
     def dims(self) -> tuple:
@@ -48,23 +51,20 @@ class MlpModel:
         return self
 
 
-def init_mlp(dims, rng: np.random.Generator | int | None = None) -> MlpModel:
+def init_mlp(dims, rng: np.random.Generator | int) -> MlpModel:
     """Initialize an MLP with the given layer dims.
 
     Hidden weights are uniform(+-sqrt(6/fan_in)) (ReLU-appropriate), the output
-    layer uniform(+-sqrt(6/(fan_in+fan_out))), biases zero.
+    layer uniform(+-sqrt(6/(fan_in+fan_out))), biases zero. An int `rng` is
+    the seed of the "mlp-init" stream.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise ConfigError(f"need at least input and output dims, got {dims}")
     if any(d < 1 for d in dims):
         raise ConfigError(f"all layer dims must be >= 1, got {dims}")
-    seed = None
-    if rng is None:
-        rng = stream(0, "mlp-init")
-    elif isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = stream(seed, "mlp-init")
+    if isinstance(rng, (int, np.integer)):
+        rng = stream(int(rng), "mlp-init")
 
     weights, biases = [], []
     last = len(dims) - 2
@@ -73,7 +73,7 @@ def init_mlp(dims, rng: np.random.Generator | int | None = None) -> MlpModel:
         limit = np.sqrt(6.0 / fan_in) if i < last else np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(weights, biases, seed=seed).validate()
+    return MlpModel(weights, biases).validate()
 
 
 def _forward_cached(model: MlpModel, x: np.ndarray):
@@ -146,25 +146,21 @@ class AdamState:
     v_b: list
     t: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_model(cls, model: MlpModel, learning_rate: float = 1e-3,
-                  beta1: float = 0.9, beta2: float = 0.999,
-                  epsilon: float = 1e-8) -> "AdamState":
+    def for_model(cls, model: MlpModel, learning_rate: float = 1e-3) -> "AdamState":
         return cls(
             m_w=[np.zeros_like(w) for w in model.weights],
             v_w=[np.zeros_like(w) for w in model.weights],
             m_b=[np.zeros_like(b) for b in model.biases],
             v_b=[np.zeros_like(b) for b in model.biases],
-            learning_rate=learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon)
+            learning_rate=learning_rate)
 
 
 def adam_step(model: MlpModel, grads, state: AdamState):
     """One ADAM update with bias correction; mutates model and state in place.
 
+    With b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON:
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
     """
@@ -172,18 +168,18 @@ def adam_step(model: MlpModel, grads, state: AdamState):
     if len(grad_w) != model.n_layers or len(grad_b) != model.n_layers:
         raise ContractError("gradient list lengths do not match the model")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for i in range(model.n_layers):
         for params, grad, m, v in (
             (model.weights[i], grad_w[i], state.m_w[i], state.v_w[i]),
             (model.biases[i], grad_b[i], state.m_b[i], state.v_b[i]),
         ):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * grad ** 2
-            params -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad ** 2
+            params -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
     return model, state
 
 
@@ -206,17 +202,14 @@ def shuffle_order(shuffle_seed: int, epoch: int, n_rows: int) -> np.ndarray:
 
 
 def train(model: MlpModel, dataset, cfg: TrainConfig):
-    """Mini-batch ADAM training on a WindowedDataset (or (X, Y) pair).
+    """Mini-batch ADAM training on a (features, labels) pair.
 
     Each epoch reshuffles rows with shuffle_order and walks them in sequential
     mini-batches (the last batch may be short). The returned history holds one
     mean mini-batch loss per epoch; a non-finite loss raises immediately.
     """
     cfg.validate()
-    if hasattr(dataset, "features"):
-        x, y = dataset.features, dataset.labels
-    else:
-        x, y = dataset
+    x, y = dataset
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:
@@ -263,36 +256,50 @@ def save_model(model: MlpModel, path) -> None:
             np.savetxt(f, b.reshape(1, -1), fmt="%.17g")
 
 
+def _parse_values(lines: list, index: int, count: int, what: str) -> np.ndarray:
+    """`count` finite floats from line `index` (0-based); errors name the line."""
+    if index >= len(lines):
+        raise TraceFormatError(f"line {index + 1}: checkpoint ends before the {what}")
+    try:
+        values = np.array([float(t) for t in lines[index].split()])
+    except ValueError as exc:
+        raise TraceFormatError(f"line {index + 1}: bad {what}: {exc}") from exc
+    if values.size != count:
+        raise TraceFormatError(f"line {index + 1}: expected {count} {what}, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise TraceFormatError(f"line {index + 1}: non-finite {what}")
+    return values
+
+
 def load_model(path) -> MlpModel:
-    """Read a checkpoint written by save_model."""
-    with open(path) as f:
+    """Read a checkpoint written by save_model; errors name the offending line."""
+    with open(path, errors="replace") as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
         raise TraceFormatError(f"line 1: expected {_CKPT_MAGIC!r}")
-    if len(lines) < 3 or not lines[1].startswith("dims "):
-        raise TraceFormatError(f"checkpoint header must be: dims ..., {_CKPT_ACTIVATION}")
+    tokens = lines[1].split() if len(lines) > 1 else []
+    if tokens[:1] != ["dims"]:
+        raise TraceFormatError("line 2: expected 'dims <d0> <d1> ...'")
     try:
-        dims = [int(t) for t in lines[1].split()[1:]]
+        dims = [int(t) for t in tokens[1:]]
     except ValueError as exc:
         raise TraceFormatError(f"line 2: bad dims: {exc}") from exc
-    if lines[2] != _CKPT_ACTIVATION:
-        raise TraceFormatError(f"line 3: expected {_CKPT_ACTIVATION!r}, got {lines[2]!r}")
+    if len(dims) < 2 or min(dims) < 1:
+        raise TraceFormatError(f"line 2: need at least two dims, each >= 1, got {dims}")
+    activation = lines[2] if len(lines) > 2 else None
+    if activation != _CKPT_ACTIVATION:
+        raise TraceFormatError(f"line 3: expected {_CKPT_ACTIVATION!r}, got {activation!r}")
 
     weights, biases = [], []
-    cursor = 3
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
+        cursor = 3 + 3 * i
         if cursor >= len(lines) or lines[cursor] != f"layer {i}":
             raise TraceFormatError(f"line {cursor + 1}: expected 'layer {i}'")
-        try:
-            w = np.fromstring(lines[cursor + 1], sep=" ")
-            b = np.fromstring(lines[cursor + 2], sep=" ")
-        except IndexError as exc:
-            raise TraceFormatError(f"truncated checkpoint at layer {i}") from exc
-        if w.size != fan_out * fan_in or b.size != fan_out:
-            raise TraceFormatError(f"layer {i}: expected {fan_out * fan_in} weights and "
-                                   f"{fan_out} biases, got {w.size} and {b.size}")
+        w = _parse_values(lines, cursor + 1, fan_out * fan_in, f"layer {i} weights")
         weights.append(w.reshape(fan_out, fan_in))
-        biases.append(b)
-        cursor += 3
+        biases.append(_parse_values(lines, cursor + 2, fan_out, f"layer {i} biases"))
+    end = 3 + 3 * len(weights)
+    if len(lines) > end:
+        raise TraceFormatError(f"line {end + 1}: unexpected content after the last layer")
     return MlpModel(weights, biases).validate()

@@ -36,7 +36,6 @@ from .datasets import (
     DatasetSpec,
     PHASE_TEST,
     PHASE_TRAIN,
-    apply_scale,
     build_jl,
     build_jldt,
     build_series_dataset,
@@ -45,7 +44,7 @@ from .datasets import (
     real_to_complex,
 )
 from .errors import ConfigError, ContractError
-from .estimation import PilotScheme, db_to_linear, dft_pilot, estimate_trace
+from .estimation import PilotScheme, estimate_trace
 from .mlp import TrainConfig, init_mlp, predict, train
 from .rng import derive_seed, stream
 
@@ -61,7 +60,6 @@ class ExperimentConfig:
     pilot_column: int = 1
     snr_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
     n0: int = 3
-    n_tr: int = 1000
     n_tr_prime: int = 20
     n_gap: int = 1500
     n_te: int = 200
@@ -72,6 +70,11 @@ class ExperimentConfig:
     seeds: tuple = (1, 2, 3)
     approaches: tuple = APPROACHES
 
+    @property
+    def n_tr(self) -> int:
+        """The sl training budget per subcarrier, n_tr_prime * L (N_tr = L * N'_tr)."""
+        return self.n_tr_prime * self.channel.n_subcarriers
+
     def validate(self) -> "ExperimentConfig":
         self.channel.validate()
         if self.tau < 1:
@@ -80,11 +83,6 @@ class ExperimentConfig:
             raise ConfigError(f"pilot_column must be in [0, tau), got {self.pilot_column}")
         if not self.snr_db:
             raise ConfigError("snr_db list must be non-empty")
-        if self.n_tr != self.n_tr_prime * self.channel.n_subcarriers:
-            raise ConfigError(
-                f"n_tr must equal n_tr_prime * L for a fair comparison "
-                f"(n_tr={self.n_tr}, n_tr_prime={self.n_tr_prime}, "
-                f"L={self.channel.n_subcarriers})")
         self.dataset_spec().validate()
         self.dataset_spec(self.n_tr_prime).validate()
         if any(h < 1 for h in self.hidden):
@@ -113,8 +111,7 @@ class ExperimentConfig:
         return self.n_tr if approach == "sl" else self.n_tr_prime
 
     def scheme(self, snr_db: float) -> PilotScheme:
-        return PilotScheme(dft_pilot(self.tau, self.pilot_column),
-                           db_to_linear(snr_db)).validate()
+        return PilotScheme.dft(self.tau, self.pilot_column, snr_db)
 
 
 def nmse(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -220,13 +217,12 @@ class CellResult:
 
 def _train_predict(train_ds, test_ds, cfg, init_stream, shuffle_seed):
     scale = fit_scale(train_ds)
-    train_scaled = apply_scale(train_ds, scale)
-    test_scaled = apply_scale(test_ds, scale)
-    dims = (train_scaled.features.shape[1], *cfg.hidden, train_scaled.labels.shape[1])
+    dims = (train_ds.features.shape[1], *cfg.hidden, train_ds.labels.shape[1])
     model = init_mlp(dims, init_stream)
-    model, history = train(model, train_scaled, TrainConfig(
-        cfg.batch_size, cfg.epochs, cfg.learning_rate, shuffle_seed))
-    preds = real_to_complex(predict(model, test_scaled.features) * scale)
+    model, history = train(model, (train_ds.features / scale, train_ds.labels / scale),
+                           TrainConfig(cfg.batch_size, cfg.epochs, cfg.learning_rate,
+                                       shuffle_seed))
+    preds = real_to_complex(predict(model, test_ds.features / scale) * scale)
     return preds, model, history
 
 
@@ -285,46 +281,36 @@ class NmseReport:
         return header, rows
 
 
-def snr_sweep(cfg: ExperimentConfig, snr_db=None, approaches=None, seeds=None,
-              collect_models: bool = False) -> NmseReport:
-    """Run the requested approaches over an SNR grid with shared links.
+def snr_sweep(cfg: ExperimentConfig, collect_models: bool = False) -> NmseReport:
+    """Run the configured approaches over the SNR grid with shared links.
 
     Channel traces and pilot noise are regenerated deterministically per seed,
     so every approach sees byte-identical estimated tensors at each
     (SNR, seed); NMSE is averaged over seeds.
     """
     cfg.validate()
-    snr_db = tuple(cfg.snr_db if snr_db is None else snr_db)
-    approaches = tuple(cfg.approaches if approaches is None else approaches)
-    seeds = tuple(cfg.seeds if seeds is None else seeds)
-    if not snr_db or not approaches or not seeds:
-        raise ConfigError("snr_db, approaches and seeds must be non-empty")
-    unknown = set(approaches) - set(APPROACHES)
-    if unknown:
-        raise ConfigError(f"unknown approaches: {sorted(unknown)}")
-
     started = time.perf_counter()
     cells = []
     persistence = {}
-    for snr in snr_db:
+    for snr in cfg.snr_db:
         per_seed_persist = []
-        for seed in seeds:
+        for seed in cfg.seeds:
             truth, est = prepare_link(cfg, snr, seed)
             per_seed_persist.append(persistence_nmse(truth, est, cfg))
-            for approach in approaches:
+            for approach in cfg.approaches:
                 cell = evaluate_cell(truth, est, cfg, approach, seed, collect_models)
                 cell.snr_db = float(snr)
                 cells.append(cell)
         persistence[float(snr)] = float(np.mean(per_seed_persist))
 
     entries = []
-    for approach in approaches:
-        for snr in snr_db:
+    for approach in cfg.approaches:
+        for snr in cfg.snr_db:
             vals = [c.nmse for c in cells
                     if c.approach == approach and c.snr_db == float(snr)]
             mean = float(np.mean(vals))
             entries.append(NmseEntry(approach, float(snr), mean,
                                      10.0 * float(np.log10(mean)),
-                                     cfg.overhead_blocks(approach), len(seeds)))
-    return NmseReport(entries, seeds, persistence,
+                                     cfg.overhead_blocks(approach), len(cfg.seeds)))
+    return NmseReport(entries, cfg.seeds, persistence,
                       time.perf_counter() - started, cells)

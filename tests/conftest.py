@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from chanpred import ChannelConfig, ChannelTensor, draw_paths, synthesize
 from chanpred.estimation import PilotScheme, estimate_trace
@@ -28,3 +29,28 @@ def random_tensor(seed, n=6, l=3, m=4, domain="subcarrier", provenance="true"):
     rng = stream(seed, "tensor")
     values = rng.standard_normal((n, l, m)) + 1j * rng.standard_normal((n, l, m))
     return ChannelTensor(values, domain, provenance)
+
+
+LINE_CORRUPTIONS = ("delete", "duplicate", "append token", "not utf-8")
+
+
+def corrupt_line(data: bytes, corruption: str, index: int) -> bytes:
+    """Break line `index` (modulo the line count) of a text file so no reader may accept it."""
+    lines = data.split(b"\n")[:-1]
+    index %= len(lines)
+    if corruption == "delete":
+        del lines[index]
+    elif corruption == "duplicate":
+        lines.insert(index, lines[index])
+    elif corruption == "append token":
+        lines[index] += b" x"
+    else:
+        lines[index] = b"\xff\xfe"
+    return b"\n".join(lines) + b"\n"
+
+
+# finite doubles, with signed zeros, subnormals and the largest magnitudes drawn often
+FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]))

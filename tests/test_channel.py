@@ -1,7 +1,11 @@
 """Channel generator: path statistics, steering geometry, trace synthesis and I/O."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chanpred import (
     ChannelConfig,
@@ -16,6 +20,7 @@ from chanpred import (
 )
 from chanpred.channel import SPEED_OF_LIGHT
 from chanpred.rng import stream
+from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line, random_tensor
 
 
 class TestDrawPaths:
@@ -189,6 +194,16 @@ class TestTraceIO:
         with pytest.raises(TraceFormatError, match="missing field"):
             import_trace(path)
 
+    def test_signed_zeros_survive_import(self, tmp_path):
+        path = tmp_path / "zeros.trace"
+        path.write_text("chanpred-trace v1\n"
+                        "N=1 L=1 M=2 domain=subcarrier provenance=true\n"
+                        "1 1 1 -0 0\n"
+                        "1 1 2 0 -0\n")
+        values = import_trace(path).values.reshape(-1)
+        assert np.signbit(values.real).tolist() == [True, False]
+        assert np.signbit(values.imag).tolist() == [False, True]
+
     def test_tensor_validation(self):
         with pytest.raises(Exception):
             ChannelTensor(np.zeros((2, 2)), "subcarrier", "true").validate()
@@ -196,3 +211,38 @@ class TestTraceIO:
         bad[0, 0, 0] = np.inf
         with pytest.raises(Exception):
             ChannelTensor(bad, "subcarrier", "true").validate()
+
+
+@st.composite
+def _tensors(draw):
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    parts = draw(st.lists(FINITE_DOUBLES, min_size=2 * int(np.prod(shape)),
+                          max_size=2 * int(np.prod(shape))))
+    values = np.array(parts, dtype=np.float64).view(np.complex128).reshape(shape)
+    return ChannelTensor(values, draw(st.sampled_from(["subcarrier", "antenna"])),
+                         draw(st.sampled_from(["true", "estimated", "predicted"])))
+
+
+class TestTraceFileProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_tensors())
+    def test_export_import_export_is_bit_exact(self, tensor):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.trace"), Path(tmp, "b.trace")
+            export_trace(tensor, first)
+            loaded = import_trace(first)
+            export_trace(loaded, second)
+            assert np.array_equal(loaded.values.view(np.uint64), tensor.values.view(np.uint64))
+            assert (loaded.domain, loaded.provenance) == (tensor.domain, tensor.provenance)
+            assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           st.sampled_from(LINE_CORRUPTIONS), st.integers(0, 10 ** 6))
+    def test_corrupted_line_is_named(self, shape, corruption, index):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "t.trace")
+            export_trace(random_tensor(index, *shape), path)
+            path.write_bytes(corrupt_line(path.read_bytes(), corruption, index))
+            with pytest.raises(TraceFormatError, match=r"line \d+"):
+                import_trace(path)

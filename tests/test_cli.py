@@ -79,6 +79,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_tr"):
             config_from_dict({**MICRO, "n_tr": 13})
 
+    def test_n_tr_follows_n_tr_prime(self):
+        cfg = config_from_dict({"preset": "desk", "n_tr_prime": 5})
+        assert cfg.n_tr == 5 * cfg.channel.n_subcarriers == 80
+        assert config_to_dict(cfg)["n_tr"] == 80
+
     @pytest.mark.parametrize("key, value", [
         ("n_tr_prime", 10.9),   # non-integral number in an integer field
         ("m_h", 4.7),
@@ -181,6 +186,19 @@ class TestSubcommands:
         bad = tmp_path / "bad.trace"
         bad.write_text("chanpred-trace v1\nN=2 L=2 M=2 domain=subcarrier provenance=true\n1 1 1 0 0\n")
         assert main(["import", "--trace", str(bad)]) == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("flags, config_error", [
+        (["--tau", "0"], True),
+        (["--seeds", ","], True),
+        (["--snr-db", ","], True),
+        (["--blocks", "0"], False),
+        (["--blocks", "-3"], False),
+    ])
+    def test_given_overrides_are_not_ignored(self, tmp_path, flags, config_error):
+        trace = tmp_path / "t.trace"
+        code = main(["generate", "--preset", "desk", *flags, "--out", str(trace)])
+        assert code == EXIT_CONFIG if config_error else code != EXIT_OK
+        assert not trace.exists()
 
     def test_snr_and_tau_overrides(self, tmp_path, micro_cfg_file, capsys):
         trace = str(tmp_path / "t.trace")

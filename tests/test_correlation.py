@@ -147,6 +147,11 @@ class TestCorrelationReport:
         with pytest.raises(ContractError):
             correlation_report(small_trace, max_shift=20, n_avg=50)
 
+    @pytest.mark.parametrize("n_avg", [0, -5])
+    def test_averaging_window_must_be_positive(self, small_trace, n_avg):
+        with pytest.raises(ContractError, match="n_avg"):
+            correlation_report(small_trace, max_shift=2, n_avg=n_avg)
+
     def test_rows_layout(self, small_trace):
         rep = correlation_report(small_trace, max_shift=3, n_avg=50)
         rows = rep.rows()

@@ -10,7 +10,6 @@ from chanpred import (
     ConfigError,
     ContractError,
     DatasetSpec,
-    apply_scale,
     build_jl,
     build_jldt,
     build_series_dataset,
@@ -215,16 +214,6 @@ class TestScaling:
         rigged = dataclasses.replace(ds, features=2.0 * signs)
         assert fit_scale(rigged) == pytest.approx(2.0)
 
-    def test_apply_then_invert(self):
-        truth, est = _pair()
-        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
-        ds = build_series_dataset(est, ("subcarrier", 0), spec, "train")
-        s = fit_scale(ds)
-        scaled = apply_scale(ds, s)
-        assert np.allclose(scaled.features * s, ds.features, atol=1e-15)
-        assert scaled.scale == pytest.approx(s)
-        assert np.sqrt(np.mean(scaled.features ** 2)) == pytest.approx(1.0)
-
     def test_zero_dataset_rejected(self):
         import dataclasses
         truth, est = _pair()
@@ -233,22 +222,6 @@ class TestScaling:
         zeroed = dataclasses.replace(ds, features=np.zeros_like(ds.features))
         with pytest.raises(ContractError):
             fit_scale(zeroed)
-
-    def test_label_truth_not_scaled(self):
-        truth, est = _pair()
-        spec = DatasetSpec(n0=2, n_tr=4, n_te=3, n_gap=6)
-        ds = build_series_dataset(est, ("subcarrier", 0), spec, "test", truth)
-        scaled = apply_scale(ds, 7.0)
-        assert np.array_equal(scaled.label_truth, ds.label_truth)
-
-    def test_last_window_denormalizes(self):
-        truth, est = _pair()
-        spec = DatasetSpec(n0=2, n_tr=4, n_te=3, n_gap=6)
-        ds = build_series_dataset(est, ("subcarrier", 0), spec, "test", truth)
-        scaled = apply_scale(ds, 3.0)
-        v = est.series(0)
-        expected = v[scaled.block_end - 1]
-        assert np.allclose(scaled.last_window(), expected, atol=1e-12)
 
 
 def _naive_rows(est_values, truth_values, domain, ids, spec, phase):

@@ -1,7 +1,11 @@
 """MLP internals against hand computations, finite differences, and closed forms."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chanpred import (
     AdamState,
@@ -22,6 +26,7 @@ from chanpred import (
 )
 from chanpred.mlp import shuffle_order
 from chanpred.rng import stream
+from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line
 
 
 def _flat_params(model):
@@ -293,3 +298,67 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceFormatError, match="line 3"):
             load_model(path)
+
+    _VALID = ["chanpred-mlp v1", "dims 2 1", "activation relu", "layer 0", "0.5 -0.5", "0.25"]
+
+    @pytest.mark.parametrize("index, text, bad_line", [
+        (4, "0.5 0.5 junk", 5),       # trailing junk on a parameter line
+        (4, "0.5", 5),                # too few weights
+        (5, "nan", 6),                # non-finite bias
+        (1, "dims 2", 2),             # fewer than two dims
+        (1, "dims 0 1", 2),           # zero-width layer
+        (1, "dims 2 x", 2),
+        (5, None, 6),                 # checkpoint ends before the biases
+        (6, "layer 1", 7),            # content after the last layer
+    ])
+    def test_malformed_lines_name_the_line(self, tmp_path, index, text, bad_line):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(self._VALID) + "\n")
+        assert load_model(path).dims == (2, 1)
+        lines = list(self._VALID)
+        if text is None:
+            del lines[index]
+        elif index == len(lines):
+            lines.append(text)
+        else:
+            lines[index] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=rf"^line {bad_line}:"):
+            load_model(path)
+
+
+@st.composite
+def _models(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        w = draw(st.lists(FINITE_DOUBLES, min_size=fan_in * fan_out, max_size=fan_in * fan_out))
+        weights.append(np.array(w, dtype=np.float64).reshape(fan_out, fan_in))
+        biases.append(np.array(draw(st.lists(FINITE_DOUBLES, min_size=fan_out, max_size=fan_out)),
+                               dtype=np.float64))
+    return MlpModel(weights, biases)
+
+
+class TestCheckpointProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_models())
+    def test_save_load_is_bit_exact(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "model.txt")
+            save_model(model, path)
+            loaded = load_model(path)
+        assert loaded.dims == model.dims
+        for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=4),
+           st.sampled_from(LINE_CORRUPTIONS), st.integers(0, 10 ** 6))
+    def test_corrupted_line_is_named(self, dims, corruption, index):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "model.txt")
+            save_model(init_mlp(dims, index), path)
+            path.write_bytes(corrupt_line(path.read_bytes(), corruption, index))
+            with pytest.raises(TraceFormatError, match=r"line \d+"):
+                load_model(path)

@@ -1,12 +1,17 @@
-"""The benchmark's tracer must still find and count what it instruments.
+"""The benchmark's calls into chanpred must still resolve and run.
 
 perfbench/tracing.py swaps chanpred functions by name from outside the
-package; a rename or a deleted function would silently zero its metrics.
-This test only reads perfbench.
+package, and perfbench/workloads.py parses configs, reads `cfg.n_tr` and
+trains through `mlp.train` and `init_mlp`; a rename, a deleted function or
+a changed signature would silently zero its metrics or fail its runs. This
+test only reads perfbench.
 """
 
 import importlib
+import math
 import pathlib
+
+import pytest
 
 from chanpred import ChannelConfig, ExperimentConfig
 from chanpred import pipelines
@@ -14,20 +19,40 @@ from chanpred import pipelines
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracing_targets_resolve_and_count_jobs(monkeypatch):
+def _perfbench(monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module(name)
+
+
+def test_tracing_targets_resolve_and_count_jobs(monkeypatch):
+    tracing = _perfbench(monkeypatch, "tracing")
     for module, attr, *_ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
     n_sub = 3
     cfg = ExperimentConfig(
         channel=ChannelConfig(m_h=2, m_v=1, n_subcarriers=n_sub, n_paths=5),
-        snr_db=(10.0,), n0=2, n_tr=3 * n_sub, n_tr_prime=3, n_gap=3 * n_sub + 2, n_te=2,
-        hidden=(4,), batch_size=8, epochs=2, seeds=(1,)).validate()
+        snr_db=(10.0,), n0=2, n_tr_prime=3, n_gap=3 * n_sub + 2, n_te=2,
+        hidden=(4,), batch_size=8, epochs=2, seeds=(1,),
+        approaches=("sl", "jl", "jldt")).validate()
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
-        pipelines.snr_sweep(cfg, approaches=("sl", "jl", "jldt"))
+        pipelines.snr_sweep(cfg)
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["mlp.jobs"] == n_sub + 1 + 1
     assert metrics["datasets.rows"] > 0
+
+
+@pytest.mark.parametrize("workload", ["desk-separate", "paper-jldt"])
+def test_workload_configs_parse_with_training_work(monkeypatch, tmp_path, workload):
+    workloads = _perfbench(monkeypatch, "workloads")
+    steps, jobs = workloads.config_work(workload, "tiny", str(tmp_path))
+    assert steps > 0 and jobs > 0
+
+
+def test_paper_projection_trains_and_projects(monkeypatch):
+    workloads = _perfbench(monkeypatch, "workloads")
+    projection = workloads.paper_projection("tiny", 1)
+    assert math.isfinite(projection["hours"]) and projection["hours"] > 0
+    assert all(s > 0 for s in projection["s_per_step"].values())
+    assert all(n > 0 for n in projection["steps_per_cell"].values())

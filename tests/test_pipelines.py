@@ -15,6 +15,7 @@ from chanpred import (
     prepare_link,
     snr_sweep,
 )
+from chanpred.cli import config_from_dict
 from chanpred.pipelines import assemble_predictions, evaluate_cell
 from chanpred.rng import stream
 
@@ -25,7 +26,7 @@ def micro_config(l=3, n_tr_prime=4, m_h=2, m_v=2, **kw):
     chan_kw.update(kw.pop("channel", {}))
     defaults = dict(
         channel=ChannelConfig(**chan_kw),
-        snr_db=(10.0,), n0=2, n_tr=n_tr_prime * l, n_tr_prime=n_tr_prime,
+        snr_db=(10.0,), n0=2, n_tr_prime=n_tr_prime,
         n_gap=n_tr_prime * l + 2, n_te=4, hidden=(16,),
         batch_size=16, learning_rate=1e-3, epochs=30, seeds=(1,))
     defaults.update(kw)
@@ -51,7 +52,7 @@ class TestNmse:
 class TestConfigValidation:
     def test_budget_consistency_enforced(self):
         with pytest.raises(ConfigError, match="n_tr_prime"):
-            micro_config(l=3, n_tr_prime=4, n_tr=10)
+            config_from_dict({"preset": "desk", "n_tr": 10})
 
     def test_unknown_approach(self):
         with pytest.raises(ConfigError):
@@ -146,12 +147,12 @@ class TestFairnessAndDeterminism:
 
 class TestOverheadAccounting:
     def test_blocks_per_approach(self):
-        cfg = micro_config(l=4, n_tr_prime=5)
+        cfg = micro_config(l=4, n_tr_prime=5, approaches=("sl", "jl"))
         assert cfg.overhead_blocks("sl") == 20
         assert cfg.overhead_blocks("sl_small") == 5
         assert cfg.overhead_blocks("jl") == 5
         assert cfg.overhead_blocks("jldt") == 5
-        rep = snr_sweep(cfg, approaches=("sl", "jl"))
+        rep = snr_sweep(cfg)
         assert rep.entry("sl", 10.0).overhead_blocks == 20
         assert rep.entry("jl", 10.0).overhead_blocks == 5
 
