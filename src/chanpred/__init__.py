@@ -7,6 +7,7 @@ from .channel import (
     draw_paths,
     export_trace,
     import_trace,
+    series_view,
     steering_vector,
     synthesize,
 )
@@ -21,7 +22,6 @@ from .datasets import (
     fit_scale,
     real_to_complex,
 )
-from .domains import to_antenna_domain, to_subcarrier_domain
 from .errors import (
     ChanpredError,
     ConfigError,

@@ -128,15 +128,13 @@ class PathSet:
 class ChannelTensor:
     """Complex channel values indexed (block n, subcarrier l, antenna m).
 
-    The storage layout is always (N, L, M); ``domain`` says how the per-block
-    matrix is read: ``subcarrier`` means the unit of interest is the length-M
-    vector values[n, l, :], ``antenna`` means the length-L vector
-    values[n, :, m]. ``provenance`` tracks whether values are true channels,
-    LS estimates, or predictor outputs.
+    The storage layout is always (N, L, M). A domain is not a property of
+    the tensor but a way of reading it: ``series_view`` gives the series of
+    either domain without moving data. ``provenance`` tracks whether values
+    are true channels, LS estimates, or predictor outputs.
     """
 
     values: np.ndarray
-    domain: str = DOMAIN_SUBCARRIER
     provenance: str = PROVENANCE_TRUE
 
     @property
@@ -154,26 +152,25 @@ class ChannelTensor:
     def validate(self) -> "ChannelTensor":
         if self.values.ndim != 3:
             raise ContractError(f"channel values must be 3-D (N, L, M), got shape {self.values.shape}")
-        if self.domain not in DOMAINS:
-            raise ContractError(f"unknown domain {self.domain!r}")
         if self.provenance not in PROVENANCES:
             raise ContractError(f"unknown provenance {self.provenance!r}")
         if not np.all(np.isfinite(self.values)):
             raise ContractError("channel values contain non-finite entries")
         return self
 
-    def series(self, index: int) -> np.ndarray:
-        """The domain's series `index` as an (N, D) array of complex vectors."""
-        return series_view(self.values, self.domain)[:, index]
-
-    @property
-    def n_series(self) -> int:
-        return series_view(self.values, self.domain).shape[1]
-
 
 def series_view(values: np.ndarray, domain: str) -> np.ndarray:
-    """View of (..., L, M) values as (..., S, D): series s of `domain` is [..., s, :]."""
-    return values if domain == DOMAIN_SUBCARRIER else values.swapaxes(-1, -2)
+    """View of (..., L, M) values as (..., S, D): series s of `domain` is [..., s, :].
+
+    This re-indexing is the whole domain transformation: the subcarrier
+    domain reads each L x M matrix by rows (series l, vectors over m), the
+    antenna domain by columns (series m, vectors over l). No data is copied.
+    """
+    if domain == DOMAIN_SUBCARRIER:
+        return values
+    if domain == DOMAIN_ANTENNA:
+        return values.swapaxes(-1, -2)
+    raise ContractError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
 
 
 def steering_vector(theta: float, phi: float, m_h: int, m_v: int) -> np.ndarray:
@@ -197,8 +194,8 @@ def _tone_ladder(n_paths: int) -> np.ndarray:
     return ladder
 
 
-def draw_paths(config: ChannelConfig, rng: np.random.Generator | None = None) -> PathSet:
-    """Draw a multipath realization for `config`.
+def draw_paths(config: ChannelConfig) -> PathSet:
+    """Draw a multipath realization for `config` from its "paths" stream.
 
     Delays are exponential with mean ``delay_spread``; per-path powers follow
     exp(-tau/delay_spread), normalized to sum to exactly 1, with uniformly
@@ -209,8 +206,7 @@ def draw_paths(config: ChannelConfig, rng: np.random.Generator | None = None) ->
     |nu| <= speed*carrier_freq/c.
     """
     config.validate()
-    if rng is None:
-        rng = stream(config.seed, "paths")
+    rng = stream(config.seed, "paths")
     P = config.n_paths
 
     if config.delay_spread > 0:
@@ -236,7 +232,7 @@ def draw_paths(config: ChannelConfig, rng: np.random.Generator | None = None) ->
 
 
 def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int) -> ChannelTensor:
-    """Superimpose the paths into a (n_blocks, L, M) subcarrier-domain tensor.
+    """Superimpose the paths into a true (n_blocks, L, M) tensor.
 
     values[n, l, m] = sum_p gain_p * exp(j*2*pi*nu_p*n*T_B)
                               * exp(-j*2*pi*(l-1)*delta_f*tau_p)
@@ -268,7 +264,7 @@ def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int) -> ChannelT
         mix = rot[:, None, :] * freq[None, :, :]                           # (chunk, L, P)
         out[start:stop] = (mix.reshape(-1, P) @ steer).reshape(stop - start, L, M)
 
-    return ChannelTensor(out, DOMAIN_SUBCARRIER, PROVENANCE_TRUE).validate()
+    return ChannelTensor(out, PROVENANCE_TRUE).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +272,8 @@ def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int) -> ChannelT
 # ---------------------------------------------------------------------------
 
 _TRACE_MAGIC = "chanpred-trace v1"
+# records are always in (n, l, m) order, which the header names by its domain
+_TRACE_DOMAIN = DOMAIN_SUBCARRIER
 
 
 def export_trace(tensor: ChannelTensor, path) -> None:
@@ -288,7 +286,7 @@ def export_trace(tensor: ChannelTensor, path) -> None:
     cols = np.column_stack([n_idx.reshape(-1), l_idx.reshape(-1), m_idx.reshape(-1)])
     with open(path, "w") as f:
         f.write(_TRACE_MAGIC + "\n")
-        f.write(f"N={N} L={L} M={M} domain={tensor.domain} provenance={tensor.provenance}\n")
+        f.write(f"N={N} L={L} M={M} domain={_TRACE_DOMAIN} provenance={tensor.provenance}\n")
         np.savetxt(f, np.column_stack([cols, flat.real, flat.imag]),
                    fmt="%d %d %d %.17g %.17g")
 
@@ -297,7 +295,7 @@ def _parse_header(line: str) -> dict:
     fields = {}
     for token in line.split():
         if "=" not in token:
-            raise TraceFormatError(f"malformed header token {token!r} on line 2")
+            raise TraceFormatError(f"line 2: malformed header token {token!r}")
         key, value = token.split("=", 1)
         fields[key] = value
     for key in ("N", "L", "M", "domain", "provenance"):
@@ -309,23 +307,23 @@ def _parse_header(line: str) -> dict:
         raise TraceFormatError(f"line 2: non-integer dimension in trace header: {exc}") from exc
     if any(v < 1 for v in dims.values()):
         raise TraceFormatError(f"line 2: trace dimensions must be >= 1, got {dims}")
-    if fields["domain"] not in DOMAINS:
-        raise TraceFormatError(f"line 2: unknown domain {fields['domain']!r} in trace header")
+    if fields["domain"] != _TRACE_DOMAIN:
+        raise TraceFormatError(f"line 2: trace domain must be {_TRACE_DOMAIN!r} (records in "
+                               f"(n, l, m) order), got {fields['domain']!r}")
     if fields["provenance"] not in PROVENANCES:
         raise TraceFormatError(
             f"line 2: unknown provenance {fields['provenance']!r} in trace header")
-    return {**dims, "domain": fields["domain"], "provenance": fields["provenance"]}
+    return {**dims, "provenance": fields["provenance"]}
 
 
-def _record_error(path, N: int, L: int, M: int, parse_error: str) -> str:
+def _record_error(lines: list, N: int, L: int, M: int, parse_error: str) -> str:
     """Name the first record line that breaks the format.
 
-    Only runs after the bulk parse has rejected the records, so it may read
-    the file line by line. `parse_error` is the bulk parser's complaint, kept
-    for a record this check accepts but the bulk parser did not.
+    Only runs after the bulk parse has rejected the records (or was skipped
+    because the line count is wrong), so it may go line by line. `lines` are
+    the lines after the header. `parse_error` is the bulk parser's complaint,
+    kept for a record this check accepts but the bulk parser did not.
     """
-    with open(path, errors="replace") as f:
-        lines = f.read().splitlines()[2:]
     expected = N * L * M
     for i, line in enumerate(lines[:expected]):
         where = f"line {i + 3}"
@@ -334,46 +332,50 @@ def _record_error(path, N: int, L: int, M: int, parse_error: str) -> str:
         try:
             fields = [float(t) for t in tokens]
         except ValueError:
-            return f"unparseable trace record at {where}: {line!r}"
+            return f"{where}: unparseable trace record {line!r}"
         if len(fields) != 5:
             return f"{where}: expected 5 fields 'n l m re im', found {len(fields)}"
         if tuple(fields[:3]) != want:
-            return (f"trace dimension mismatch at {where}: expected record "
+            return (f"{where}: trace dimension mismatch: expected record "
                     f"(n,l,m)={want}, found {tuple(tokens[:3])}")
         if not (np.isfinite(fields[3]) and np.isfinite(fields[4])):
-            return f"non-finite channel value at {where} (record (n,l,m)={want})"
+            return f"{where}: non-finite channel value in record (n,l,m)={want}"
     if len(lines) != expected:
-        return (f"trace dimension mismatch at line {min(len(lines), expected) + 3}: header "
+        return (f"line {min(len(lines), expected) + 3}: trace dimension mismatch: header "
                 f"declares {N}x{L}x{M} = {expected} records, found {len(lines)} lines")
-    return f"unparseable trace records from line 3: {parse_error}"
+    return f"line 3: unparseable trace records: {parse_error}"
 
 
 def import_trace(path) -> ChannelTensor:
     """Read a trace file written by export_trace (or an external generator).
 
-    Records must appear in canonical (n, l, m) order with 1-based indices;
-    errors name the offending line.
+    Records must appear in canonical (n, l, m) order with 1-based indices,
+    one per line, with no blank or comment lines; errors name the offending
+    line.
     """
     with open(path, errors="replace") as f:
         magic = f.readline().rstrip("\n")
         if magic != _TRACE_MAGIC:
             raise TraceFormatError(f"line 1: expected {_TRACE_MAGIC!r}, got {magic!r}")
         header = _parse_header(f.readline().rstrip("\n"))
-        try:
-            records, parse_error = np.loadtxt(f, ndmin=2), ""
-        except ValueError as exc:
-            records, parse_error = None, str(exc)
+        lines = f.read().splitlines()
 
     N, L, M = header["N"], header["L"], header["M"]
+    records, parse_error = None, ""
+    # loadtxt skips blank lines (and warns on no lines), so the count is checked first
+    if len(lines) == N * L * M:
+        try:
+            records = np.loadtxt(lines, ndmin=2, comments=None)
+        except ValueError as exc:
+            parse_error = str(exc)
     if records is None or records.shape != (N * L * M, 5):
-        raise TraceFormatError(_record_error(path, N, L, M, parse_error))
+        raise TraceFormatError(_record_error(lines, N, L, M, parse_error))
     n_idx, l_idx, m_idx = np.meshgrid(np.arange(1, N + 1), np.arange(1, L + 1),
                                       np.arange(1, M + 1), indexing="ij")
     want = np.column_stack([n_idx.reshape(-1), l_idx.reshape(-1), m_idx.reshape(-1)])
     if (records[:, :3] != want).any() or not np.isfinite(records[:, 3:]).all():
-        raise TraceFormatError(_record_error(path, N, L, M, parse_error))
+        raise TraceFormatError(_record_error(lines, N, L, M, parse_error))
 
     # a complex view of the (re, im) columns keeps every bit, the sign of zero included
     values = np.ascontiguousarray(records[:, 3:5]).view(np.complex128)[:, 0]
-    tensor = ChannelTensor(values.reshape(N, L, M), header["domain"], header["provenance"])
-    return tensor.validate()
+    return ChannelTensor(values.reshape(N, L, M), header["provenance"]).validate()

@@ -146,11 +146,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     data = {"preset": preset}
     if path is not None:
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 loaded = json.load(f)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -242,8 +242,8 @@ def _cmd_import(args) -> int:
     tensor = import_trace(args.trace)
     power = float(np.mean(np.abs(tensor.values) ** 2))
     print(f"trace ok: N={tensor.n_blocks} L={tensor.n_subcarriers} "
-          f"M={tensor.n_antennas} domain={tensor.domain} "
-          f"provenance={tensor.provenance} mean_element_power={power:.6g}")
+          f"M={tensor.n_antennas} provenance={tensor.provenance} "
+          f"mean_element_power={power:.6g}")
     if args.out:
         export_trace(tensor, args.out)
         print(f"re-exported canonically: {args.out}")

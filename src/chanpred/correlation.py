@@ -108,8 +108,6 @@ def correlation_report(tensor: ChannelTensor, max_shift: int = 16,
     if tensor.provenance != PROVENANCE_TRUE:
         raise ContractError(
             f"correlation_report analyzes true channels, got provenance {tensor.provenance!r}")
-    if tensor.domain != DOMAIN_SUBCARRIER:
-        raise ContractError("correlation_report expects a subcarrier-domain tensor")
     if max_shift < 0:
         raise ContractError(f"max_shift must be >= 0, got {max_shift}")
     _check_window(tensor.n_blocks, max_shift, n_avg)

@@ -13,9 +13,8 @@ oldest window first.
 One routine cuts the windows of every selected column of a domain's
 (N, S, D) series view; pooled rows are series-major, time-minor.
 
-Test rows additionally carry the true channel of block n+1 (label_truth) so
-prediction quality can be scored against the ground truth, while training
-labels remain estimated channels (the true channel is never measurable).
+Datasets hold estimated channels only, labels included (the true channel is
+never measurable); the scorer reads the truth at each row's label block.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .channel import (
     DOMAIN_ANTENNA,
     DOMAIN_SUBCARRIER,
     PROVENANCE_ESTIMATED,
-    PROVENANCE_TRUE,
     series_view,
 )
 from .errors import ConfigError, ContractError
@@ -93,8 +91,7 @@ class WindowedDataset:
 
     features: (rows, 2*n0*dim), labels: (rows, 2*dim); `series` tags the
     source series index of each row and `block_end` its window-end block
-    (1-based). `label_truth` holds the true complex channel at block n+1 for
-    test rows, None for training rows.
+    (1-based).
     """
 
     features: np.ndarray
@@ -103,7 +100,6 @@ class WindowedDataset:
     dim: int
     series: np.ndarray
     block_end: np.ndarray
-    label_truth: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -118,9 +114,6 @@ class WindowedDataset:
             raise ContractError(f"labels shape {self.labels.shape} inconsistent with dim={self.dim}")
         if self.series.shape != (rows,) or self.block_end.shape != (rows,):
             raise ContractError("series/block_end tags must have one entry per row")
-        if self.label_truth is not None and self.label_truth.shape != (rows, self.dim):
-            raise ContractError(f"label_truth shape {self.label_truth.shape} "
-                                f"inconsistent with dim={self.dim}")
         return self
 
 
@@ -138,8 +131,7 @@ def _windows(view: np.ndarray, start: int, rows: int, n0: int):
     return feats.reshape(n_series * rows, -1), labels.reshape(n_series * rows, -1)
 
 
-def check_tensors(est: ChannelTensor, spec: DatasetSpec, phase: str,
-                  truth: ChannelTensor | None) -> None:
+def check_tensors(est: ChannelTensor, spec: DatasetSpec, phase: str) -> None:
     """Validate the inputs of one builder call, once however many series it cuts."""
     est.validate()
     spec.validate()
@@ -152,77 +144,55 @@ def check_tensors(est: ChannelTensor, spec: DatasetSpec, phase: str,
     if est.n_blocks < need:
         raise ContractError(f"tensor has {est.n_blocks} blocks, phase {phase!r} "
                             f"needs at least {need}")
-    if phase == PHASE_TEST:
-        if truth is None:
-            raise ContractError("test datasets need the true tensor for label_truth")
-        truth.validate()
-        if truth.provenance != PROVENANCE_TRUE:
-            raise ContractError(f"truth tensor has provenance {truth.provenance!r}")
-        if truth.domain != est.domain or truth.values.shape != est.values.shape:
-            raise ContractError("truth tensor layout does not match estimated tensor")
 
 
-def _dataset(est: ChannelTensor, truth: ChannelTensor | None, domain: str,
-             cols: slice, spec: DatasetSpec, phase: str) -> WindowedDataset:
-    """Windows of the series `cols` of `domain`, for inputs check_tensors accepted."""
-    view = series_view(est.values, domain)
+def _dataset(view: np.ndarray, cols: slice, spec: DatasetSpec, phase: str) -> WindowedDataset:
+    """Windows of the series `cols` of an (N, S, D) view of a tensor check_tensors accepted."""
     ids = np.arange(view.shape[1])[cols]
     start, rows = (0, spec.n_tr) if phase == PHASE_TRAIN else (spec.n_gap, spec.n_te)
     feats, labels = _windows(view[:, cols], start, rows, spec.n0)
-    label_truth = None
-    if phase == PHASE_TEST:
-        nxt = series_view(truth.values, domain)[start + spec.n0:start + spec.n0 + rows, cols]
-        label_truth = nxt.transpose(1, 0, 2).reshape(ids.size * rows, -1)
     return WindowedDataset(
         features=feats, labels=labels, n0=spec.n0, dim=view.shape[2],
         series=np.repeat(ids, rows),
         block_end=np.tile(start + spec.n0 + np.arange(rows), ids.size),  # 1-based window end
-        label_truth=label_truth).validate()
+    ).validate()
 
 
 def build_series_dataset(est: ChannelTensor, series: tuple[str, int],
-                         spec: DatasetSpec, phase: str,
-                         truth: ChannelTensor | None = None) -> WindowedDataset:
+                         spec: DatasetSpec, phase: str) -> WindowedDataset:
     """Windowed dataset for one series (one subcarrier or one antenna).
 
-    `series` is (domain, index) and must match the tensor's domain flag. For
-    the test phase a true tensor of identical layout must be supplied; its
-    block-(n+1) vectors become label_truth.
+    `series` is (domain, index): series `index` of series_view(est.values, domain).
     """
-    check_tensors(est, spec, phase, truth)
+    check_tensors(est, spec, phase)
     domain, index = series
-    if est.domain != domain:
-        raise ContractError(f"series domain {domain!r} does not match tensor domain {est.domain!r}")
-    if not 0 <= index < est.n_series:
-        raise ContractError(f"series index {index} out of range [0, {est.n_series})")
-    return _dataset(est, truth, domain, slice(index, index + 1), spec, phase)
+    view = series_view(est.values, domain)
+    if not 0 <= index < view.shape[1]:
+        raise ContractError(f"{domain} series index {index} out of range [0, {view.shape[1]})")
+    return _dataset(view, slice(index, index + 1), spec, phase)
 
 
-def _pooled(domain: str, est: ChannelTensor, spec: DatasetSpec, truth: ChannelTensor | None):
-    if est.domain != DOMAIN_SUBCARRIER:
-        raise ContractError(f"pooled datasets need a subcarrier-domain tensor, got {est.domain}")
-    check_tensors(est, spec, PHASE_TEST, truth)   # the test phase needs the most blocks
-    return tuple(_dataset(est, truth, domain, slice(None), spec, phase)
-                 for phase in (PHASE_TRAIN, PHASE_TEST))
+def _pooled(domain: str, est: ChannelTensor, spec: DatasetSpec):
+    check_tensors(est, spec, PHASE_TEST)   # the test phase needs the most blocks
+    view = series_view(est.values, domain)
+    return tuple(_dataset(view, slice(None), spec, phase) for phase in (PHASE_TRAIN, PHASE_TEST))
 
 
-def build_jl(est: ChannelTensor, spec: DatasetSpec,
-             truth: ChannelTensor | None = None):
+def build_jl(est: ChannelTensor, spec: DatasetSpec):
     """Pooled subcarrier datasets: union over l of per-subcarrier windows.
 
     spec.n_tr is interpreted per series (N'_tr), so the pooled training set
     has L*n_tr rows in series-major, time-minor order.
     """
-    return _pooled(DOMAIN_SUBCARRIER, est, spec, truth)
+    return _pooled(DOMAIN_SUBCARRIER, est, spec)
 
 
-def build_jldt(est: ChannelTensor, spec: DatasetSpec,
-               truth: ChannelTensor | None = None):
+def build_jldt(est: ChannelTensor, spec: DatasetSpec):
     """Antenna-domain pooled datasets: the same windows read by antenna.
 
     Rows are length-L vector windows; the pooled training set has M*n_tr rows.
     """
-    return _pooled(DOMAIN_ANTENNA, est, spec, truth)
+    return _pooled(DOMAIN_ANTENNA, est, spec)
 
 
 def fit_scale(train: WindowedDataset) -> float:

@@ -11,7 +11,7 @@ class ConfigError(ChanpredError):
 
 class ContractError(ChanpredError):
     """An operation was called with data violating its preconditions
-    (wrong domain flag, wrong provenance, insufficient length, shape mismatch)."""
+    (unknown domain, wrong provenance, insufficient length, shape mismatch)."""
 
 
 class TraceFormatError(ChanpredError):

@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelTensor,
-    DOMAIN_SUBCARRIER,
-    PROVENANCE_ESTIMATED,
-    PROVENANCE_TRUE,
-)
+from .channel import ChannelTensor, PROVENANCE_ESTIMATED, PROVENANCE_TRUE
 from .errors import ConfigError, ContractError
-from .rng import stream
 
 _EST_CHUNK = 64  # blocks per chunk; bounds the (chunk, L, M, tau) noise buffer
 
@@ -102,9 +96,8 @@ def ls_estimate(y: np.ndarray, scheme: PilotScheme) -> np.ndarray:
 
 
 def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
-                   rng: np.random.Generator | None = None,
-                   noise: bool = True) -> ChannelTensor:
-    """LS-estimate every (block, subcarrier) cell of a true subcarrier tensor.
+                   rng: np.random.Generator, noise: bool = True) -> ChannelTensor:
+    """LS-estimate every (block, subcarrier) cell of a true tensor.
 
     Equivalent to transmit_pilots + ls_estimate per cell, vectorized in chunks
     of blocks; the noise stream is separate from the channel stream, drawn in
@@ -112,12 +105,8 @@ def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
     """
     tensor.validate()
     scheme.validate()
-    if tensor.domain != DOMAIN_SUBCARRIER:
-        raise ContractError(f"estimate_trace needs a subcarrier-domain tensor, got {tensor.domain}")
     if tensor.provenance != PROVENANCE_TRUE:
         raise ContractError(f"estimate_trace needs provenance 'true', got {tensor.provenance}")
-    if rng is None:
-        rng = stream(0, "pilot-noise")
 
     h = tensor.values
     n_blocks, L, M = h.shape
@@ -135,4 +124,4 @@ def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
             y = y + (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
         g[start:stop] = y @ conj_pilot / (root_rho * energy)
 
-    return ChannelTensor(g, DOMAIN_SUBCARRIER, PROVENANCE_ESTIMATED).validate()
+    return ChannelTensor(g, PROVENANCE_ESTIMATED).validate()

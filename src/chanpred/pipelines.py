@@ -28,6 +28,7 @@ from .channel import (
     DOMAIN_ANTENNA,
     DOMAIN_SUBCARRIER,
     PROVENANCE_PREDICTED,
+    PROVENANCE_TRUE,
     draw_paths,
     series_view,
     synthesize,
@@ -137,8 +138,17 @@ def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
 def score(pred: ChannelTensor, truth: ChannelTensor, spec: DatasetSpec) -> float:
     """NMSE of an (n_te, L, M) prediction against the truth at the test label blocks.
 
-    Rows are the length-M subcarrier vectors in (subcarrier, block) order.
+    The only reader of the true tensor. Rows are the length-M subcarrier
+    vectors in (subcarrier, block) order.
     """
+    truth.validate()
+    if truth.provenance != PROVENANCE_TRUE:
+        raise ContractError(f"predictions are scored against the true tensor, got "
+                            f"provenance {truth.provenance!r}")
+    need = spec.min_blocks(PHASE_TEST)
+    if truth.n_blocks < need:
+        raise ContractError(f"truth tensor has {truth.n_blocks} blocks, scoring needs "
+                            f"at least {need}")
     label = truth.values[spec.n_gap + spec.n0 + np.arange(spec.n_te)]
     if pred.values.shape != label.shape:
         raise ContractError(f"prediction shape {pred.values.shape} != label shape {label.shape}")
@@ -150,9 +160,9 @@ def persistence_nmse(truth: ChannelTensor, est: ChannelTensor,
                      cfg: ExperimentConfig) -> float:
     """Sanity floor: predict h_(n+1) by the newest estimate g_n."""
     spec = cfg.dataset_spec()
-    check_tensors(est, spec, PHASE_TEST, truth)
+    check_tensors(est, spec, PHASE_TEST)
     newest = est.values[spec.n_gap + spec.n0 - 1 + np.arange(spec.n_te)]
-    return score(ChannelTensor(newest, DOMAIN_SUBCARRIER, PROVENANCE_PREDICTED), truth, spec)
+    return score(ChannelTensor(newest, PROVENANCE_PREDICTED), truth, spec)
 
 
 @dataclass(frozen=True)
@@ -169,14 +179,14 @@ class TrainJob:
     n_tr: int
     index: int
 
-    def datasets(self, est: ChannelTensor, truth: ChannelTensor, spec: DatasetSpec):
+    def datasets(self, est: ChannelTensor, spec: DatasetSpec):
         """(train, test) windowed datasets of this job."""
         if self.series is None:
             build = build_jldt if self.domain == DOMAIN_ANTENNA else build_jl
-            return build(est, spec, truth)
+            return build(est, spec)
         series = (self.domain, self.series)
         return (build_series_dataset(est, series, spec, PHASE_TRAIN),
-                build_series_dataset(est, series, spec, PHASE_TEST, truth))
+                build_series_dataset(est, series, spec, PHASE_TEST))
 
 
 def train_jobs(cfg: ExperimentConfig, approach: str) -> list:
@@ -200,7 +210,7 @@ def assemble_predictions(parts, spec: DatasetSpec, shape: tuple) -> ChannelTenso
     values = np.full((spec.n_te, *shape), np.nan, dtype=np.complex128)
     for domain, block_end, series, preds in parts:
         series_view(values, domain)[block_end - spec.n_gap - spec.n0, series] = preds
-    return ChannelTensor(values, DOMAIN_SUBCARRIER, PROVENANCE_PREDICTED).validate()
+    return ChannelTensor(values, PROVENANCE_PREDICTED).validate()
 
 
 @dataclass
@@ -234,7 +244,7 @@ def evaluate_cell(truth: ChannelTensor, est: ChannelTensor, cfg: ExperimentConfi
     result = CellResult(approach, float("nan"), seed, float("nan"))
     parts = []
     for job in train_jobs(cfg, approach):
-        train_ds, test_ds = job.datasets(est, truth, cfg.dataset_spec(job.n_tr))
+        train_ds, test_ds = job.datasets(est, cfg.dataset_spec(job.n_tr))
         preds, model, history = _train_predict(train_ds, test_ds, cfg,
                                                stream(seed, "mlp-init", job.index),
                                                derive_seed(seed, "shuffle", job.index))

@@ -25,10 +25,10 @@ def micro_tensor_pair():
     return truth, est
 
 
-def random_tensor(seed, n=6, l=3, m=4, domain="subcarrier", provenance="true"):
+def random_tensor(seed, n=6, l=3, m=4, provenance="true"):
     rng = stream(seed, "tensor")
     values = rng.standard_normal((n, l, m)) + 1j * rng.standard_normal((n, l, m))
-    return ChannelTensor(values, domain, provenance)
+    return ChannelTensor(values, provenance)
 
 
 LINE_CORRUPTIONS = ("delete", "duplicate", "append token", "not utf-8")

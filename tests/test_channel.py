@@ -1,6 +1,7 @@
 """Channel generator: path statistics, steering geometry, trace synthesis and I/O."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,6 @@ class TestSynthesize:
         assert np.array_equal(a.values, b.values)
 
     def test_all_finite_and_flags(self, default_trace):
-        assert default_trace.domain == "subcarrier"
         assert default_trace.provenance == "true"
         assert np.all(np.isfinite(default_trace.values))
 
@@ -152,12 +152,12 @@ class TestTraceIO:
         export_trace(t, path)
         t2 = import_trace(path)
         assert np.array_equal(t.values, t2.values)
-        assert (t2.domain, t2.provenance) == (t.domain, t.provenance)
+        assert t2.provenance == t.provenance
 
     def test_documented_sample_trace(self):
         t = import_trace("docs/sample_trace.txt")
         assert (t.n_blocks, t.n_subcarriers, t.n_antennas) == (4, 2, 2)
-        assert t.domain == "subcarrier" and t.provenance == "true"
+        assert t.provenance == "true"
         # hand-written values from the docs
         assert t.values[0, 0, 0] == 1.0 + 0.0j
         assert t.values[0, 0, 1] == 0.5 - 0.5j
@@ -204,13 +204,42 @@ class TestTraceIO:
         assert np.signbit(values.real).tolist() == [True, False]
         assert np.signbit(values.imag).tolist() == [False, True]
 
+    _VALID = ["chanpred-trace v1", "N=1 L=1 M=2 domain=subcarrier provenance=true",
+              "1 1 1 0.5 -0.5", "1 1 2 0.25 0"]
+
+    @pytest.mark.parametrize("edit, index, text, bad_line", [
+        ("replace", 1, "N=1 L=1 M=2 domain=antenna provenance=true", 2),  # only one order
+        ("insert", 3, "", 4),                     # blank line between records
+        ("insert", 3, "   ", 4),                  # whitespace-only line
+        ("insert", 3, "# a comment", 4),          # comment line between records
+        ("replace", 2, "1 1 1 0.5 -0.5 # note", 3),   # trailing comment on a record
+        ("insert", 4, "", 5),                     # blank line after the last record
+        ("truncate", 2, None, 3),                 # header only: no records at all
+    ])
+    def test_malformed_lines_name_the_line(self, tmp_path, edit, index, text, bad_line):
+        path = tmp_path / "t.trace"
+        path.write_text("\n".join(self._VALID) + "\n")
+        assert import_trace(path).values.shape == (1, 1, 2)
+        lines = list(self._VALID)
+        if edit == "replace":
+            lines[index] = text
+        elif edit == "insert":
+            lines.insert(index, text)
+        else:
+            del lines[index:]
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")        # no parser warning may escape
+            with pytest.raises(TraceFormatError, match=rf"^line {bad_line}:"):
+                import_trace(path)
+
     def test_tensor_validation(self):
         with pytest.raises(Exception):
-            ChannelTensor(np.zeros((2, 2)), "subcarrier", "true").validate()
+            ChannelTensor(np.zeros((2, 2)), "true").validate()
         bad = np.zeros((1, 1, 1), dtype=complex)
         bad[0, 0, 0] = np.inf
         with pytest.raises(Exception):
-            ChannelTensor(bad, "subcarrier", "true").validate()
+            ChannelTensor(bad, "true").validate()
 
 
 @st.composite
@@ -219,8 +248,7 @@ def _tensors(draw):
     parts = draw(st.lists(FINITE_DOUBLES, min_size=2 * int(np.prod(shape)),
                           max_size=2 * int(np.prod(shape))))
     values = np.array(parts, dtype=np.float64).view(np.complex128).reshape(shape)
-    return ChannelTensor(values, draw(st.sampled_from(["subcarrier", "antenna"])),
-                         draw(st.sampled_from(["true", "estimated", "predicted"])))
+    return ChannelTensor(values, draw(st.sampled_from(["true", "estimated", "predicted"])))
 
 
 class TestTraceFileProperties:
@@ -233,7 +261,7 @@ class TestTraceFileProperties:
             loaded = import_trace(first)
             export_trace(loaded, second)
             assert np.array_equal(loaded.values.view(np.uint64), tensor.values.view(np.uint64))
-            assert (loaded.domain, loaded.provenance) == (tensor.domain, tensor.provenance)
+            assert loaded.provenance == tensor.provenance
             assert second.read_bytes() == first.read_bytes()
 
     @settings(max_examples=150, deadline=None)

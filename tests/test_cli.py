@@ -179,6 +179,14 @@ class TestSubcommands:
         trace = str(tmp_path / "x.trace")
         assert main(["generate", "--config", str(bad), "--out", trace]) == EXIT_CONFIG
 
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        trace = tmp_path / "x.trace"
+        assert main(["generate", "--config", str(bad), "--out", str(trace)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_runtime_error_exit_code(self, tmp_path):
         assert main(["import", "--trace", str(tmp_path / "missing.trace")]) == EXIT_RUNTIME
 

@@ -12,7 +12,6 @@ from chanpred import (
     draw_paths,
     synthesize,
 )
-from chanpred.domains import to_antenna_domain
 from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.rng import stream
 from conftest import random_tensor
@@ -138,10 +137,6 @@ class TestCorrelationReport:
                              stream(0, "n"))
         with pytest.raises(ContractError):
             correlation_report(est, max_shift=2, n_avg=20)
-
-    def test_requires_subcarrier_domain(self, small_trace):
-        with pytest.raises(ContractError):
-            correlation_report(to_antenna_domain(small_trace), max_shift=2, n_avg=20)
 
     def test_insufficient_blocks(self, small_trace):
         with pytest.raises(ContractError):

@@ -17,9 +17,9 @@ from chanpred import (
     draw_paths,
     fit_scale,
     real_to_complex,
+    series_view,
     synthesize,
 )
-from chanpred.domains import to_antenna_domain
 from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.rng import stream
 
@@ -69,7 +69,7 @@ class TestBuildSeriesDataset:
         spec = DatasetSpec(n0=3, n_tr=5, n_te=2, n_gap=8)
         ds = build_series_dataset(est, ("subcarrier", 1), spec, "train")
         assert ds.n_rows == 5
-        v = est.series(1)
+        v = series_view(est.values, "subcarrier")[:, 1]
         first = np.concatenate([complex_to_real(v[i]) for i in range(3)])
         assert np.array_equal(ds.features[0], first)
         assert np.array_equal(ds.labels[0], complex_to_real(v[3]))
@@ -79,9 +79,8 @@ class TestBuildSeriesDataset:
         truth, est = _pair()
         spec = DatasetSpec(n0=2, n_tr=6, n_te=3, n_gap=8)
         for phase in ("train", "test"):
-            ds = build_series_dataset(est, ("subcarrier", 0), spec, phase,
-                                      truth if phase == "test" else None)
-            v = est.series(0)
+            ds = build_series_dataset(est, ("subcarrier", 0), spec, phase)
+            v = series_view(est.values, "subcarrier")[:, 0]
             for r in range(ds.n_rows):
                 end = ds.block_end[r]
                 window = ds.features[r].reshape(spec.n0, -1)
@@ -105,14 +104,13 @@ class TestBuildSeriesDataset:
         # label block 1703 (index arithmetic oracle)
         values = (np.arange(1704, dtype=float)[:, None, None]
                   + 0j * np.zeros((1704, 1, 1)))
-        est = ChannelTensor(values + 1j, "subcarrier", "estimated")
-        truth = ChannelTensor(values, "subcarrier", "true")
+        est = ChannelTensor(values + 1j, "estimated")
         spec = DatasetSpec(n0=3, n_tr=1000, n_te=200, n_gap=1500)
-        ds = build_series_dataset(est, ("subcarrier", 0), spec, "test", truth)
+        ds = build_series_dataset(est, ("subcarrier", 0), spec, "test")
         assert ds.n_rows == 200
         assert ds.block_end[0] == 1503 and ds.block_end[-1] == 1702
-        # label_truth of the last row is the true channel at block 1703 (0-based 1702)
-        assert ds.label_truth[-1][0] == values[1702, 0, 0]
+        # the label of the last row is the channel at block 1703 (0-based 1702)
+        assert real_to_complex(ds.labels[-1])[0] == values[1702, 0, 0] + 1j
 
     def test_insufficient_blocks_rejected(self):
         truth, est = _pair(n=20)
@@ -121,7 +119,7 @@ class TestBuildSeriesDataset:
                                  DatasetSpec(n0=3, n_tr=30, n_te=2, n_gap=33), "train")
         with pytest.raises(ContractError):
             build_series_dataset(est, ("subcarrier", 0),
-                                 DatasetSpec(n0=3, n_tr=5, n_te=10, n_gap=8), "test", truth)
+                                 DatasetSpec(n0=3, n_tr=5, n_te=10, n_gap=8), "test")
 
     def test_provenance_and_domain_contracts(self):
         truth, est = _pair()
@@ -129,11 +127,14 @@ class TestBuildSeriesDataset:
         with pytest.raises(ContractError):
             build_series_dataset(truth, ("subcarrier", 0), spec, "train")
         with pytest.raises(ContractError):
-            build_series_dataset(est, ("antenna", 0), spec, "train")
+            build_series_dataset(est, ("diagonal", 0), spec, "train")   # not a domain
         with pytest.raises(ContractError):
             build_series_dataset(est, ("subcarrier", 99), spec, "train")
-        with pytest.raises(ContractError):
-            build_series_dataset(est, ("subcarrier", 0), spec, "test")  # no truth
+        # L=3 subcarriers, M=4 antennas: index 3 exists only in the antenna view
+        assert build_series_dataset(est, ("antenna", 3), spec, "train").n_rows == 4
+        for series in (("subcarrier", 3), ("antenna", 4), ("antenna", -1)):
+            with pytest.raises(ContractError, match="out of range"):
+                build_series_dataset(est, series, spec, "train")
 
 
 class TestPooledBuilders:
@@ -142,28 +143,28 @@ class TestPooledBuilders:
         cfg = ChannelConfig(m_h=1, m_v=2, n_subcarriers=50, seed=7)
         truth = synthesize(cfg, draw_paths(cfg), 48)
         est = estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=10.0), stream(7, "n"))
-        train, test = build_jl(est, DatasetSpec(n0=3, n_tr=20, n_te=2, n_gap=42), truth)
+        train, test = build_jl(est, DatasetSpec(n0=3, n_tr=20, n_te=2, n_gap=42))
         assert train.n_rows == 1000
         assert test.n_rows == 100
 
     def test_jl_small_arithmetic(self):
         # L=4, N'_tr=3, N_te=2 -> 12 train rows, 8 test rows
         truth, est = _pair(l=4)
-        train, test = build_jl(est, DatasetSpec(n0=2, n_tr=3, n_te=2, n_gap=5), truth)
+        train, test = build_jl(est, DatasetSpec(n0=2, n_tr=3, n_te=2, n_gap=5))
         assert train.n_rows == 12
         assert test.n_rows == 8
 
     def test_jl_degenerate_single_subcarrier(self):
         truth, est = _pair(l=1)
         spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
-        train, _ = build_jl(est, spec, truth)
+        train, _ = build_jl(est, spec)
         series = build_series_dataset(est, ("subcarrier", 0), spec, "train")
         assert np.array_equal(train.features, series.features)
         assert np.array_equal(train.labels, series.labels)
 
     def test_union_order_series_major_time_minor(self):
         truth, est = _pair(l=3)
-        train, _ = build_jl(est, DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6), truth)
+        train, _ = build_jl(est, DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6))
         assert np.array_equal(train.series, np.repeat([0, 1, 2], 4))
         assert np.array_equal(train.block_end, np.tile([2, 3, 4, 5], 3))
 
@@ -172,17 +173,16 @@ class TestPooledBuilders:
         cfg = ChannelConfig(m_h=8, m_v=8, n_subcarriers=50, seed=9)
         truth = synthesize(cfg, draw_paths(cfg), 48)
         est = estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=10.0), stream(9, "n"))
-        train, test = build_jldt(est, DatasetSpec(n0=3, n_tr=20, n_te=2, n_gap=42), truth)
+        train, test = build_jldt(est, DatasetSpec(n0=3, n_tr=20, n_te=2, n_gap=42))
         assert train.features.shape == (1280, 300)
         assert train.labels.shape == (1280, 100)
-        assert test.label_truth.shape == (128, 50)
+        assert test.labels.shape == (128, 100)
 
     def test_jldt_single_antenna_is_stacked_scalars(self):
         truth, est = _pair(l=4, m_h=1, m_v=1)
         spec = DatasetSpec(n0=2, n_tr=3, n_te=2, n_gap=5)
-        train, _ = build_jldt(est, spec, truth)
-        ant = to_antenna_domain(est)
-        expected = build_series_dataset(ant, ("antenna", 0), spec, "train")
+        train, _ = build_jldt(est, spec)
+        expected = build_series_dataset(est, ("antenna", 0), spec, "train")
         assert np.array_equal(train.features, expected.features)
 
     def test_jl_jldt_same_total_feature_energy(self):
@@ -190,15 +190,15 @@ class TestPooledBuilders:
         # carry exactly the same values
         truth, est = _pair(l=4)
         spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
-        jl_train, _ = build_jl(est, spec, truth)
-        dt_train, _ = build_jldt(est, spec, truth)
+        jl_train, _ = build_jl(est, spec)
+        dt_train, _ = build_jldt(est, spec)
         assert np.sum(jl_train.features ** 2) == pytest.approx(
             np.sum(dt_train.features ** 2), rel=1e-12)
 
     def test_no_leakage_block_separation(self):
         truth, est = _pair(n=40)
         spec = DatasetSpec(n0=3, n_tr=8, n_te=4, n_gap=12)
-        train, test = build_jl(est, spec, truth)
+        train, test = build_jl(est, spec)
         max_train_touched = int(train.block_end.max()) + 1   # label block
         min_test_touched = int(test.block_end.min()) - spec.n0 + 1
         assert max_train_touched < min_test_touched
@@ -224,23 +224,20 @@ class TestScaling:
             fit_scale(zeroed)
 
 
-def _naive_rows(est_values, truth_values, domain, ids, spec, phase):
+def _naive_rows(est_values, domain, ids, spec, phase):
     """Per-row loop over the window arithmetic of the module docstring."""
     start, rows = (0, spec.n_tr) if phase == "train" else (spec.n_gap, spec.n_te)
-    feats, labels, label_truth, series, block_end = [], [], [], [], []
+    feats, labels, series, block_end = [], [], [], []
     for s in ids:
         v = est_values[:, s, :] if domain == "subcarrier" else est_values[:, :, s]
-        t = truth_values[:, s, :] if domain == "subcarrier" else truth_values[:, :, s]
         for r in range(rows):
             end = start + spec.n0 + r            # 1-based window end n
             window = [v[end - spec.n0 + w] for w in range(spec.n0)]   # blocks n-n0+1 .. n
             feats.append(np.concatenate([np.concatenate([x.real, x.imag]) for x in window]))
             labels.append(np.concatenate([v[end].real, v[end].imag]))   # block n+1
-            label_truth.append(t[end])
             series.append(s)
             block_end.append(end)
-    return (np.array(feats), np.array(labels), np.array(label_truth),
-            np.array(series), np.array(block_end))
+    return np.array(feats), np.array(labels), np.array(series), np.array(block_end)
 
 
 @st.composite
@@ -252,35 +249,27 @@ def _window_cases(draw):
     shape = (spec.min_blocks("test") + draw(st.integers(0, 3)),
              draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     rng = stream(draw(st.integers(0, 2 ** 32 - 1)), "windows")
-    est, truth = (ChannelTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                                "subcarrier", provenance)
-                  for provenance in ("estimated", "true"))
-    return spec, est, truth
+    est = ChannelTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), "estimated")
+    return spec, est
 
 
 class TestWindowsProperty:
     @settings(max_examples=60, deadline=None)
     @given(_window_cases())
     def test_builders_match_naive_loop(self, case):
-        spec, est, truth = case
-        ant, ant_truth = to_antenna_domain(est), to_antenna_domain(truth)
-        pooled = {"subcarrier": build_jl(est, spec, truth), "antenna": build_jldt(est, spec, truth)}
-        for domain, (tensor, tensor_truth) in (("subcarrier", (est, truth)),
-                                               ("antenna", (ant, ant_truth))):
-            n_series = tensor.n_series
+        spec, est = case
+        pooled = {"subcarrier": build_jl(est, spec), "antenna": build_jldt(est, spec)}
+        for domain in ("subcarrier", "antenna"):
+            n_series = series_view(est.values, domain).shape[1]
             for p, phase in enumerate(("train", "test")):
                 cases = [(pooled[domain][p], range(n_series))]
-                cases += [(build_series_dataset(tensor, (domain, s), spec, phase, tensor_truth),
-                           [s]) for s in range(n_series)]
+                cases += [(build_series_dataset(est, (domain, s), spec, phase), [s])
+                          for s in range(n_series)]
                 for ds, ids in cases:
-                    feats, labels, label_truth, series, block_end = _naive_rows(
-                        est.values, truth.values, domain, ids, spec, phase)
+                    feats, labels, series, block_end = _naive_rows(
+                        est.values, domain, ids, spec, phase)
                     assert ds.features.flags["C_CONTIGUOUS"]
                     assert np.array_equal(ds.features, feats)
                     assert np.array_equal(ds.labels, labels)
                     assert np.array_equal(ds.series, series)
                     assert np.array_equal(ds.block_end, block_end)
-                    if phase == "test":
-                        assert np.array_equal(ds.label_truth, label_truth)
-                    else:
-                        assert ds.label_truth is None

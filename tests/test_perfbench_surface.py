@@ -3,8 +3,9 @@
 perfbench/tracing.py swaps chanpred functions by name from outside the
 package, and perfbench/workloads.py parses configs, reads `cfg.n_tr` and
 trains through `mlp.train` and `init_mlp`; a rename, a deleted function or
-a changed signature would silently zero its metrics or fail its runs. This
-test only reads perfbench.
+a changed signature would silently zero its metrics or fail its runs. Its
+paper-link check also pins the trace header bytes. This test only reads
+perfbench.
 """
 
 import importlib
@@ -56,3 +57,11 @@ def test_paper_projection_trains_and_projects(monkeypatch):
     assert math.isfinite(projection["hours"]) and projection["hours"] > 0
     assert all(s > 0 for s in projection["s_per_step"].values())
     assert all(n > 0 for n in projection["steps_per_cell"].values())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_paper_link_check_passes(monkeypatch, tmp_path, seed):
+    workloads = _perfbench(monkeypatch, "workloads")
+    _, outputs = workloads.run("paper-link", "tiny", seed, str(tmp_path))
+    failed, _ = workloads.check("paper-link", outputs, None)
+    assert failed == {}

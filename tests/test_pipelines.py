@@ -7,16 +7,18 @@ import pytest
 
 from chanpred import (
     ChannelConfig,
+    ChannelTensor,
     ConfigError,
     ContractError,
     ExperimentConfig,
     nmse,
     persistence_nmse,
     prepare_link,
+    series_view,
     snr_sweep,
 )
 from chanpred.cli import config_from_dict
-from chanpred.pipelines import assemble_predictions, evaluate_cell
+from chanpred.pipelines import assemble_predictions, evaluate_cell, score
 from chanpred.rng import stream
 
 
@@ -101,13 +103,37 @@ class TestJldtReconstruction:
         truth, est = prepare_link(cfg, 10.0, seed=4)
         from chanpred.datasets import build_jldt
         spec = cfg.dataset_spec(cfg.n_tr_prime)
-        _, test_ds = build_jldt(est, spec, truth)
-        part = ("antenna", test_ds.block_end, test_ds.series, test_ds.label_truth)
+        _, test_ds = build_jldt(est, spec)
+        # the 1-based window end n is the 0-based index of label block n+1
+        true_rows = series_view(truth.values, "antenna")[test_ds.block_end, test_ds.series]
+        part = ("antenna", test_ds.block_end, test_ds.series, true_rows)
         rebuilt = assemble_predictions([part], spec, truth.values.shape[1:])
         label_blocks = spec.n_gap + spec.n0 + np.arange(spec.n_te)
         assert np.array_equal(rebuilt.values, truth.values[label_blocks])
-        assert rebuilt.domain == "subcarrier"
         assert rebuilt.provenance == "predicted"
+
+
+class TestScore:
+    def _perfect(self, seed):
+        cfg = micro_config()
+        truth, est = prepare_link(cfg, 10.0, seed=seed)
+        spec = cfg.dataset_spec()
+        label = truth.values[spec.n_gap + spec.n0 + np.arange(spec.n_te)]
+        pred = ChannelTensor(label, "predicted")
+        assert score(pred, truth, spec) == 0.0
+        return pred, truth, est, spec
+
+    def test_estimate_is_not_truth(self):
+        pred, _, est, spec = self._perfect(7)
+        with pytest.raises(ContractError, match="provenance"):
+            score(pred, est, spec)
+
+    @pytest.mark.parametrize("missing", [1, 3])
+    def test_short_truth_rejected(self, missing):
+        pred, truth, _, spec = self._perfect(8)
+        short = ChannelTensor(truth.values[:spec.min_blocks("test") - missing], "true")
+        with pytest.raises(ContractError, match="blocks"):
+            score(pred, short, spec)
 
 
 class TestScaleInvariance:
