@@ -11,7 +11,7 @@ from .channel import (
     steering_vector,
     synthesize,
 )
-from .correlation import CorrelationReport, auto_correlation, correlation_report, cross_correlation
+from .correlation import CorrelationReport, correlation_report
 from .datasets import (
     DatasetSpec,
     WindowedDataset,

@@ -17,6 +17,7 @@ temporal auto-correlation high out to large block shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice, product
 
 import numpy as np
 
@@ -274,21 +275,24 @@ def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int) -> ChannelT
 _TRACE_MAGIC = "chanpred-trace v1"
 # records are always in (n, l, m) order, which the header names by its domain
 _TRACE_DOMAIN = DOMAIN_SUBCARRIER
+_TRACE_RECORD = "%d %d %d %.17g %.17g\n"  # n l m re im; %.17g round-trips every double
+_EXPORT_CHUNK = 1 << 13  # records per write, bounds the memory of the formatted text
 
 
 def export_trace(tensor: ChannelTensor, path) -> None:
     """Write `tensor` to `path` in the plain-text trace format (lossless)."""
     tensor.validate()
     N, L, M = tensor.values.shape
-    n_idx, l_idx, m_idx = np.meshgrid(np.arange(1, N + 1), np.arange(1, L + 1),
-                                      np.arange(1, M + 1), indexing="ij")
     flat = tensor.values.reshape(-1)
-    cols = np.column_stack([n_idx.reshape(-1), l_idx.reshape(-1), m_idx.reshape(-1)])
+    index = product(range(1, N + 1), range(1, L + 1), range(1, M + 1))
     with open(path, "w") as f:
         f.write(_TRACE_MAGIC + "\n")
         f.write(f"N={N} L={L} M={M} domain={_TRACE_DOMAIN} provenance={tensor.provenance}\n")
-        np.savetxt(f, np.column_stack([cols, flat.real, flat.imag]),
-                   fmt="%d %d %d %.17g %.17g")
+        for start in range(0, flat.size, _EXPORT_CHUNK):
+            part = flat[start:start + _EXPORT_CHUNK]
+            f.write("".join([_TRACE_RECORD % (*nlm, real, imag) for nlm, real, imag in
+                             zip(islice(index, part.size), part.real.tolist(),
+                                 part.imag.tolist())]))
 
 
 def _parse_header(line: str) -> dict:

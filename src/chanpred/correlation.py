@@ -17,38 +17,6 @@ from .channel import ChannelTensor, DOMAIN_ANTENNA, DOMAIN_SUBCARRIER, PROVENANC
 from .errors import ContractError
 
 
-def _check_window(length: int, shift: int, n_avg: int) -> None:
-    if n_avg < 1:
-        raise ContractError(f"n_avg must be >= 1, got {n_avg}")
-    if length < n_avg + abs(shift):
-        raise ContractError(
-            f"sequence of length {length} too short for n_avg={n_avg}, shift={shift}")
-
-
-def _windows(a: np.ndarray, b: np.ndarray, shift: int, n_avg: int):
-    # pairs (n, n+shift); negative shift slides the window so both stay in range
-    if shift >= 0:
-        return a[:n_avg], b[shift:shift + n_avg]
-    return a[-shift:-shift + n_avg], b[:n_avg]
-
-
-def cross_correlation(seq_a: np.ndarray, seq_b: np.ndarray,
-                      shift: int, n_avg: int) -> complex:
-    """Sample cross-correlation of two vector sequences at a block shift."""
-    seq_a = np.atleast_2d(np.asarray(seq_a))
-    seq_b = np.atleast_2d(np.asarray(seq_b))
-    if seq_a.shape != seq_b.shape:
-        raise ContractError(f"sequence shapes differ: {seq_a.shape} vs {seq_b.shape}")
-    _check_window(seq_a.shape[0], shift, n_avg)
-    wa, wb = _windows(seq_a, seq_b, shift, n_avg)
-    return complex(np.sum(np.conj(wa) * wb) / n_avg)
-
-
-def auto_correlation(seq: np.ndarray, shift: int, n_avg: int) -> complex:
-    """Sample auto-correlation of a vector sequence at a block shift."""
-    return cross_correlation(seq, seq, shift, n_avg)
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """Averaged normalized correlation magnitudes per shift, both domains."""
@@ -72,25 +40,24 @@ class CorrelationReport:
         return out
 
 
-def _gram(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    # x: (n_avg, S, D) -> (S, S) matrix of <series_i, series_j> sums over (n, D)
-    n, s, d = x1.shape
-    a = np.ascontiguousarray(x1.conj().transpose(1, 0, 2)).reshape(s, n * d)
-    b = np.ascontiguousarray(x2.transpose(1, 0, 2)).reshape(s, n * d)
-    return (a @ b.T) / n
-
-
-def _domain_curves(x: np.ndarray, max_shift: int, n_avg: int):
-    # x: (N, S, D) series-major view of the tensor for one domain
-    g0 = _gram(x[:n_avg], x[:n_avg])
-    diag0 = np.real(np.diag(g0))
-    denom = np.sqrt(np.outer(diag0, diag0))
-    mask = ~np.eye(x.shape[1], dtype=bool)
+def _domain_curves(values: np.ndarray, domain: str, max_shift: int, n_avg: int):
+    # One C-contiguous (S, N*D) transpose: row s is series s of the domain,
+    # block after block, so the window of blocks shift .. shift+n_avg-1 is the
+    # strided view [:, shift*D:(shift+n_avg)*D] and no shift copies data.
+    x = series_view(values[:n_avg + max_shift], domain)
+    n, s, d = x.shape
+    rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(s, n * d)
+    first = rows[:, :n_avg * d].conj()
+    mask = ~np.eye(s, dtype=bool)
 
     auto = np.empty(max_shift + 1)
     cross = np.empty(max_shift + 1)
     for shift in range(max_shift + 1):
-        g = _gram(x[:n_avg], x[shift:shift + n_avg])
+        # (S, S) matrix of <series_i, series_j shifted> summed over (n, D)
+        g = (first @ rows[:, shift * d:(shift + n_avg) * d].T) / n_avg
+        if shift == 0:
+            diag0 = np.real(np.diag(g))
+            denom = np.sqrt(np.outer(diag0, diag0))
         norm = np.abs(g) / denom
         auto[shift] = float(np.mean(np.diag(norm)))
         cross[shift] = float(np.mean(norm[mask]))
@@ -110,11 +77,14 @@ def correlation_report(tensor: ChannelTensor, max_shift: int = 16,
             f"correlation_report analyzes true channels, got provenance {tensor.provenance!r}")
     if max_shift < 0:
         raise ContractError(f"max_shift must be >= 0, got {max_shift}")
-    _check_window(tensor.n_blocks, max_shift, n_avg)
+    if n_avg < 1:
+        raise ContractError(f"n_avg must be >= 1, got {n_avg}")
+    if tensor.n_blocks < n_avg + max_shift:
+        raise ContractError(f"trace of {tensor.n_blocks} blocks too short for "
+                            f"n_avg={n_avg}, max_shift={max_shift}")
 
-    sub = series_view(tensor.values, DOMAIN_SUBCARRIER)             # series l, vectors over m
-    sub_auto, sub_cross = _domain_curves(sub, max_shift, n_avg)
-    ant = np.ascontiguousarray(series_view(tensor.values, DOMAIN_ANTENNA))  # series m, vectors over l
-    ant_auto, ant_cross = _domain_curves(ant, max_shift, n_avg)
+    # subcarrier domain: series l, vectors over m; antenna domain: series m, vectors over l
+    sub_auto, sub_cross = _domain_curves(tensor.values, DOMAIN_SUBCARRIER, max_shift, n_avg)
+    ant_auto, ant_cross = _domain_curves(tensor.values, DOMAIN_ANTENNA, max_shift, n_avg)
 
     return CorrelationReport(max_shift, n_avg, sub_auto, sub_cross, ant_auto, ant_cross)

@@ -3,6 +3,7 @@
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from chanpred import (
     steering_vector,
     synthesize,
 )
+from chanpred import channel
 from chanpred.channel import SPEED_OF_LIGHT
 from chanpred.rng import stream
 from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line, random_tensor
@@ -251,7 +253,44 @@ def _tensors(draw):
     return ChannelTensor(values, draw(st.sampled_from(["true", "estimated", "predicted"])))
 
 
+def _savetxt_trace(tensor, path):
+    # the trace bytes as np.savetxt writes them, the reference for export_trace
+    N, L, M = tensor.values.shape
+    n_idx, l_idx, m_idx = np.meshgrid(np.arange(1, N + 1), np.arange(1, L + 1),
+                                      np.arange(1, M + 1), indexing="ij")
+    flat = tensor.values.reshape(-1)
+    with open(path, "w") as f:
+        f.write("chanpred-trace v1\n")
+        f.write(f"N={N} L={L} M={M} domain=subcarrier provenance={tensor.provenance}\n")
+        np.savetxt(f, np.column_stack([n_idx.reshape(-1), l_idx.reshape(-1), m_idx.reshape(-1),
+                                       flat.real, flat.imag]), fmt="%d %d %d %.17g %.17g")
+
+
 class TestTraceFileProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_tensors(), st.integers(1, 8))
+    def test_export_matches_savetxt(self, tensor, chunk):
+        # small write chunks put chunk boundaries inside these small tensors
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(channel, "_EXPORT_CHUNK", chunk):
+            ours, ref = Path(tmp, "a.trace"), Path(tmp, "b.trace")
+            export_trace(tensor, ours)
+            _savetxt_trace(tensor, ref)
+            assert ours.read_bytes() == ref.read_bytes()
+
+    def test_export_spans_write_chunks(self, tmp_path):
+        # the shipped chunk size: a little over two chunks, edge values mixed in
+        N, L, M = 2 * channel._EXPORT_CHUNK // 15 + 3, 3, 5
+        rng = stream(11, "export-chunks")
+        parts = rng.standard_normal(2 * N * L * M) * 10.0 ** rng.integers(-300, 300, 2 * N * L * M)
+        parts[::97] = np.resize([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308],
+                                len(parts[::97]))
+        tensor = ChannelTensor(parts.view(np.complex128).reshape(N, L, M), "estimated")
+        assert tensor.values.size > 2 * channel._EXPORT_CHUNK
+        export_trace(tensor, tmp_path / "a.trace")
+        _savetxt_trace(tensor, tmp_path / "b.trace")
+        assert (tmp_path / "a.trace").read_bytes() == (tmp_path / "b.trace").read_bytes()
+
     @settings(max_examples=100, deadline=None)
     @given(_tensors())
     def test_export_import_export_is_bit_exact(self, tensor):

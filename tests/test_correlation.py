@@ -2,83 +2,38 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chanpred import (
     ChannelConfig,
+    ChannelTensor,
     ContractError,
-    auto_correlation,
     correlation_report,
-    cross_correlation,
     draw_paths,
+    series_view,
     synthesize,
 )
 from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.rng import stream
-from conftest import random_tensor
 
 
-def _seq(seed, n=60, d=4):
-    rng = stream(seed, "seq")
-    return rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+def _copied_window_curves(x, max_shift, n_avg):
+    # per-shift reference: both windows of every Gram copied contiguously
+    def gram(x1, x2):
+        n, s, d = x1.shape
+        a = np.ascontiguousarray(x1.conj().transpose(1, 0, 2)).reshape(s, n * d)
+        b = np.ascontiguousarray(x2.transpose(1, 0, 2)).reshape(s, n * d)
+        return (a @ b.T) / n
 
-
-class TestAutoCorrelation:
-    def test_shift_zero_is_mean_square_norm(self):
-        s = _seq(0)
-        r0 = auto_correlation(s, 0, 50)
-        assert abs(r0.imag) < 1e-12
-        assert r0.real == pytest.approx(np.mean(np.sum(np.abs(s[:50]) ** 2, axis=1)))
-
-    def test_constant_sequence(self):
-        v = np.array([1 + 2j, -1j, 0.5])
-        s = np.tile(v, (40, 1))
-        for shift in (0, 1, 5):
-            assert auto_correlation(s, shift, 30) == pytest.approx(np.sum(np.abs(v) ** 2))
-
-    def test_rotating_sequence_closed_form(self):
-        # seq_n = exp(j*w*n) v  =>  R(tau) = exp(j*w*tau) ||v||^2
-        v = np.array([1.0, 2j, -0.5 + 0.5j])
-        w = 0.3
-        n = np.arange(50)
-        s = np.exp(1j * w * n)[:, None] * v
-        for shift in (0, 1, 3, 7):
-            expected = np.exp(1j * w * shift) * np.sum(np.abs(v) ** 2)
-            assert auto_correlation(s, shift, 40) == pytest.approx(expected)
-
-    def test_insufficient_length(self):
-        with pytest.raises(ContractError):
-            auto_correlation(_seq(1, n=10), 5, 10)
-
-
-class TestCrossCorrelation:
-    def test_reduces_to_auto(self):
-        s = _seq(2)
-        assert cross_correlation(s, s, 3, 40) == auto_correlation(s, 3, 40)
-
-    def test_orthogonal_constant_sequences(self):
-        a = np.tile(np.array([1.0, 0.0]), (30, 1)).astype(complex)
-        b = np.tile(np.array([0.0, 1.0]), (30, 1)).astype(complex)
-        for shift in (0, 2):
-            assert cross_correlation(a, b, shift, 20) == 0
-
-    def test_independent_gaussian_sequences_decorrelate(self):
-        # concentration of the sample inner product: normalized magnitude < 0.1
-        a = _seq(3, n=2000, d=50)
-        b = _seq(4, n=2000, d=50)
-        r = cross_correlation(a, b, 0, 2000)
-        norm = np.sqrt(auto_correlation(a, 0, 2000).real * auto_correlation(b, 0, 2000).real)
-        assert abs(r) / norm < 0.1
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError):
-            cross_correlation(_seq(5, d=3), _seq(6, d=4), 0, 10)
-
-    def test_hermitian_symmetry(self):
-        a, b = _seq(7), _seq(8)
-        for shift in (1, 4):
-            lhs = cross_correlation(a, b, shift, 30)
-            rhs = np.conj(cross_correlation(b, a, -shift, 30))
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+    diag0 = np.real(np.diag(gram(x[:n_avg], x[:n_avg])))
+    denom = np.sqrt(np.outer(diag0, diag0))
+    mask = ~np.eye(x.shape[1], dtype=bool)
+    auto, cross = np.empty(max_shift + 1), np.empty(max_shift + 1)
+    for shift in range(max_shift + 1):
+        norm = np.abs(gram(x[:n_avg], x[shift:shift + n_avg])) / denom
+        auto[shift] = float(np.mean(np.diag(norm)))
+        cross[shift] = float(np.mean(norm[mask]))
+    return auto, cross
 
 
 @pytest.fixture(scope="module")
@@ -93,22 +48,85 @@ class TestCorrelationReport:
         n_avg, max_shift = 40, 4
         rep = correlation_report(small_trace, max_shift=max_shift, n_avg=n_avg)
         v = small_trace.values
-        L = small_trace.n_subcarriers
-        r0 = [sum(np.vdot(v[n, l], v[n, l]).real for n in range(n_avg)) / n_avg
-              for l in range(L)]
-        for shift in range(max_shift + 1):
-            autos, crosses = [], []
-            for l in range(L):
-                r = sum(np.vdot(v[n, l], v[n + shift, l]) for n in range(n_avg)) / n_avg
-                autos.append(abs(r) / r0[l])
-            for i in range(L):
-                for j in range(L):
-                    if i == j:
-                        continue
-                    r = sum(np.vdot(v[n, i], v[n + shift, j]) for n in range(n_avg)) / n_avg
-                    crosses.append(abs(r) / np.sqrt(r0[i] * r0[j]))
-            assert rep.subcarrier_auto[shift] == pytest.approx(np.mean(autos), abs=1e-12)
-            assert rep.subcarrier_cross[shift] == pytest.approx(np.mean(crosses), abs=1e-12)
+        for series, S, report_auto, report_cross in (
+                (lambda n, l: v[n, l], small_trace.n_subcarriers,
+                 rep.subcarrier_auto, rep.subcarrier_cross),
+                (lambda n, m: v[n, :, m], small_trace.n_antennas,
+                 rep.antenna_auto, rep.antenna_cross)):
+            r0 = [sum(np.vdot(series(n, s), series(n, s)).real for n in range(n_avg)) / n_avg
+                  for s in range(S)]
+            for shift in range(max_shift + 1):
+                autos, crosses = [], []
+                for s in range(S):
+                    r = sum(np.vdot(series(n, s), series(n + shift, s))
+                            for n in range(n_avg)) / n_avg
+                    autos.append(abs(r) / r0[s])
+                for i in range(S):
+                    for j in range(S):
+                        if i == j:
+                            continue
+                        r = sum(np.vdot(series(n, i), series(n + shift, j))
+                                for n in range(n_avg)) / n_avg
+                        crosses.append(abs(r) / np.sqrt(r0[i] * r0[j]))
+                assert report_auto[shift] == pytest.approx(np.mean(autos), abs=1e-12)
+                assert report_cross[shift] == pytest.approx(np.mean(crosses), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 12), st.integers(0, 6),
+           st.booleans(), st.integers(0, 10 ** 6))
+    def test_bits_match_copied_windows(self, L, M, n_avg, max_shift, strided, seed):
+        # the report reads shifted windows as views; a reference that copies
+        # each window contiguously must give the same bits in both domains
+        n = n_avg + max_shift
+        rng = stream(seed, "corr-bits")
+        base = rng.standard_normal((2 * n, L, M + 1)) + 1j * rng.standard_normal((2 * n, L, M + 1))
+        values = base[::2, :, :M] if strided else np.ascontiguousarray(base[:n, :, :M])
+        assert values.flags.c_contiguous != strided
+        rep = correlation_report(ChannelTensor(values, "true"), max_shift=max_shift, n_avg=n_avg)
+        for domain, auto, cross in (("subcarrier", rep.subcarrier_auto, rep.subcarrier_cross),
+                                    ("antenna", rep.antenna_auto, rep.antenna_cross)):
+            ref_auto, ref_cross = _copied_window_curves(
+                np.ascontiguousarray(series_view(values, domain)), max_shift, n_avg)
+            assert np.array_equal(auto, ref_auto)
+            assert np.array_equal(cross, ref_cross)
+
+    def test_rotating_sequence_closed_form(self):
+        # h_n = exp(j*w*n) H  =>  R(shift) = exp(j*w*shift) ||series||^2: magnitude 1 normalized
+        rng = stream(3, "rotating")
+        H = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        values = np.exp(1j * 0.3 * np.arange(50))[:, None, None] * H
+        rep = correlation_report(ChannelTensor(values, "true"), max_shift=7, n_avg=40)
+        assert rep.subcarrier_auto == pytest.approx(np.ones(8), abs=1e-12)
+        assert rep.antenna_auto == pytest.approx(np.ones(8), abs=1e-12)
+
+    def test_constant_sequence(self):
+        # constant series: every shift gives the normalized inner products of shift 0
+        H = np.array([[1 + 2j, -1j, 0.5], [0.5j, 1.0, -2.0]])
+        values = np.tile(H, (40, 1, 1))
+        rep = correlation_report(ChannelTensor(values, "true"), max_shift=5, n_avg=30)
+        for series, auto, cross in ((H, rep.subcarrier_auto, rep.subcarrier_cross),
+                                    (H.T, rep.antenna_auto, rep.antenna_cross)):
+            norms = np.linalg.norm(series, axis=1)
+            cos = np.abs(series.conj() @ series.T) / np.outer(norms, norms)
+            expected = np.mean(cos[~np.eye(len(series), dtype=bool)])
+            assert auto == pytest.approx(np.ones(6), abs=1e-12)
+            assert cross == pytest.approx(np.full(6, expected), abs=1e-12)
+
+    def test_orthogonal_constant_sequences(self):
+        # series (1, 0) and (0, 1) in both domains, constant in time
+        values = np.tile(np.eye(2, dtype=complex), (30, 1, 1))
+        rep = correlation_report(ChannelTensor(values, "true"), max_shift=2, n_avg=20)
+        assert np.all(rep.subcarrier_cross == 0)
+        assert np.all(rep.antenna_cross == 0)
+
+    def test_independent_gaussian_sequences_decorrelate(self):
+        # concentration of the sample inner product: normalized magnitude < 0.1
+        rng = stream(4, "iid")
+        values = rng.standard_normal((2001, 3, 50)) + 1j * rng.standard_normal((2001, 3, 50))
+        rep = correlation_report(ChannelTensor(values, "true"), max_shift=1, n_avg=2000)
+        assert np.all(rep.subcarrier_cross < 0.1)
+        assert np.all(rep.antenna_cross < 0.1)
+        assert rep.subcarrier_auto[1] < 0.1 and rep.antenna_auto[1] < 0.1
 
     def test_auto_is_one_at_shift_zero(self, small_trace):
         rep = correlation_report(small_trace, max_shift=3, n_avg=50)
