@@ -36,6 +36,30 @@ def _copied_window_curves(x, max_shift, n_avg):
     return auto, cross
 
 
+class TestAutoCorrelation:
+    def test_shift_zero_is_mean_square_norm(self):
+        # R(0) is the mean square norm over the first n_avg blocks only: a
+        # constant series whose blocks after the window are doubled has
+        # R(k)/R(0) = mean(c[k:k+n_avg]) = 1 + k/n_avg in both domains
+        n_avg, max_shift = 20, 6
+        H = np.array([[1 + 2j, -1j, 0.5], [0.5j, 1.0, -2.0]])
+        scale = np.where(np.arange(n_avg + max_shift) < n_avg, 1.0, 2.0)
+        values = scale[:, None, None] * H
+        rep = correlation_report(ChannelTensor(values, "true"), max_shift=max_shift, n_avg=n_avg)
+        expected = 1.0 + np.arange(max_shift + 1) / n_avg
+        assert rep.subcarrier_auto == pytest.approx(expected, abs=1e-12)
+        assert rep.antenna_auto == pytest.approx(expected, abs=1e-12)
+
+    def test_insufficient_length(self):
+        # n_avg + max_shift blocks are needed, and are enough
+        rng = stream(1, "seq")
+        values = rng.standard_normal((15, 2, 3)) + 1j * rng.standard_normal((15, 2, 3))
+        with pytest.raises(ContractError, match="too short"):
+            correlation_report(ChannelTensor(values[:14], "true"), max_shift=5, n_avg=10)
+        rep = correlation_report(ChannelTensor(values, "true"), max_shift=5, n_avg=10)
+        assert len(rep.subcarrier_auto) == 6
+
+
 @pytest.fixture(scope="module")
 def small_trace():
     cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=5, seed=31)
