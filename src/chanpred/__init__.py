@@ -29,7 +29,7 @@ from .errors import (
     TraceFormatError,
     TrainingDivergedError,
 )
-from .estimation import PilotScheme, db_to_linear, dft_pilot, estimate_trace, ls_estimate, transmit_pilots
+from .estimation import PilotScheme, db_to_linear, dft_pilot, estimate_trace
 from .mlp import (
     AdamState,
     MlpModel,

@@ -46,6 +46,9 @@ def _domain_curves(values: np.ndarray, domain: str, max_shift: int, n_avg: int):
     # strided view [:, shift*D:(shift+n_avg)*D] and no shift copies data.
     x = series_view(values[:n_avg + max_shift], domain)
     n, s, d = x.shape
+    if s < 2:
+        raise ContractError(f"{domain} domain has {s} series; its cross-correlation "
+                            f"needs at least 2")
     rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(s, n * d)
     first = rows[:, :n_avg * d].conj()
     mask = ~np.eye(s, dtype=bool)

@@ -3,7 +3,8 @@
 Per block and subcarrier the UE sends a length-tau pilot; the BS observes
 Y = sqrt(rho) * h * phi^T + Z and recovers the LS estimate
 g = Y conj(phi) / (sqrt(rho) * ||phi||^2) = h + e with per-element error
-variance 1/(rho*tau) for unit-modulus pilots.
+variance 1/(rho*tau) for unit-modulus pilots. estimate_trace applies this to
+every (block, subcarrier) cell of a channel tensor at once.
 """
 
 from __future__ import annotations
@@ -60,48 +61,15 @@ class PilotScheme:
         return cls(dft_pilot(tau, k), db_to_linear(snr_db)).validate()
 
 
-def transmit_pilots(h: np.ndarray, scheme: PilotScheme,
-                    rng: np.random.Generator, noise: bool = True) -> np.ndarray:
-    """Received pilot matrix Y = sqrt(rho) h phi^T + Z, shape (M, tau).
-
-    Z entries are i.i.d. complex Gaussian with zero mean and unit variance;
-    `noise=False` suppresses Z (test hook).
-    """
-    scheme.validate()
-    h = np.asarray(h)
-    if h.ndim != 1:
-        raise ContractError(f"h must be a vector, got shape {h.shape}")
-    y = np.sqrt(scheme.snr) * h[:, None] * scheme.pilot[None, :]
-    if noise:
-        m, tau = y.shape
-        z = (rng.standard_normal((m, tau)) + 1j * rng.standard_normal((m, tau))) / np.sqrt(2)
-        y = y + z
-    return y
-
-
-def ls_estimate(y: np.ndarray, scheme: PilotScheme) -> np.ndarray:
-    """LS channel estimate from the received pilot matrix.
-
-    Solves the vectorized model y = Phi h + z with Phi = sqrt(rho) (phi ⊗ I_M);
-    (Phi^H Phi)^(-1) Phi^H y reduces to Y conj(phi) / (sqrt(rho) ||phi||^2).
-    """
-    scheme.validate()
-    y = np.asarray(y)
-    if y.ndim != 2 or y.shape[1] != scheme.tau:
-        raise ContractError(f"Y must be (M, tau={scheme.tau}), got shape {y.shape}")
-    energy = float(np.sum(np.abs(scheme.pilot) ** 2))
-    if energy == 0.0:
-        raise ContractError("degenerate pilot with zero energy")
-    return y @ np.conj(scheme.pilot) / (np.sqrt(scheme.snr) * energy)
-
-
 def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
-                   rng: np.random.Generator, noise: bool = True) -> ChannelTensor:
+                   rng: np.random.Generator) -> ChannelTensor:
     """LS-estimate every (block, subcarrier) cell of a true tensor.
 
-    Equivalent to transmit_pilots + ls_estimate per cell, vectorized in chunks
-    of blocks; the noise stream is separate from the channel stream, drawn in
-    fixed block order, so results are deterministic for a given rng.
+    Each cell receives Y = sqrt(rho) h phi^T + Z, an (M, tau) matrix with i.i.d.
+    unit-variance complex Gaussian Z, and is estimated as
+    g = Y conj(phi) / (sqrt(rho) ||phi||^2), vectorized in chunks of blocks.
+    The noise comes from `rng` alone, drawn in fixed block order, so results
+    are deterministic for a given rng.
     """
     tensor.validate()
     scheme.validate()
@@ -118,10 +86,9 @@ def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
     g = np.empty_like(h)
     for start in range(0, n_blocks, _EST_CHUNK):
         stop = min(start + _EST_CHUNK, n_blocks)
+        shape = (stop - start, L, M, tau)
         y = root_rho * h[start:stop, :, :, None] * scheme.pilot
-        if noise:
-            shape = (stop - start, L, M, tau)
-            y = y + (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        y = y + (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
         g[start:stop] = y @ conj_pilot / (root_rho * energy)
 
     return ChannelTensor(g, PROVENANCE_ESTIMATED).validate()

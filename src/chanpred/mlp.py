@@ -76,17 +76,18 @@ def init_mlp(dims, rng: np.random.Generator | int) -> MlpModel:
     return MlpModel(weights, biases).validate()
 
 
-def _forward_cached(model: MlpModel, x: np.ndarray):
-    activations = [x]
-    pre = []
+def _layer_outputs(model: MlpModel, x: np.ndarray):
+    """Yield each layer's output in turn: ReLU on hidden layers, linear on the last.
+
+    A generator, so a caller that wants only the prediction holds one layer's
+    arrays at a time and backward can keep them all.
+    """
     a = x
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w.T + b
-        pre.append(z)
         a = np.maximum(z, 0.0) if i < last else z
-        activations.append(a)
-    return activations, pre
+        yield a
 
 
 def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -94,12 +95,13 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.dims[0]:
         raise ContractError(f"features must be (rows, {model.dims[0]}), got {features.shape}")
-    a = features
-    last = model.n_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = np.maximum(z, 0.0) if i < last else z
-    return a
+    for out in _layer_outputs(model, features):
+        pass
+    return out
+
+
+def _mean_squared_norm(err: np.ndarray) -> float:
+    return float(np.mean(np.sum(err ** 2, axis=1)))
 
 
 def loss_mse(pred: np.ndarray, label: np.ndarray) -> float:
@@ -108,7 +110,7 @@ def loss_mse(pred: np.ndarray, label: np.ndarray) -> float:
     label = np.atleast_2d(np.asarray(label))
     if pred.shape != label.shape:
         raise ContractError(f"shape mismatch: {pred.shape} vs {label.shape}")
-    return float(np.mean(np.sum((pred - label) ** 2, axis=1)))
+    return _mean_squared_norm(pred - label)
 
 
 def backward(model: MlpModel, batch):
@@ -122,17 +124,19 @@ def backward(model: MlpModel, batch):
     if x.shape[0] != y.shape[0]:
         raise ContractError("feature and label batches differ in row count")
     n = x.shape[0]
-    activations, pre = _forward_cached(model, x)
-    loss = float(np.mean(np.sum((activations[-1] - y) ** 2, axis=1)))
+    activations = [x, *_layer_outputs(model, x)]
+    err = activations[-1] - y
+    loss = _mean_squared_norm(err)
 
     grad_w = [None] * model.n_layers
     grad_b = [None] * model.n_layers
-    delta = 2.0 * (activations[-1] - y) / n
+    delta = 2.0 * err / n
     for i in range(model.n_layers - 1, -1, -1):
         grad_w[i] = delta.T @ activations[i]
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i]) * (pre[i - 1] > 0)
+            # a hidden output max(z, 0) is positive exactly where z is
+            delta = (delta @ model.weights[i]) * (activations[i] > 0)
     return grad_w, grad_b, loss
 
 

@@ -25,6 +25,13 @@ def micro_tensor_pair():
     return truth, est
 
 
+class ZeroNoise:
+    """Stands in for the noise generator of estimate_trace: every draw is zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
 def random_tensor(seed, n=6, l=3, m=4, provenance="true"):
     rng = stream(seed, "tensor")
     values = rng.standard_normal((n, l, m)) + 1j * rng.standard_normal((n, l, m))

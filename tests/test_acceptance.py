@@ -5,6 +5,7 @@ Criterion 5 trains the full desk-preset experiment and takes several minutes.
 """
 
 import time
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from chanpred import (
     ChannelConfig,
+    ChannelTensor,
     PilotScheme,
     adam_step,
     correlation_report,
@@ -19,12 +21,10 @@ from chanpred import (
     draw_paths,
     init_mlp,
     loss_mse,
-    ls_estimate,
     predict,
     series_view,
     snr_sweep,
     synthesize,
-    transmit_pilots,
 )
 from chanpred.channel import DOMAIN_ANTENNA
 from chanpred.datasets import DatasetSpec, build_jl, build_jldt, build_series_dataset
@@ -46,13 +46,11 @@ def test_criterion_1_ls_estimator_oracle():
     started = time.perf_counter()
     scheme = PilotScheme(dft_pilot(4, 1), 10.0)
     m, trials = 8, 10_000
-    rng = stream(101, "ls-oracle")
     h = stream(102, "h").standard_normal(m) + 1j * stream(103, "h").standard_normal(m)
-    sq_sum = 0.0
-    for _ in range(trials):
-        g = ls_estimate(transmit_pilots(h, scheme, rng), scheme)
-        sq_sum += float(np.sum(np.abs(g - h) ** 2))
-    var = sq_sum / (trials * m)
+    # the same h in every block, so each block is one pilot transmission
+    truth = ChannelTensor(np.tile(h, (trials, 1, 1)), "true")
+    est = estimate_trace(truth, scheme, stream(101, "ls-oracle"))
+    var = float(np.mean(np.abs(est.values - h) ** 2))
     elapsed = time.perf_counter() - started
     ok = abs(var - 0.025) / 0.025 < 0.10 and elapsed < 10.0
     _report(1, ok, f"LS error variance {var:.5f} vs 0.025 analytic "
@@ -321,7 +319,7 @@ def test_criterion_8_no_leakage_and_determinism(tmp_path):
         assert main(["run", "--config", str(cfg_path), "--approach", "jldt",
                      "--out", run_csv]) == 0
         assert main(["sweep", "--config", str(cfg_path), "--out", sweep_csv]) == 0
-        outputs[rep] = [open(p).read() for p in (trace, canon, est, corr,
+        outputs[rep] = [Path(p).read_text() for p in (trace, canon, est, corr,
                                                  run_csv, sweep_csv)]
     det_ok = outputs["a"] == outputs["b"]
 

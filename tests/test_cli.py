@@ -1,6 +1,7 @@
 """CLI: config parsing, subcommand smoke tests, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,12 +126,21 @@ class TestSubcommands:
                 "--max-shift", "3"]
         assert main(args + ["--out", out1]) == EXIT_OK
         assert main(args + ["--out", out2]) == EXIT_OK
-        body1 = open(out1).read()
-        assert body1 == open(out2).read()
+        body1 = Path(out1).read_text()
+        assert body1 == Path(out2).read_text()
         rows = [l for l in body1.splitlines() if not l.startswith("#")]
         # header + (max_shift+1) rows per domain
         assert len(rows) == 1 + 2 * 4
         assert rows[0] == "shift,domain,auto_mag,cross_mag"
+
+    def test_correlate_single_series_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "one_antenna.json"
+        cfg.write_text(json.dumps({**MICRO, "m_h": 1, "m_v": 1}))
+        out = tmp_path / "corr.csv"
+        assert main(["correlate", "--config", str(cfg), "--n-avg", "20",
+                     "--max-shift", "3", "--out", str(out)]) == EXIT_RUNTIME
+        assert "antenna domain has 1 series" in capsys.readouterr().err
+        assert not out.exists()  # no CSV, so no nan rows
 
     def test_run_deterministic_outputs(self, tmp_path, micro_cfg_file):
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
@@ -138,19 +148,19 @@ class TestSubcommands:
                 "--seed", "7"]
         assert main(base + ["--out", out1]) == EXIT_OK
         assert main(base + ["--out", out2]) == EXIT_OK
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_text() == Path(out2).read_text()
 
     def test_sweep_writes_row_per_approach_snr(self, tmp_path, micro_cfg_file):
         out = str(tmp_path / "nmse.csv")
         loss = str(tmp_path / "loss.csv")
         assert main(["sweep", "--config", micro_cfg_file, "--out", out,
                      "--loss-out", loss]) == EXIT_OK
-        lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
+        lines = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "approach,snr_db,nmse_db,seed_count,overhead_blocks"
         assert len(lines) == 1 + 4  # four approaches, one SNR
         approaches = [l.split(",")[0] for l in lines[1:]]
         assert set(approaches) == {"sl", "sl_small", "jl", "jldt"}
-        loss_lines = [l for l in open(loss).read().splitlines() if not l.startswith("#")]
+        loss_lines = [l for l in Path(loss).read_text().splitlines() if not l.startswith("#")]
         assert loss_lines[0] == "approach,snr_db,seed,series,epoch,loss"
         assert len(loss_lines) > MICRO["epochs"]
 

@@ -180,6 +180,15 @@ class TestCorrelationReport:
         with pytest.raises(ContractError):
             correlation_report(est, max_shift=2, n_avg=20)
 
+    @pytest.mark.parametrize("shape, domain", [((30, 4, 1), "antenna"),
+                                               ((30, 1, 4), "subcarrier")])
+    def test_single_series_domain_rejected(self, shape, domain):
+        # the cross curve averages over pairs of distinct series; one series has none
+        rng = stream(2, "seq")
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        with pytest.raises(ContractError, match=f"{domain} domain has 1 series"):
+            correlation_report(ChannelTensor(values, "true"), max_shift=2, n_avg=20)
+
     def test_insufficient_blocks(self, small_trace):
         with pytest.raises(ContractError):
             correlation_report(small_trace, max_shift=20, n_avg=50)

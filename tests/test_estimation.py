@@ -1,10 +1,11 @@
-"""Pilot model and LS estimator against their analytic oracles."""
+"""LS pilot estimation (estimate_trace) against its analytic oracles."""
 
 import numpy as np
 import pytest
 
 from chanpred import (
     ChannelConfig,
+    ChannelTensor,
     ConfigError,
     ContractError,
     PilotScheme,
@@ -12,11 +13,10 @@ from chanpred import (
     dft_pilot,
     draw_paths,
     estimate_trace,
-    ls_estimate,
     synthesize,
-    transmit_pilots,
 )
 from chanpred.rng import stream
+from conftest import ZeroNoise
 
 
 class TestDftPilot:
@@ -41,76 +41,35 @@ class TestDftPilot:
             dft_pilot(4, -1)
 
 
-class TestTransmitPilots:
-    def test_noise_suppressed_exact(self):
-        scheme = PilotScheme.dft(4, 1, snr_db=10.0)
-        h = np.array([1 + 1j, -2j, 0.5, 0.25 - 0.25j])
-        y = transmit_pilots(h, scheme, stream(0, "z"), noise=False)
-        assert np.allclose(y, np.sqrt(scheme.snr) * np.outer(h, scheme.pilot))
-
-    def test_pure_noise_unit_variance(self):
-        scheme = PilotScheme.dft(2, 1, snr_db=0.0)
-        rng = stream(1, "z")
-        draws = np.stack([transmit_pilots(np.zeros(8), scheme, rng) for _ in range(2000)])
-        assert abs(np.mean(np.abs(draws) ** 2) - 1.0) < 0.05
-
-    def test_received_energy(self):
-        # E||Y||_F^2 = rho*||h||^2*tau + M*tau
-        rho, tau, m = 10.0, 4, 6
-        scheme = PilotScheme(dft_pilot(tau, 1), rho)
-        h = np.zeros(m, dtype=complex)
-        h[0] = 1.0
-        rng = stream(2, "z")
-        energy = np.mean([np.sum(np.abs(transmit_pilots(h, scheme, rng)) ** 2)
-                          for _ in range(10_000)])
-        expected = rho * tau + m * tau
-        assert abs(energy - expected) / expected < 0.05
+def _repeated(h, blocks):
+    """True (blocks, 1, M) tensor holding the same h in every block."""
+    return ChannelTensor(np.tile(h, (blocks, 1, 1)), "true")
 
 
 class TestLsEstimate:
-    def test_inverts_noiseless_model(self):
-        scheme = PilotScheme.dft(4, 2, snr_db=7.0)
-        h = stream(3, "h").standard_normal(16) + 1j * stream(4, "h").standard_normal(16)
-        y = transmit_pilots(h, scheme, stream(5, "z"), noise=False)
-        assert np.allclose(ls_estimate(y, scheme), h, atol=1e-12)
-
     def test_error_variance_matches_analytic(self):
-        # per-element error variance 1/(rho*tau) = 0.025 at 10 dB, tau = 4
-        scheme = PilotScheme.dft(4, 1, snr_db=10.0)
+        # per-element error variance 1/(rho*tau) = 0.5 at 0 dB, tau = 2
+        scheme = PilotScheme.dft(2, 1, snr_db=0.0)
         m, trials = 8, 10_000
-        rng = stream(6, "z")
         h = stream(7, "h").standard_normal(m) + 1j * stream(8, "h").standard_normal(m)
-        errs = np.empty((trials, m), dtype=complex)
-        for i in range(trials):
-            errs[i] = ls_estimate(transmit_pilots(h, scheme, rng), scheme) - h
-        var = np.mean(np.abs(errs) ** 2)
-        assert abs(var - 0.025) / 0.025 < 0.10
+        est = estimate_trace(_repeated(h, trials), scheme, stream(6, "z"))
+        var = np.mean(np.abs(est.values - h) ** 2)
+        assert abs(var - 0.5) / 0.5 < 0.10
 
     def test_unbiased(self):
         scheme = PilotScheme.dft(4, 1, snr_db=10.0)
         m, trials = 8, 10_000
-        rng = stream(9, "z")
         h = np.ones(m, dtype=complex)
-        errs = np.mean([ls_estimate(transmit_pilots(h, scheme, rng), scheme) - h
-                        for i in range(trials)], axis=0)
+        est = estimate_trace(_repeated(h, trials), scheme, stream(9, "z"))
+        errs = np.mean(est.values - h, axis=0)
         sigma = np.sqrt(0.025 / trials)  # complex variance 1/(rho*tau) per element
         assert np.all(np.abs(errs) < 3 * sigma + 1e-9)
-
-    def test_tau_one_matched_filter(self):
-        scheme = PilotScheme(np.array([1.0 + 0j]), 4.0)
-        y = np.array([[2.0 + 1j], [1.0 - 1j]])
-        assert np.allclose(ls_estimate(y, scheme), y[:, 0] / 2.0)
 
     def test_degenerate_pilot_rejected(self):
         scheme = PilotScheme(np.array([1.0 + 0j]), 4.0)
         object.__setattr__(scheme, "pilot", np.array([0.0 + 0j]))
         with pytest.raises((ContractError, ConfigError)):
-            ls_estimate(np.ones((2, 1), dtype=complex), scheme)
-
-    def test_shape_check(self):
-        scheme = PilotScheme.dft(4, 1)
-        with pytest.raises(ContractError):
-            ls_estimate(np.ones((2, 3), dtype=complex), scheme)
+            estimate_trace(_repeated(np.ones(2, dtype=complex), 3), scheme, stream(0, "z"))
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +79,11 @@ def truth():
 
 
 class TestEstimateTrace:
-    def test_noise_suppressed_identity(self, truth):
-        scheme = PilotScheme.dft(4, 1, snr_db=10.0)
-        est = estimate_trace(truth, scheme, stream(0, "n"), noise=False)
+    @pytest.mark.parametrize("tau", [1, 4])
+    def test_noise_suppressed_identity(self, truth, tau):
+        # tau = 1 is the matched filter Y / sqrt(rho); tau = 4 uses DFT column 2
+        scheme = PilotScheme.dft(tau, tau // 2, snr_db=7.0)
+        est = estimate_trace(truth, scheme, ZeroNoise())
         assert np.allclose(est.values, truth.values, atol=1e-12)
         assert est.provenance == "estimated"
 

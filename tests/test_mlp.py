@@ -155,6 +155,21 @@ class TestBackward:
         assert np.allclose(gw[0], 2.0 * err.T @ x / 12, atol=1e-12)
         assert np.allclose(gb[0], 2.0 * err.sum(axis=0) / 12, atol=1e-12)
 
+    @pytest.mark.parametrize("seed, dims", [
+        (0, (5, 2)),            # single layer
+        (1, (3, 1, 2)),         # width-1 hidden layer
+        (2, (4, 1, 1, 3)),      # two width-1 hidden layers
+        (3, (6, 8, 5, 4)),
+        (4, (10, 16, 16, 10)),
+    ])
+    def test_loss_is_loss_mse_of_predict(self, seed, dims):
+        # the loss backward trains on is the one loss_mse reports, bit for bit
+        rng = stream(seed, "loss-agree")
+        model = init_mlp(dims, seed)
+        x = rng.standard_normal((7, dims[0]))
+        y = rng.standard_normal((7, dims[-1]))
+        assert backward(model, (x, y))[2] == loss_mse(predict(model, x), y)
+
 
 def _scalar_reference_adam(theta, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     # independent transcription of the update equations, scalar case

@@ -20,6 +20,7 @@ from chanpred import (
 from chanpred.cli import config_from_dict
 from chanpred.pipelines import assemble_predictions, evaluate_cell, score
 from chanpred.rng import stream
+from conftest import ZeroNoise
 
 
 def micro_config(l=3, n_tr_prime=4, m_h=2, m_v=2, **kw):
@@ -91,8 +92,7 @@ class TestStaticChannel:
                            epochs=300, learning_rate=1e-2, n0=2)
         chan = cfg.channel.with_seed(3)
         truth = synthesize(chan, draw_paths(chan), cfg.required_blocks)
-        est = estimate_trace(truth, cfg.scheme(10.0), stream(3, "pilot-noise"),
-                             noise=False)
+        est = estimate_trace(truth, cfg.scheme(10.0), ZeroNoise())
         cell = evaluate_cell(truth, est, cfg, "sl", seed=3)
         assert cell.nmse < 1e-4
 
