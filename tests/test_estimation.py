@@ -46,7 +46,28 @@ def _repeated(h, blocks):
     return ChannelTensor(np.tile(h, (blocks, 1, 1)), "true")
 
 
+class UnitNoise:
+    """Noise generator whose every draw is one, so Z = (1 + 1j) / sqrt(2) in each cell."""
+
+    def standard_normal(self, shape):
+        return np.ones(shape)
+
+
 class TestLsEstimate:
+    def test_inverts_noiseless_model(self):
+        scheme = PilotScheme.dft(4, 2, snr_db=7.0)
+        h = stream(3, "h").standard_normal(16) + 1j * stream(4, "h").standard_normal(16)
+        est = estimate_trace(_repeated(h, 1), scheme, ZeroNoise())
+        assert np.allclose(est.values[0, 0], h, atol=1e-12)
+
+    def test_tau_one_matched_filter(self):
+        # Y = sqrt(rho) h + Z with rho = 4; the estimate is Y / 2
+        scheme = PilotScheme(np.array([1.0 + 0j]), 4.0)
+        h = np.array([1.0 + 0.5j, 0.5 - 0.5j])
+        y = 2.0 * h + (1 + 1j) / np.sqrt(2)
+        est = estimate_trace(_repeated(h, 1), scheme, UnitNoise())
+        assert np.allclose(est.values[0, 0], y / 2.0)
+
     def test_error_variance_matches_analytic(self):
         # per-element error variance 1/(rho*tau) = 0.5 at 0 dB, tau = 2
         scheme = PilotScheme.dft(2, 1, snr_db=0.0)
@@ -79,10 +100,8 @@ def truth():
 
 
 class TestEstimateTrace:
-    @pytest.mark.parametrize("tau", [1, 4])
-    def test_noise_suppressed_identity(self, truth, tau):
-        # tau = 1 is the matched filter Y / sqrt(rho); tau = 4 uses DFT column 2
-        scheme = PilotScheme.dft(tau, tau // 2, snr_db=7.0)
+    def test_noise_suppressed_identity(self, truth):
+        scheme = PilotScheme.dft(4, 1, snr_db=10.0)
         est = estimate_trace(truth, scheme, ZeroNoise())
         assert np.allclose(est.values, truth.values, atol=1e-12)
         assert est.provenance == "estimated"
