@@ -7,7 +7,7 @@ against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,21 +80,34 @@ def _layer_outputs(model: MlpModel, x: np.ndarray):
     """Yield each layer's output in turn: ReLU on hidden layers, linear on the last.
 
     A generator, so a caller that wants only the prediction holds one layer's
-    arrays at a time and backward can keep them all.
+    arrays at a time and backward can keep them all. Each layer adds its bias
+    and applies ReLU in place on the fresh array its matmul returns, so the
+    caller's features and earlier yielded outputs are never written.
     """
     a = x
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = np.maximum(z, 0.0) if i < last else z
+        a = a @ w.T
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
         yield a
+
+
+def _check_batch(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> None:
+    """Raise unless features are (rows, dims[0]) and labels, if given, (rows, dims[-1])."""
+    dims = model.dims
+    if x.ndim != 2 or x.shape[1] != dims[0]:
+        raise ContractError(f"features must be (rows, {dims[0]}), got {x.shape}")
+    if y is not None and y.shape != (x.shape[0], dims[-1]):
+        raise ContractError(f"labels must be ({x.shape[0]}, {dims[-1]}) to match "
+                            f"{x.shape[0]} feature rows, got {y.shape}")
 
 
 def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Batched forward pass; rows are samples."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.dims[0]:
-        raise ContractError(f"features must be (rows, {model.dims[0]}), got {features.shape}")
+    _check_batch(model, features)
     for out in _layer_outputs(model, features):
         pass
     return out
@@ -121,8 +134,7 @@ def backward(model: MlpModel, batch):
     x, y = batch
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if x.shape[0] != y.shape[0]:
-        raise ContractError("feature and label batches differ in row count")
+    _check_batch(model, x, y)
     n = x.shape[0]
     activations = [x, *_layer_outputs(model, x)]
     err = activations[-1] - y
@@ -142,7 +154,8 @@ def backward(model: MlpModel, batch):
 
 @dataclass
 class AdamState:
-    """First/second moments per parameter plus the step counter."""
+    """First/second moments per parameter, the step counter, and two flat
+    scratch arrays of the largest parameter's size that adam_step reuses."""
 
     m_w: list
     v_w: list
@@ -150,6 +163,11 @@ class AdamState:
     v_b: list
     t: int = 0
     learning_rate: float = 1e-3
+    _scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = max((m.size for m in self.m_w + self.m_b), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     @classmethod
     def for_model(cls, model: MlpModel, learning_rate: float = 1e-3) -> "AdamState":
@@ -167,23 +185,38 @@ def adam_step(model: MlpModel, grads, state: AdamState):
     With b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON:
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+
+    Every product, quotient and root is written into the state's scratch
+    arrays, in the order the formula above evaluates them, so the result is
+    bit for bit that of the plain expression. `grads` is only read.
     """
     grad_w, grad_b = grads
     if len(grad_w) != model.n_layers or len(grad_b) != model.n_layers:
         raise ContractError("gradient list lengths do not match the model")
+    for i in range(model.n_layers):
+        for name, params, grad in (("w", model.weights[i], grad_w[i]),
+                                   ("b", model.biases[i], grad_b[i])):
+            if np.shape(grad) != params.shape:
+                raise ContractError(f"layer {i} {name}: gradient shape {np.shape(grad)} "
+                                    f"does not match parameter shape {params.shape}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
+    flat1, flat2 = state._scratch
     for i in range(model.n_layers):
         for params, grad, m, v in (
             (model.weights[i], grad_w[i], state.m_w[i], state.v_w[i]),
             (model.biases[i], grad_b[i], state.m_b[i], state.v_b[i]),
         ):
+            s1 = flat1[:params.size].reshape(params.shape)
+            s2 = flat2[:params.size].reshape(params.shape)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=s1)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * grad ** 2
-            params -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+            v += np.multiply(1.0 - ADAM_BETA2, np.square(grad, out=s1), out=s1)
+            np.multiply(state.learning_rate, np.divide(m, c1, out=s1), out=s1)
+            np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), ADAM_EPSILON, out=s2)
+            params -= np.divide(s1, s2, out=s1)
     return model, state
 
 
@@ -218,8 +251,7 @@ def train(model: MlpModel, dataset, cfg: TrainConfig):
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:
         raise ContractError("cannot train on an empty dataset")
-    if x.shape[0] != y.shape[0]:
-        raise ContractError("feature and label row counts differ")
+    _check_batch(model, x, y)
 
     state = AdamState.for_model(model, learning_rate=cfg.learning_rate)
     n = x.shape[0]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chanpred import (
     AdamState,
@@ -24,7 +24,7 @@ from chanpred import (
     save_model,
     train,
 )
-from chanpred.mlp import shuffle_order
+from chanpred.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, shuffle_order
 from chanpred.rng import stream
 from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line
 
@@ -170,6 +170,18 @@ class TestBackward:
         y = rng.standard_normal((7, dims[-1]))
         assert backward(model, (x, y))[2] == loss_mse(predict(model, x), y)
 
+    def test_labels_of_wrong_width_rejected(self):
+        # (5, 1) labels would broadcast against a 2-output model's (5, 2) output
+        model = init_mlp((3, 4, 2), 0)
+        x = stream(0, "x").standard_normal((5, 3))
+        with pytest.raises(ContractError, match=r"labels must be \(5, 2\).*\(5, 1\)"):
+            backward(model, (x, np.zeros((5, 1))))
+
+    def test_features_of_wrong_width_rejected(self):
+        model = init_mlp((3, 4, 2), 0)
+        with pytest.raises(ContractError, match=r"features must be \(rows, 3\).*\(5, 4\)"):
+            backward(model, (np.zeros((5, 4)), np.zeros((5, 2))))
+
 
 def _scalar_reference_adam(theta, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     # independent transcription of the update equations, scalar case
@@ -188,6 +200,24 @@ def _scalar_reference_adam(theta, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 class TestAdam:
     def _scalar_model(self, theta0=0.3):
         return MlpModel([np.array([[theta0]])], [np.zeros(1)])
+
+    @pytest.mark.parametrize("layer, name, shape, message", [
+        (0, "w", (3,), r"layer 0 w: gradient shape \(3,\) does not match parameter shape \(4, 3\)"),
+        (0, "b", (1,), r"layer 0 b: gradient shape \(1,\) does not match parameter shape \(4,\)"),
+        (1, "w", (4, 2), r"layer 1 w: gradient shape \(4, 2\) does not match parameter shape \(2, 4\)"),
+    ], ids=["w0-flat", "b0-one-entry", "w1-transposed"])
+    def test_gradient_of_wrong_shape_rejected(self, layer, name, shape, message):
+        # the first two would broadcast into every entry of their parameter
+        model = init_mlp((3, 4, 2), 0)
+        before = _flat_params(model)
+        state = AdamState.for_model(model)
+        gw = [np.ones_like(w) for w in model.weights]
+        gb = [np.ones_like(b) for b in model.biases]
+        (gw if name == "w" else gb)[layer] = np.ones(shape)
+        with pytest.raises(ContractError, match=message):
+            adam_step(model, (gw, gb), state)
+        assert np.array_equal(_flat_params(model), before)
+        assert state.t == 0
 
     def test_first_step_magnitude(self):
         # t=1 bias correction makes the update lr*g/(|g|+eps) ~ lr*(1-2e-8)
@@ -219,6 +249,120 @@ class TestAdam:
         expected = _scalar_reference_adam(theta0, [g, g, g])
         for o, e in zip(observed, expected):
             assert abs(o - e) < 1e-12
+
+
+_DIMS = st.lists(st.integers(1, 6), min_size=2, max_size=4)
+
+
+def _reference_layers(model, x):
+    # the forward pass written as one expression per layer, allocating each result
+    layers = [x]
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = layers[-1] @ w.T + b
+        layers.append(np.maximum(z, 0.0) if i < model.n_layers - 1 else z)
+    return layers
+
+
+def _reference_backward(model, x, y):
+    layers = _reference_layers(model, x)
+    err = layers[-1] - y
+    loss = float(np.mean(np.sum(err ** 2, axis=1)))
+    grad_w, grad_b = [None] * model.n_layers, [None] * model.n_layers
+    delta = 2.0 * err / x.shape[0]
+    for i in range(model.n_layers - 1, -1, -1):
+        grad_w[i] = delta.T @ layers[i]
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i]) * (layers[i] > 0)
+    return grad_w, grad_b, loss
+
+
+def _reference_adam_step(params, grads, moments, lr, t):
+    # the update written as one expression per parameter, allocating its temporaries
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    for p, g, (m, v) in zip(params, grads, moments):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g ** 2
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+
+
+def _random_grads(model, rng, step):
+    # magnitudes over seven decades; odd steps pass column-major weight gradients
+    def draw(shape):
+        return rng.standard_normal(shape) * 10.0 ** int(rng.integers(-4, 3))
+    gw = [draw(w.shape[::-1]).T if step % 2 else draw(w.shape) for w in model.weights]
+    return gw, [draw(b.shape) for b in model.biases]
+
+
+class TestBitIdentity:
+    """The buffered update and the in-place forward equal their plain expressions bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=_DIMS, seed=st.integers(0, 2 ** 16))
+    @example(dims=[5, 2], seed=0)
+    @example(dims=[3, 1, 1, 2], seed=1)
+    def test_adam_matches_plain_expression(self, dims, seed):
+        model = init_mlp(dims, seed)
+        ref = [p.copy() for p in model.weights + model.biases]
+        ref_moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+        state = AdamState.for_model(model, learning_rate=1e-2)
+        rng = stream(seed, "adam-bits")
+        for t in range(1, 26):
+            gw, gb = _random_grads(model, rng, t)
+            kept = [g.copy() for g in gw + gb]
+            adam_step(model, (gw, gb), state)
+            assert all(np.array_equal(g, k) for g, k in zip(gw + gb, kept))
+            _reference_adam_step(ref, gw + gb, ref_moments, 1e-2, t)
+        for got, want in zip(model.weights + model.biases, ref):
+            assert np.array_equal(got, want)
+        for m, v, (ref_m, ref_v) in zip(state.m_w + state.m_b, state.v_w + state.v_b,
+                                        ref_moments):
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=_DIMS, seed=st.integers(0, 2 ** 16), rows=st.integers(1, 9))
+    @example(dims=[5, 2], seed=0, rows=3)
+    @example(dims=[3, 1, 1, 2], seed=1, rows=4)
+    def test_forward_and_backward_match_plain_expression(self, dims, seed, rows):
+        model = init_mlp(dims, seed)
+        rng = stream(seed, "forward-bits")
+        for b in model.biases:
+            b[:] = rng.standard_normal(b.shape)
+        x = rng.standard_normal((rows, dims[0]))
+        y = rng.standard_normal((rows, dims[-1]))
+        x_kept = x.copy()
+        assert np.array_equal(predict(model, x), _reference_layers(model, x)[-1])
+        assert np.array_equal(x, x_kept)
+        gw, gb, loss = backward(model, (x, y))
+        ref_w, ref_b, ref_loss = _reference_backward(model, x, y)
+        assert loss == ref_loss
+        assert all(np.array_equal(g, r) for g, r in zip(gw + gb, ref_w + ref_b))
+        assert np.array_equal(x, x_kept)
+
+    def test_two_states_do_not_share_scratch(self):
+        # stepping two models of different shapes alternately changes neither
+        dims = ((4, 6, 3), (7, 2, 5, 1))
+        grads = {}
+        for d in dims:
+            rng = stream(len(d), "scratch")
+            grads[d] = [_random_grads(init_mlp(d, 0), rng, t) for t in range(10)]
+        alone = {}
+        for d in dims:
+            model = init_mlp(d, 0)
+            state = AdamState.for_model(model)
+            for g in grads[d]:
+                adam_step(model, g, state)
+            alone[d] = _flat_params(model)
+        models = {d: init_mlp(d, 0) for d in dims}
+        states = {d: AdamState.for_model(models[d]) for d in dims}
+        for step in range(10):
+            for d in dims:
+                adam_step(models[d], grads[d][step], states[d])
+        for d in dims:
+            assert np.array_equal(_flat_params(models[d]), alone[d])
 
 
 class TestTrain:
@@ -264,6 +408,14 @@ class TestTrain:
         x, y = self._toy(rows=5)
         model, hist = train(init_mlp((4, 2), 4), (x, y), TrainConfig(64, 3, 1e-3, 1))
         assert len(hist) == 3
+
+    def test_labels_of_wrong_width_rejected_before_training(self):
+        x, _ = self._toy(rows=5)
+        model = init_mlp((4, 8, 2), 1)
+        before = _flat_params(model)
+        with pytest.raises(ContractError, match=r"labels must be \(5, 2\)"):
+            train(model, (x, np.zeros((5, 1))), TrainConfig(2, 3, 1e-3, 0))
+        assert np.array_equal(_flat_params(model), before)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):

@@ -65,3 +65,22 @@ def test_paper_link_check_passes(monkeypatch, tmp_path, seed):
     _, outputs = workloads.run("paper-link", "tiny", seed, str(tmp_path))
     failed, _ = workloads.check("paper-link", outputs, None)
     assert failed == {}
+
+
+def test_traced_desk_sweep_has_one_backward_per_adam_step(monkeypatch, tmp_path):
+    # the benchmark's gate counts mlp.adam_step spans against the config's
+    # step count; a refactor that fuses or skips either call must fail here
+    tracing = _perfbench(monkeypatch, "tracing")
+    workloads = _perfbench(monkeypatch, "workloads")
+    from chanpred.cli import parse_config
+    preset, path = workloads.write_config("desk-separate", "tiny", str(tmp_path))
+    steps = sum(workloads.adam_steps(parse_config(path, preset=preset)).values())
+
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        _, outputs = workloads.run("desk-separate", "tiny", 1, str(tmp_path))
+    assert outputs["error"] is None
+    names = [span["name"] for span in tracer.spans]
+    assert steps > 0
+    assert names.count("mlp.adam_step") == steps
+    assert names.count("mlp.backward") == steps
