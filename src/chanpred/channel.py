@@ -159,6 +159,17 @@ class ChannelTensor:
             raise ContractError("channel values contain non-finite entries")
         return self
 
+    def require(self, provenance: str, n_blocks: int) -> "ChannelTensor":
+        """validate(), then demand `provenance` and at least `n_blocks` blocks."""
+        self.validate()
+        if self.provenance != provenance:
+            raise ContractError(f"needs a tensor of provenance {provenance!r}, got "
+                                f"provenance {self.provenance!r}")
+        if self.n_blocks < n_blocks:
+            raise ContractError(f"tensor of {self.n_blocks} blocks too short: needs at "
+                                f"least {n_blocks} blocks")
+        return self
+
 
 def series_view(values: np.ndarray, domain: str) -> np.ndarray:
     """View of (..., L, M) values as (..., S, D): series s of `domain` is [..., s, :].

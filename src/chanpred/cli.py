@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -89,6 +90,8 @@ def _cast_scalar(key: str, value, kind: type):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: expected a finite number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")
     return kind(value)
@@ -109,7 +112,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    preset = data.get("preset", "paper")
+    preset = _cast_scalar("preset", data.get("preset", "paper"), str)
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose one of {sorted(PRESETS)}")
     merged.update(PRESETS[preset])
@@ -118,6 +121,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     chan_defaults = _defaults(ChannelConfig)
     channel = ChannelConfig(**{attr: _cast(key, merged[key], chan_defaults[attr])
                                for key, attr in _CHANNEL_KEYS.items() if key in merged})
+    if channel.seed != chan_defaults["seed"]:
+        raise ConfigError(f"channel_seed must be {chan_defaults['seed']}: each run's channel "
+                          f"follows its seed in 'seeds' (got channel_seed={channel.seed})")
     exp_defaults = _defaults(ExperimentConfig)
     cfg = ExperimentConfig(channel=channel, **{key: _cast(key, merged[key], exp_defaults[key])
                                                for key in _EXPERIMENT_KEYS
@@ -189,8 +195,9 @@ def _fmt(value) -> str:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS), default="paper")
     parser.add_argument("--config", help="JSON config file (keys mirror the flags)")
-    parser.add_argument("--seed", type=int, help="single RNG seed override")
-    parser.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="single RNG seed override")
+    seeds.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
     parser.add_argument("--snr-db", type=_float_list, dest="snr_db",
                         help="comma-separated SNR list in dB")
     parser.add_argument("--tau", type=int, help="pilot length")

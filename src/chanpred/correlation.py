@@ -74,17 +74,11 @@ def correlation_report(tensor: ChannelTensor, max_shift: int = 16,
     Auto-correlation magnitudes are averaged over all series of each domain;
     cross-correlation magnitudes over all ordered pairs of distinct series.
     """
-    tensor.validate()
-    if tensor.provenance != PROVENANCE_TRUE:
-        raise ContractError(
-            f"correlation_report analyzes true channels, got provenance {tensor.provenance!r}")
     if max_shift < 0:
         raise ContractError(f"max_shift must be >= 0, got {max_shift}")
     if n_avg < 1:
         raise ContractError(f"n_avg must be >= 1, got {n_avg}")
-    if tensor.n_blocks < n_avg + max_shift:
-        raise ContractError(f"trace of {tensor.n_blocks} blocks too short for "
-                            f"n_avg={n_avg}, max_shift={max_shift}")
+    tensor.require(PROVENANCE_TRUE, n_avg + max_shift)
 
     # subcarrier domain: series l, vectors over m; antenna domain: series m, vectors over l
     sub_auto, sub_cross = _domain_curves(tensor.values, DOMAIN_SUBCARRIER, max_shift, n_avg)

@@ -10,8 +10,9 @@ training block, feature or label, before the first test block. Complex
 vectors are split into (all real parts, then all imaginary parts) per window,
 oldest window first.
 
-One routine cuts the windows of every selected column of a domain's
-(N, S, D) series view; pooled rows are series-major, time-minor.
+Every builder returns (train, test). One routine cuts the windows of every
+selected column of a domain's (N, S, D) series view; pooled rows are
+series-major, time-minor.
 
 Datasets hold estimated channels only, labels included (the true channel is
 never measurable); the scorer reads the truth at each row's label block.
@@ -32,9 +33,6 @@ from .channel import (
     series_view,
 )
 from .errors import ConfigError, ContractError
-
-PHASE_TRAIN = "train"
-PHASE_TEST = "test"
 
 
 def complex_to_real(v: np.ndarray) -> np.ndarray:
@@ -79,9 +77,9 @@ class DatasetSpec:
                 f"n_gap={self.n_gap})")
         return self
 
-    def min_blocks(self, phase: str) -> int:
-        if phase == PHASE_TRAIN:
-            return self.n_tr + self.n0
+    @property
+    def min_blocks(self) -> int:
+        """Blocks the input tensor must hold; the test phase reads the furthest."""
         return self.n_gap + self.n_te + self.n0 + 1
 
 
@@ -131,68 +129,50 @@ def _windows(view: np.ndarray, start: int, rows: int, n0: int):
     return feats.reshape(n_series * rows, -1), labels.reshape(n_series * rows, -1)
 
 
-def check_tensors(est: ChannelTensor, spec: DatasetSpec, phase: str) -> None:
-    """Validate the inputs of one builder call, once however many series it cuts."""
-    est.validate()
+def _datasets(est: ChannelTensor, domain: str, index: int | None, spec: DatasetSpec):
+    """(train, test) windows of series `index` of `est`'s `domain` view, or of all (None)."""
     spec.validate()
-    if phase not in (PHASE_TRAIN, PHASE_TEST):
-        raise ContractError(f"phase must be 'train' or 'test', got {phase!r}")
-    if est.provenance != PROVENANCE_ESTIMATED:
-        raise ContractError(f"datasets are built from estimated tensors, got "
-                            f"provenance {est.provenance!r}")
-    need = spec.min_blocks(phase)
-    if est.n_blocks < need:
-        raise ContractError(f"tensor has {est.n_blocks} blocks, phase {phase!r} "
-                            f"needs at least {need}")
-
-
-def _dataset(view: np.ndarray, cols: slice, spec: DatasetSpec, phase: str) -> WindowedDataset:
-    """Windows of the series `cols` of an (N, S, D) view of a tensor check_tensors accepted."""
+    est.require(PROVENANCE_ESTIMATED, spec.min_blocks)
+    view = series_view(est.values, domain)
+    if index is not None and not 0 <= index < view.shape[1]:
+        raise ContractError(f"{domain} series index {index} out of range [0, {view.shape[1]})")
+    cols = slice(None) if index is None else slice(index, index + 1)
     ids = np.arange(view.shape[1])[cols]
-    start, rows = (0, spec.n_tr) if phase == PHASE_TRAIN else (spec.n_gap, spec.n_te)
-    feats, labels = _windows(view[:, cols], start, rows, spec.n0)
-    return WindowedDataset(
-        features=feats, labels=labels, n0=spec.n0, dim=view.shape[2],
-        series=np.repeat(ids, rows),
-        block_end=np.tile(start + spec.n0 + np.arange(rows), ids.size),  # 1-based window end
-    ).validate()
+    out = []
+    for start, rows in ((0, spec.n_tr), (spec.n_gap, spec.n_te)):
+        feats, labels = _windows(view[:, cols], start, rows, spec.n0)
+        out.append(WindowedDataset(
+            features=feats, labels=labels, n0=spec.n0, dim=view.shape[2],
+            series=np.repeat(ids, rows),
+            block_end=np.tile(start + spec.n0 + np.arange(rows), ids.size),  # 1-based window end
+        ).validate())
+    return tuple(out)
 
 
-def build_series_dataset(est: ChannelTensor, series: tuple[str, int],
-                         spec: DatasetSpec, phase: str) -> WindowedDataset:
-    """Windowed dataset for one series (one subcarrier or one antenna).
+def build_series_dataset(est: ChannelTensor, series: tuple[str, int], spec: DatasetSpec):
+    """(train, test) datasets of one series (one subcarrier or one antenna).
 
     `series` is (domain, index): series `index` of series_view(est.values, domain).
     """
-    check_tensors(est, spec, phase)
     domain, index = series
-    view = series_view(est.values, domain)
-    if not 0 <= index < view.shape[1]:
-        raise ContractError(f"{domain} series index {index} out of range [0, {view.shape[1]})")
-    return _dataset(view, slice(index, index + 1), spec, phase)
-
-
-def _pooled(domain: str, est: ChannelTensor, spec: DatasetSpec):
-    check_tensors(est, spec, PHASE_TEST)   # the test phase needs the most blocks
-    view = series_view(est.values, domain)
-    return tuple(_dataset(view, slice(None), spec, phase) for phase in (PHASE_TRAIN, PHASE_TEST))
+    return _datasets(est, domain, index, spec)
 
 
 def build_jl(est: ChannelTensor, spec: DatasetSpec):
-    """Pooled subcarrier datasets: union over l of per-subcarrier windows.
+    """(train, test) pooled subcarrier datasets: union over l of per-subcarrier windows.
 
     spec.n_tr is interpreted per series (N'_tr), so the pooled training set
     has L*n_tr rows in series-major, time-minor order.
     """
-    return _pooled(DOMAIN_SUBCARRIER, est, spec)
+    return _datasets(est, DOMAIN_SUBCARRIER, None, spec)
 
 
 def build_jldt(est: ChannelTensor, spec: DatasetSpec):
-    """Antenna-domain pooled datasets: the same windows read by antenna.
+    """(train, test) antenna-domain pooled datasets: the same windows read by antenna.
 
     Rows are length-L vector windows; the pooled training set has M*n_tr rows.
     """
-    return _pooled(DOMAIN_ANTENNA, est, spec)
+    return _datasets(est, DOMAIN_ANTENNA, None, spec)
 
 
 def fit_scale(train: WindowedDataset) -> float:

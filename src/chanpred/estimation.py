@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelTensor, PROVENANCE_ESTIMATED, PROVENANCE_TRUE
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 
 _EST_CHUNK = 64  # blocks per chunk; bounds the (chunk, L, M, tau) noise buffer
 
@@ -71,10 +71,8 @@ def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
     The noise comes from `rng` alone, drawn in fixed block order, so results
     are deterministic for a given rng.
     """
-    tensor.validate()
+    tensor.require(PROVENANCE_TRUE, 1)
     scheme.validate()
-    if tensor.provenance != PROVENANCE_TRUE:
-        raise ContractError(f"estimate_trace needs provenance 'true', got {tensor.provenance}")
 
     h = tensor.values
     n_blocks, L, M = h.shape

@@ -27,6 +27,7 @@ from .channel import (
     ChannelTensor,
     DOMAIN_ANTENNA,
     DOMAIN_SUBCARRIER,
+    PROVENANCE_ESTIMATED,
     PROVENANCE_PREDICTED,
     PROVENANCE_TRUE,
     draw_paths,
@@ -35,12 +36,9 @@ from .channel import (
 )
 from .datasets import (
     DatasetSpec,
-    PHASE_TEST,
-    PHASE_TRAIN,
     build_jl,
     build_jldt,
     build_series_dataset,
-    check_tensors,
     fit_scale,
     real_to_complex,
 )
@@ -84,8 +82,7 @@ class ExperimentConfig:
             raise ConfigError(f"pilot_column must be in [0, tau), got {self.pilot_column}")
         if not self.snr_db:
             raise ConfigError("snr_db list must be non-empty")
-        self.dataset_spec().validate()
-        self.dataset_spec(self.n_tr_prime).validate()
+        self.dataset_spec().validate()   # n_tr >= n_tr_prime, so the jl spec holds too
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden layer sizes must be >= 1, got {self.hidden}")
         if self.batch_size < 1 or self.epochs < 1:
@@ -98,6 +95,10 @@ class ExperimentConfig:
         if unknown or not self.approaches:
             raise ConfigError(f"approaches must be a non-empty subset of {APPROACHES}, "
                               f"got {self.approaches}")
+        for key in ("snr_db", "seeds", "approaches"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} has duplicate entries: {list(values)}")
         return self
 
     def dataset_spec(self, n_tr: int | None = None) -> DatasetSpec:
@@ -106,7 +107,7 @@ class ExperimentConfig:
 
     @property
     def required_blocks(self) -> int:
-        return self.dataset_spec().min_blocks(PHASE_TEST)
+        return self.dataset_spec().min_blocks
 
     def overhead_blocks(self, approach: str) -> int:
         return self.n_tr if approach == "sl" else self.n_tr_prime
@@ -141,14 +142,7 @@ def score(pred: ChannelTensor, truth: ChannelTensor, spec: DatasetSpec) -> float
     The only reader of the true tensor. Rows are the length-M subcarrier
     vectors in (subcarrier, block) order.
     """
-    truth.validate()
-    if truth.provenance != PROVENANCE_TRUE:
-        raise ContractError(f"predictions are scored against the true tensor, got "
-                            f"provenance {truth.provenance!r}")
-    need = spec.min_blocks(PHASE_TEST)
-    if truth.n_blocks < need:
-        raise ContractError(f"truth tensor has {truth.n_blocks} blocks, scoring needs "
-                            f"at least {need}")
+    truth.require(PROVENANCE_TRUE, spec.min_blocks)
     label = truth.values[spec.n_gap + spec.n0 + np.arange(spec.n_te)]
     if pred.values.shape != label.shape:
         raise ContractError(f"prediction shape {pred.values.shape} != label shape {label.shape}")
@@ -160,7 +154,7 @@ def persistence_nmse(truth: ChannelTensor, est: ChannelTensor,
                      cfg: ExperimentConfig) -> float:
     """Sanity floor: predict h_(n+1) by the newest estimate g_n."""
     spec = cfg.dataset_spec()
-    check_tensors(est, spec, PHASE_TEST)
+    est.require(PROVENANCE_ESTIMATED, spec.min_blocks)
     newest = est.values[spec.n_gap + spec.n0 - 1 + np.arange(spec.n_te)]
     return score(ChannelTensor(newest, PROVENANCE_PREDICTED), truth, spec)
 
@@ -184,9 +178,7 @@ class TrainJob:
         if self.series is None:
             build = build_jldt if self.domain == DOMAIN_ANTENNA else build_jl
             return build(est, spec)
-        series = (self.domain, self.series)
-        return (build_series_dataset(est, series, spec, PHASE_TRAIN),
-                build_series_dataset(est, series, spec, PHASE_TEST))
+        return build_series_dataset(est, (self.domain, self.series), spec)
 
 
 def train_jobs(cfg: ExperimentConfig, approach: str) -> list:

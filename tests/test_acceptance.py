@@ -270,21 +270,25 @@ def test_criterion_7_domain_round_trip():
 
 
 def test_criterion_8_no_leakage_and_determinism(tmp_path):
-    # (a) block-index separation for both presets' dataset construction
+    # (a) block-index separation for both presets' dataset construction, read
+    # from the values themselves: every entry of block n (1-based) is n + nj,
+    # so each feature or label entry names the block it came from
     leak_ok = True
     for preset in ("paper", "desk"):
         cfg = parse_config(preset=preset)
-        chan = ChannelConfig(m_h=1, m_v=2, n_subcarriers=2, seed=1,
-                             doppler_grid_blocks=cfg.channel.doppler_grid_blocks)
-        truth = synthesize(chan, draw_paths(chan), cfg.required_blocks)
-        est = estimate_trace(truth, cfg.scheme(10.0), stream(1, "pilot-noise"))
+        blocks = np.arange(1, cfg.required_blocks + 1) * (1 + 1j)
+        est = ChannelTensor(np.repeat(blocks, 2 * 2).reshape(-1, 2, 2), "estimated")
         for n_tr in (cfg.n_tr, cfg.n_tr_prime):
             spec = DatasetSpec(cfg.n0, n_tr, cfg.n_te, cfg.n_gap)
             for builder in (build_jl, build_jldt):
                 train, test = builder(est, spec)
-                max_train = int(train.block_end.max()) + 1
-                min_test = int(test.block_end.min()) - spec.n0 + 1
-                leak_ok = leak_ok and (max_train < min_test)
+                seen = np.concatenate([train.features.ravel(), train.labels.ravel()])
+                leak_ok = leak_ok and (
+                    seen.max() < test.features.min()
+                    # training reads blocks 1 .. n_tr+n0, test n_gap+1 .. n_gap+n_te+n0
+                    and (seen.min(), seen.max()) == (1, n_tr + spec.n0)
+                    and (test.features.min(), test.labels.max())
+                    == (spec.n_gap + 1, spec.n_gap + spec.n_te + spec.n0))
 
     # (b) identical seeds -> byte-identical output files for every subcommand
     import json

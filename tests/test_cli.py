@@ -96,6 +96,46 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=repr(key)):
             config_from_dict({**MICRO, key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("speed_mps", float("nan")),
+        ("snr_db", [float("nan")]),
+        ("learning_rate", float("inf")),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, key, value):
+        with pytest.raises(ConfigError, match=repr(key)):
+            config_from_dict({**MICRO, key: value})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**MICRO, key: value}))   # NaN / Infinity tokens
+        trace = tmp_path / "x.trace"
+        assert main(["generate", "--config", str(bad), "--out", str(trace)]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_preset_must_be_a_string(self, tmp_path):
+        with pytest.raises(ConfigError, match="'preset'"):
+            config_from_dict({**MICRO, "preset": ["desk"]})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"preset": ["desk"]}))
+        assert main(["generate", "--config", str(bad),
+                     "--out", str(tmp_path / "x.trace")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [
+        ("snr_db", [10, 10]),
+        ("seeds", [1, 1]),
+        ("approaches", ["jl", "jl"]),
+    ])
+    def test_duplicate_list_entries_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} has duplicate"):
+            config_from_dict({**MICRO, key: value})
+
+    def test_channel_seed_is_not_a_second_seed(self):
+        # the channel follows each run's seed; only the emitted value 1 is accepted
+        cfg = config_from_dict({**MICRO, "channel_seed": 1})
+        assert cfg == config_from_dict(MICRO)
+        assert '"channel_seed":1' in canonical_json(cfg)
+        with pytest.raises(ConfigError, match="channel_seed.*seeds"):
+            config_from_dict({**MICRO, "channel_seed": 5})
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.json")
@@ -216,6 +256,15 @@ class TestSubcommands:
         trace = tmp_path / "t.trace"
         code = main(["generate", "--preset", "desk", *flags, "--out", str(trace)])
         assert code == EXIT_CONFIG if config_error else code != EXIT_OK
+        assert not trace.exists()
+
+    def test_seed_and_seeds_are_exclusive(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--preset", "desk", "--seed", "1", "--seeds", "2",
+                  "--out", str(trace)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "not allowed with argument" in capsys.readouterr().err
         assert not trace.exists()
 
     def test_snr_and_tau_overrides(self, tmp_path, micro_cfg_file, capsys):

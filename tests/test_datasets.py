@@ -67,7 +67,7 @@ class TestBuildSeriesDataset:
         # n0=3, n_tr=5: first row features from blocks (1,2,3), label block 4
         truth, est = _pair()
         spec = DatasetSpec(n0=3, n_tr=5, n_te=2, n_gap=8)
-        ds = build_series_dataset(est, ("subcarrier", 1), spec, "train")
+        ds, _ = build_series_dataset(est, ("subcarrier", 1), spec)
         assert ds.n_rows == 5
         v = series_view(est.values, "subcarrier")[:, 1]
         first = np.concatenate([complex_to_real(v[i]) for i in range(3)])
@@ -78,8 +78,7 @@ class TestBuildSeriesDataset:
     def test_window_consistency_every_row(self):
         truth, est = _pair()
         spec = DatasetSpec(n0=2, n_tr=6, n_te=3, n_gap=8)
-        for phase in ("train", "test"):
-            ds = build_series_dataset(est, ("subcarrier", 0), spec, phase)
+        for ds in build_series_dataset(est, ("subcarrier", 0), spec):
             v = series_view(est.values, "subcarrier")[:, 0]
             for r in range(ds.n_rows):
                 end = ds.block_end[r]
@@ -94,8 +93,8 @@ class TestBuildSeriesDataset:
         cfg = ChannelConfig(m_h=8, m_v=8, n_subcarriers=2, seed=3)
         truth = synthesize(cfg, draw_paths(cfg), 12)
         est = estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=10.0), stream(0, "n"))
-        ds = build_series_dataset(est, ("subcarrier", 0),
-                                  DatasetSpec(n0=3, n_tr=4, n_te=1, n_gap=7), "train")
+        ds, _ = build_series_dataset(est, ("subcarrier", 0),
+                                     DatasetSpec(n0=3, n_tr=4, n_te=1, n_gap=7))
         assert ds.features.shape == (4, 384)
         assert ds.labels.shape == (4, 128)
 
@@ -106,7 +105,7 @@ class TestBuildSeriesDataset:
                   + 0j * np.zeros((1704, 1, 1)))
         est = ChannelTensor(values + 1j, "estimated")
         spec = DatasetSpec(n0=3, n_tr=1000, n_te=200, n_gap=1500)
-        ds = build_series_dataset(est, ("subcarrier", 0), spec, "test")
+        _, ds = build_series_dataset(est, ("subcarrier", 0), spec)
         assert ds.n_rows == 200
         assert ds.block_end[0] == 1503 and ds.block_end[-1] == 1702
         # the label of the last row is the channel at block 1703 (0-based 1702)
@@ -116,25 +115,25 @@ class TestBuildSeriesDataset:
         truth, est = _pair(n=20)
         with pytest.raises(ContractError):
             build_series_dataset(est, ("subcarrier", 0),
-                                 DatasetSpec(n0=3, n_tr=30, n_te=2, n_gap=33), "train")
+                                 DatasetSpec(n0=3, n_tr=30, n_te=2, n_gap=33))
         with pytest.raises(ContractError):
             build_series_dataset(est, ("subcarrier", 0),
-                                 DatasetSpec(n0=3, n_tr=5, n_te=10, n_gap=8), "test")
+                                 DatasetSpec(n0=3, n_tr=5, n_te=10, n_gap=8))
 
     def test_provenance_and_domain_contracts(self):
         truth, est = _pair()
         spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
         with pytest.raises(ContractError):
-            build_series_dataset(truth, ("subcarrier", 0), spec, "train")
+            build_series_dataset(truth, ("subcarrier", 0), spec)
         with pytest.raises(ContractError):
-            build_series_dataset(est, ("diagonal", 0), spec, "train")   # not a domain
+            build_series_dataset(est, ("diagonal", 0), spec)   # not a domain
         with pytest.raises(ContractError):
-            build_series_dataset(est, ("subcarrier", 99), spec, "train")
+            build_series_dataset(est, ("subcarrier", 99), spec)
         # L=3 subcarriers, M=4 antennas: index 3 exists only in the antenna view
-        assert build_series_dataset(est, ("antenna", 3), spec, "train").n_rows == 4
+        assert build_series_dataset(est, ("antenna", 3), spec)[0].n_rows == 4
         for series in (("subcarrier", 3), ("antenna", 4), ("antenna", -1)):
             with pytest.raises(ContractError, match="out of range"):
-                build_series_dataset(est, series, spec, "train")
+                build_series_dataset(est, series, spec)
 
 
 class TestPooledBuilders:
@@ -158,7 +157,7 @@ class TestPooledBuilders:
         truth, est = _pair(l=1)
         spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
         train, _ = build_jl(est, spec)
-        series = build_series_dataset(est, ("subcarrier", 0), spec, "train")
+        series, _ = build_series_dataset(est, ("subcarrier", 0), spec)
         assert np.array_equal(train.features, series.features)
         assert np.array_equal(train.labels, series.labels)
 
@@ -182,7 +181,7 @@ class TestPooledBuilders:
         truth, est = _pair(l=4, m_h=1, m_v=1)
         spec = DatasetSpec(n0=2, n_tr=3, n_te=2, n_gap=5)
         train, _ = build_jldt(est, spec)
-        expected = build_series_dataset(est, ("antenna", 0), spec, "train")
+        expected, _ = build_series_dataset(est, ("antenna", 0), spec)
         assert np.array_equal(train.features, expected.features)
 
     def test_jl_jldt_same_total_feature_energy(self):
@@ -209,7 +208,7 @@ class TestScaling:
         import dataclasses
         truth, est = _pair()
         spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
-        ds = build_series_dataset(est, ("subcarrier", 0), spec, "train")
+        ds, _ = build_series_dataset(est, ("subcarrier", 0), spec)
         signs = np.sign(stream(0, "s").standard_normal(ds.features.shape))
         rigged = dataclasses.replace(ds, features=2.0 * signs)
         assert fit_scale(rigged) == pytest.approx(2.0)
@@ -218,7 +217,7 @@ class TestScaling:
         import dataclasses
         truth, est = _pair()
         spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
-        ds = build_series_dataset(est, ("subcarrier", 0), spec, "train")
+        ds, _ = build_series_dataset(est, ("subcarrier", 0), spec)
         zeroed = dataclasses.replace(ds, features=np.zeros_like(ds.features))
         with pytest.raises(ContractError):
             fit_scale(zeroed)
@@ -246,7 +245,7 @@ def _window_cases(draw):
     n_tr = draw(st.integers(1, 6))
     n_te = draw(st.integers(1, 5))
     spec = DatasetSpec(n0=n0, n_tr=n_tr, n_te=n_te, n_gap=n_tr + n0 + draw(st.integers(0, 4)))
-    shape = (spec.min_blocks("test") + draw(st.integers(0, 3)),
+    shape = (spec.min_blocks + draw(st.integers(0, 3)),
              draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     rng = stream(draw(st.integers(0, 2 ** 32 - 1)), "windows")
     est = ChannelTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), "estimated")
@@ -263,7 +262,7 @@ class TestWindowsProperty:
             n_series = series_view(est.values, domain).shape[1]
             for p, phase in enumerate(("train", "test")):
                 cases = [(pooled[domain][p], range(n_series))]
-                cases += [(build_series_dataset(est, (domain, s), spec, phase), [s])
+                cases += [(build_series_dataset(est, (domain, s), spec)[p], [s])
                           for s in range(n_series)]
                 for ds, ids in cases:
                     feats, labels, series, block_end = _naive_rows(

@@ -84,3 +84,9 @@ def test_traced_desk_sweep_has_one_backward_per_adam_step(monkeypatch, tmp_path)
     assert steps > 0
     assert names.count("mlp.adam_step") == steps
     assert names.count("mlp.backward") == steps
+    # one SNR and one seed: each subcarrier's train and test rows, per approach
+    cfg = parse_config(path, preset=preset)
+    assert cfg.snr_db == (15.0,) and cfg.approaches == ("sl", "sl_small")
+    rows = sum(cfg.channel.n_subcarriers * (cfg.overhead_blocks(a) + cfg.n_te)
+               for a in cfg.approaches)
+    assert tracing.layer_metrics(tracer.spans)["datasets.rows"] == rows

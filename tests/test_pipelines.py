@@ -17,10 +17,14 @@ from chanpred import (
     series_view,
     snr_sweep,
 )
+from chanpred.channel import PROVENANCES
 from chanpred.cli import config_from_dict
+from chanpred.correlation import correlation_report
+from chanpred.datasets import DatasetSpec, build_jl, build_jldt, build_series_dataset
+from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.pipelines import assemble_predictions, evaluate_cell, score
 from chanpred.rng import stream
-from conftest import ZeroNoise
+from conftest import ZeroNoise, random_tensor
 
 
 def micro_config(l=3, n_tr_prime=4, m_h=2, m_v=2, **kw):
@@ -131,9 +135,47 @@ class TestScore:
     @pytest.mark.parametrize("missing", [1, 3])
     def test_short_truth_rejected(self, missing):
         pred, truth, _, spec = self._perfect(8)
-        short = ChannelTensor(truth.values[:spec.min_blocks("test") - missing], "true")
+        short = ChannelTensor(truth.values[:spec.min_blocks - missing], "true")
         with pytest.raises(ContractError, match="blocks"):
             score(pred, short, spec)
+
+
+def _require_consumer(name):
+    """(provenance, blocks, call) of one reader of ChannelTensor.require."""
+    spec = DatasetSpec(n0=2, n_tr=3, n_te=2, n_gap=5)
+    if name == "build_series_dataset":
+        series = ("antenna", 1)
+        return "estimated", spec.min_blocks, lambda t: build_series_dataset(t, series, spec)
+    if name in ("build_jl", "build_jldt"):
+        build = build_jl if name == "build_jl" else build_jldt
+        return "estimated", spec.min_blocks, lambda t: build(t, spec)
+    if name == "score":
+        pred = random_tensor(2, n=spec.n_te, provenance="predicted")
+        return "true", spec.min_blocks, lambda t: score(pred, t, spec)
+    if name == "persistence_nmse":
+        cfg = micro_config(l=3, m_h=2, m_v=2, n_tr_prime=1)
+        truth = random_tensor(3, n=cfg.required_blocks)
+        return "estimated", cfg.required_blocks, lambda t: persistence_nmse(truth, t, cfg)
+    if name == "estimate_trace":
+        scheme = PilotScheme.dft(4, 1, 10.0)
+        return "true", 1, lambda t: estimate_trace(t, scheme, stream(0, "noise"))
+    return "true", 7, lambda t: correlation_report(t, max_shift=2, n_avg=5)
+
+
+class TestTensorPreconditions:
+    @pytest.mark.parametrize("name", [
+        "build_series_dataset", "build_jl", "build_jldt", "score",
+        "persistence_nmse", "estimate_trace", "correlation_report"])
+    def test_wrong_provenance_and_one_block_short_rejected(self, name):
+        provenance, need, call = _require_consumer(name)
+        call(random_tensor(1, n=need, provenance=provenance))   # exactly enough
+        wrong = next(p for p in PROVENANCES if p != provenance)
+        with pytest.raises(ContractError, match="provenance") as exc:
+            call(random_tensor(1, n=need, provenance=wrong))
+        assert repr(provenance) in str(exc.value) and repr(wrong) in str(exc.value)
+        with pytest.raises(ContractError, match="too short") as exc:
+            call(random_tensor(1, n=need - 1, provenance=provenance))
+        assert f"{need - 1} blocks" in str(exc.value) and f"{need} blocks" in str(exc.value)
 
 
 class TestScaleInvariance:
