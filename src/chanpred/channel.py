@@ -153,6 +153,8 @@ class ChannelTensor:
     def validate(self) -> "ChannelTensor":
         if self.values.ndim != 3:
             raise ContractError(f"channel values must be 3-D (N, L, M), got shape {self.values.shape}")
+        if 0 in self.values.shape:
+            raise ContractError(f"channel dimensions must be >= 1, got shape {self.values.shape}")
         if self.provenance not in PROVENANCES:
             raise ContractError(f"unknown provenance {self.provenance!r}")
         if not np.all(np.isfinite(self.values)):
@@ -160,14 +162,18 @@ class ChannelTensor:
         return self
 
     def require(self, provenance: str, n_blocks: int) -> "ChannelTensor":
-        """validate(), then demand `provenance` and at least `n_blocks` blocks."""
+        """Demand at least `n_blocks` blocks, then validate() and `provenance`.
+
+        The length comes first so that a tensor with no blocks at all is
+        reported as too short rather than as empty.
+        """
+        if self.values.ndim == 3 and self.n_blocks < n_blocks:
+            raise ContractError(f"tensor of {self.n_blocks} blocks too short: needs at "
+                                f"least {n_blocks} blocks")
         self.validate()
         if self.provenance != provenance:
             raise ContractError(f"needs a tensor of provenance {provenance!r}, got "
                                 f"provenance {self.provenance!r}")
-        if self.n_blocks < n_blocks:
-            raise ContractError(f"tensor of {self.n_blocks} blocks too short: needs at "
-                                f"least {n_blocks} blocks")
         return self
 
 

@@ -76,18 +76,19 @@ def init_mlp(dims, rng: np.random.Generator | int) -> MlpModel:
     return MlpModel(weights, biases).validate()
 
 
-def _layer_outputs(model: MlpModel, x: np.ndarray):
+def _layer_outputs(model: MlpModel, x: np.ndarray, outs=None):
     """Yield each layer's output in turn: ReLU on hidden layers, linear on the last.
 
-    A generator, so a caller that wants only the prediction holds one layer's
-    arrays at a time and backward can keep them all. Each layer adds its bias
-    and applies ReLU in place on the fresh array its matmul returns, so the
-    caller's features and earlier yielded outputs are never written.
+    Layer i's matmul writes into outs[i], or into a fresh array when `outs`
+    is None. A generator, so a caller that wants only the prediction holds one
+    layer's arrays at a time. Each layer adds its bias and applies ReLU in
+    place on its own output, so the caller's features and earlier yielded
+    outputs are never written.
     """
     a = x
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w.T
+        a = np.matmul(a, w.T, out=None if outs is None else outs[i])
         a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
@@ -113,8 +114,9 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_squared_norm(err: np.ndarray) -> float:
-    return float(np.mean(np.sum(err ** 2, axis=1)))
+def _mean_squared_norm(err: np.ndarray, squares: np.ndarray | None = None) -> float:
+    """Mean over rows of each row's squared norm; `squares`, if given, takes err**2."""
+    return float(np.mean(np.sum(np.square(err, out=squares), axis=1)))
 
 
 def loss_mse(pred: np.ndarray, label: np.ndarray) -> float:
@@ -126,36 +128,74 @@ def loss_mse(pred: np.ndarray, label: np.ndarray) -> float:
     return _mean_squared_norm(pred - label)
 
 
-def backward(model: MlpModel, batch):
+class _Workspace:
+    """Every array one training step writes, for batches of up to `rows` rows.
+
+    Holds the gathered batch, each layer's output, each layer's delta (the
+    last one starts as the output error), the hidden layers' ReLU masks and
+    the gradients. A batch of r rows uses the C-contiguous prefixes [:r].
+    """
+
+    def __init__(self, dims, rows: int):
+        self.dims, self.rows = tuple(dims), rows
+        widths = self.dims[1:]
+        self.x = np.empty((rows, self.dims[0]))
+        self.y = np.empty((rows, self.dims[-1]))
+        self.outputs = [np.empty((rows, d)) for d in widths]
+        self.deltas = [np.empty((rows, d)) for d in widths]
+        self.masks = [np.empty((rows, d), dtype=bool) for d in widths[:-1]]
+        self.grad_w = [np.empty((o, i)) for i, o in zip(self.dims, widths)]
+        self.grad_b = [np.empty(o) for o in widths]
+
+
+def backward(model: MlpModel, batch, work: _Workspace | None = None):
     """Exact gradients of loss_mse on `batch` = (features, labels).
 
     Returns (grad_weights, grad_biases, loss). ReLU subgradient at 0 is 0.
+    Every intermediate and both gradient lists live in `work` (a fresh one
+    when None), so the returned gradients are `work`'s arrays: the next call
+    with the same `work` overwrites them.
     """
     x, y = batch
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     _check_batch(model, x, y)
     n = x.shape[0]
-    activations = [x, *_layer_outputs(model, x)]
-    err = activations[-1] - y
-    loss = _mean_squared_norm(err)
+    if work is None:
+        work = _Workspace(model.dims, n)
+    elif work.dims != model.dims or work.rows < n:
+        raise ContractError(f"workspace for dims {work.dims} and {work.rows} rows cannot "
+                            f"hold a batch of {n} rows for dims {model.dims}")
+    outputs = [o[:n] for o in work.outputs]
+    for _ in _layer_outputs(model, x, outputs):
+        pass
+    err = np.subtract(outputs[-1], y, out=work.deltas[-1][:n])
+    # the prediction is not read again, so its array takes the squares
+    loss = _mean_squared_norm(err, squares=outputs[-1])
 
-    grad_w = [None] * model.n_layers
-    grad_b = [None] * model.n_layers
-    delta = 2.0 * err / n
+    delta = np.divide(np.multiply(2.0, err, out=err), n, out=err)
+    activations = [x, *outputs]
     for i in range(model.n_layers - 1, -1, -1):
-        grad_w[i] = delta.T @ activations[i]
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[i], out=work.grad_w[i])
+        np.sum(delta, axis=0, out=work.grad_b[i])
         if i > 0:
-            # a hidden output max(z, 0) is positive exactly where z is
-            delta = (delta @ model.weights[i]) * (activations[i] > 0)
-    return grad_w, grad_b, loss
+            # a hidden output max(z, 0) is positive exactly where z is; the
+            # float x bool product keeps the sign of a zeroed delta
+            hidden = np.matmul(delta, model.weights[i], out=work.deltas[i - 1][:n])
+            mask = np.greater(activations[i], 0.0, out=work.masks[i - 1][:n])
+            delta = np.multiply(hidden, mask, out=hidden)
+    return work.grad_w, work.grad_b, loss
+
+
+# Elements per ADAM block: the block's params, grad, m, v and two scratch
+# slices (6 x 256 KB) stay in a 2 MB L2 through the update's passes.
+_ADAM_BLOCK = 2 ** 15
 
 
 @dataclass
 class AdamState:
     """First/second moments per parameter, the step counter, and two flat
-    scratch arrays of the largest parameter's size that adam_step reuses."""
+    scratch arrays of one ADAM block that adam_step reuses."""
 
     m_w: list
     v_w: list
@@ -166,7 +206,7 @@ class AdamState:
     _scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        size = max((m.size for m in self.m_w + self.m_b), default=0)
+        size = min(max((m.size for m in self.m_w + self.m_b), default=0), _ADAM_BLOCK)
         self._scratch = (np.empty(size), np.empty(size))
 
     @classmethod
@@ -186,37 +226,46 @@ def adam_step(model: MlpModel, grads, state: AdamState):
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
 
-    Every product, quotient and root is written into the state's scratch
-    arrays, in the order the formula above evaluates them, so the result is
-    bit for bit that of the plain expression. `grads` is only read.
+    Each parameter is updated _ADAM_BLOCK elements at a time. Every product,
+    quotient and root is written into the state's scratch arrays, in the
+    order the formula above evaluates them, so the result is bit for bit that
+    of the plain expression. `grads` is only read.
     """
     grad_w, grad_b = grads
     if len(grad_w) != model.n_layers or len(grad_b) != model.n_layers:
         raise ContractError("gradient list lengths do not match the model")
+    flat = []
     for i in range(model.n_layers):
-        for name, params, grad in (("w", model.weights[i], grad_w[i]),
-                                   ("b", model.biases[i], grad_b[i])):
+        for name, params, grad, m, v in (
+            ("w", model.weights[i], grad_w[i], state.m_w[i], state.v_w[i]),
+            ("b", model.biases[i], grad_b[i], state.m_b[i], state.v_b[i]),
+        ):
             if np.shape(grad) != params.shape:
                 raise ContractError(f"layer {i} {name}: gradient shape {np.shape(grad)} "
                                     f"does not match parameter shape {params.shape}")
+            # the written arrays flatten to views or raise; the read-only grad may copy
+            try:
+                written = [a.reshape(-1, copy=False) for a in (params, m, v)]
+            except ValueError as exc:
+                raise ContractError(f"layer {i} {name}: parameters and moments must be "
+                                    f"C-contiguous") from exc
+            flat.append((*written, np.reshape(grad, -1)))
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
     flat1, flat2 = state._scratch
-    for i in range(model.n_layers):
-        for params, grad, m, v in (
-            (model.weights[i], grad_w[i], state.m_w[i], state.v_w[i]),
-            (model.biases[i], grad_b[i], state.m_b[i], state.v_b[i]),
-        ):
-            s1 = flat1[:params.size].reshape(params.shape)
-            s2 = flat2[:params.size].reshape(params.shape)
-            m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, grad, out=s1)
-            v *= ADAM_BETA2
-            v += np.multiply(1.0 - ADAM_BETA2, np.square(grad, out=s1), out=s1)
-            np.multiply(state.learning_rate, np.divide(m, c1, out=s1), out=s1)
-            np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), ADAM_EPSILON, out=s2)
-            params -= np.divide(s1, s2, out=s1)
+    for params, m, v, grad in flat:
+        for start in range(0, params.size, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            p, g, mb, vb = params[block], grad[block], m[block], v[block]
+            s1, s2 = flat1[:p.size], flat2[:p.size]
+            mb *= ADAM_BETA1
+            mb += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
+            vb *= ADAM_BETA2
+            vb += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=s1), out=s1)
+            np.multiply(state.learning_rate, np.divide(mb, c1, out=s1), out=s1)
+            np.add(np.sqrt(np.divide(vb, c2, out=s2), out=s2), ADAM_EPSILON, out=s2)
+            p -= np.divide(s1, s2, out=s1)
     return model, state
 
 
@@ -255,13 +304,17 @@ def train(model: MlpModel, dataset, cfg: TrainConfig):
 
     state = AdamState.for_model(model, learning_rate=cfg.learning_rate)
     n = x.shape[0]
+    work = _Workspace(model.dims, min(cfg.batch_size, n))
     history = []
     for epoch in range(cfg.epochs):
         order = shuffle_order(cfg.shuffle_seed, epoch, n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            grad_w, grad_b, loss = backward(model, (x[idx], y[idx]))
+            # mode="raise" would gather into a temporary; order holds only valid rows
+            batch = (np.take(x, idx, axis=0, out=work.x[:idx.size], mode="clip"),
+                     np.take(y, idx, axis=0, out=work.y[:idx.size], mode="clip"))
+            grad_w, grad_b, loss = backward(model, batch, work)
             batch_losses.append(loss)
             adam_step(model, (grad_w, grad_b), state)
         epoch_loss = float(np.mean(batch_losses))

@@ -1,5 +1,6 @@
 """Channel generator: path statistics, steering geometry, trace synthesis and I/O."""
 
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +14,7 @@ from chanpred import (
     ChannelConfig,
     ChannelTensor,
     ConfigError,
+    ContractError,
     TraceFormatError,
     draw_paths,
     export_trace,
@@ -242,6 +244,16 @@ class TestTraceIO:
         bad[0, 0, 0] = np.inf
         with pytest.raises(Exception):
             ChannelTensor(bad, "true").validate()
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (4, 0, 3), (4, 3, 0)])
+    def test_empty_axis_rejected(self, tmp_path, shape):
+        # the trace reader refuses a zero dimension, so no tensor may have one
+        tensor = ChannelTensor(np.zeros(shape, dtype=complex), "true")
+        with pytest.raises(ContractError, match=re.escape(f"got shape {shape}")):
+            tensor.validate()
+        with pytest.raises(ContractError):
+            export_trace(tensor, tmp_path / "empty.trace")
+        assert not (tmp_path / "empty.trace").exists()
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """MLP internals against hand computations, finite differences, and closed forms."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from chanpred import (
     save_model,
     train,
 )
-from chanpred.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, shuffle_order
+from chanpred import mlp
+from chanpred.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, _ADAM_BLOCK, shuffle_order
 from chanpred.rng import stream
 from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line
 
@@ -182,6 +184,27 @@ class TestBackward:
         with pytest.raises(ContractError, match=r"features must be \(rows, 3\).*\(5, 4\)"):
             backward(model, (np.zeros((5, 4)), np.zeros((5, 2))))
 
+    @pytest.mark.parametrize("dims, rows", [((3, 5, 2), 5), ((3, 4, 2), 4)],
+                             ids=["other-dims", "fewer-rows"])
+    def test_mismatched_workspace_rejected(self, dims, rows):
+        model = init_mlp((3, 4, 2), 0)
+        batch = (np.zeros((5, 3)), np.zeros((5, 2)))
+        with pytest.raises(ContractError, match=r"cannot hold a batch of 5 rows"):
+            backward(model, batch, mlp._Workspace(dims, rows))
+
+    def test_gradients_live_in_the_workspace(self):
+        # the next call with the same workspace overwrites the returned gradients
+        model = init_mlp((3, 4, 2), 0)
+        rng = stream(2, "work")
+        first, second = [(rng.standard_normal((5, 3)), rng.standard_normal((5, 2))) for _ in "ab"]
+        work = mlp._Workspace(model.dims, 8)
+        gw, gb, _ = backward(model, first, work)
+        kept = [g.copy() for g in gw + gb]
+        backward(model, second, work)
+        ref_w, ref_b, _ = _reference_backward(model, *second)
+        assert all(np.array_equal(g, r) for g, r in zip(gw + gb, ref_w + ref_b))
+        assert not all(np.array_equal(g, k) for g, k in zip(gw + gb, kept))
+
 
 def _scalar_reference_adam(theta, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     # independent transcription of the update equations, scalar case
@@ -216,6 +239,18 @@ class TestAdam:
         (gw if name == "w" else gb)[layer] = np.ones(shape)
         with pytest.raises(ContractError, match=message):
             adam_step(model, (gw, gb), state)
+        assert np.array_equal(_flat_params(model), before)
+        assert state.t == 0
+
+    def test_parameters_that_do_not_flatten_to_a_view_rejected(self):
+        # an update written to a flattened copy would be lost
+        model = init_mlp((3, 4, 2), 0)
+        model.weights[1] = np.asfortranarray(model.weights[1])
+        before = _flat_params(model)
+        state = AdamState.for_model(model)
+        grads = ([np.ones_like(w) for w in model.weights], [np.ones_like(b) for b in model.biases])
+        with pytest.raises(ContractError, match="layer 1 w: .*C-contiguous"):
+            adam_step(model, grads, state)
         assert np.array_equal(_flat_params(model), before)
         assert state.t == 0
 
@@ -342,6 +377,48 @@ class TestBitIdentity:
         assert all(np.array_equal(g, r) for g, r in zip(gw + gb, ref_w + ref_b))
         assert np.array_equal(x, x_kept)
 
+    def test_adam_across_block_boundary(self):
+        # a weight of 2.3 (or 4.7) blocks: full blocks and a short last one
+        model = init_mlp([300, 512], 4)
+        assert model.weights[0].size > _ADAM_BLOCK and model.weights[0].size % _ADAM_BLOCK
+        ref = [p.copy() for p in model.weights + model.biases]
+        ref_moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+        state = AdamState.for_model(model, learning_rate=1e-2)
+        rng = stream(4, "adam-blocks")
+        for t in range(1, 6):
+            gw, gb = _random_grads(model, rng, t)
+            adam_step(model, (gw, gb), state)
+            _reference_adam_step(ref, gw + gb, ref_moments, 1e-2, t)
+        for got, want in zip(model.weights + model.biases, ref):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows, batch_size", [(20, 8), (5, 64)],
+                             ids=["short-last-batch", "rows-below-batch"])
+    def test_train_matches_reference_loop(self, rows, batch_size):
+        dims, cfg = (4, 8, 6, 3), TrainConfig(batch_size, 6, 1e-2, 9)
+        rng = stream(rows, "train-bits")
+        x = rng.standard_normal((rows, dims[0]))
+        y = rng.standard_normal((rows, dims[-1]))
+        model, history = train(init_mlp(dims, 1), (x, y), cfg)
+
+        ref = init_mlp(dims, 1)
+        params = ref.weights + ref.biases
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+        ref_history, t = [], 0
+        for epoch in range(cfg.epochs):
+            order = shuffle_order(cfg.shuffle_seed, epoch, rows)
+            losses = []
+            for start in range(0, rows, batch_size):
+                idx = order[start:start + batch_size]
+                gw, gb, loss = _reference_backward(ref, x[idx], y[idx])
+                losses.append(loss)
+                t += 1
+                _reference_adam_step(params, gw + gb, moments, cfg.learning_rate, t)
+            ref_history.append(float(np.mean(losses)))
+        assert np.array_equal(history, ref_history)
+        for got, want in zip(model.weights + model.biases, params):
+            assert np.array_equal(got, want)
+
     def test_two_states_do_not_share_scratch(self):
         # stepping two models of different shapes alternately changes neither
         dims = ((4, 6, 3), (7, 2, 5, 1))
@@ -428,6 +505,34 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError):
             train(init_mlp((4, 8, 2), 5), (1e150 * x, 1e150 * y),
                   TrainConfig(8, 10, 1e300, 0))
+
+    def test_steady_state_step_allocates_less_than_one_activation(self, monkeypatch):
+        # read like perfbench's tracing: a wrapper around mlp.adam_step reads
+        # the transient peak of each step (gather, backward, update) and resets it
+        dims, batch_size = (16, 512, 512, 8), 64
+        activation = batch_size * dims[1] * 8
+        assert activation >= 256 * 1024
+        rng = stream(0, "alloc")
+        x = rng.standard_normal((200, dims[0]))
+        y = rng.standard_normal((200, dims[-1]))
+        transients = []
+        inner = mlp.adam_step
+
+        def traced(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            current, peak = tracemalloc.get_traced_memory()
+            transients.append(peak - current)
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(mlp, "adam_step", traced)
+        tracemalloc.start()
+        try:
+            train(init_mlp(dims, 0), (x, y), TrainConfig(batch_size, 3, 1e-3, 0))
+        finally:
+            tracemalloc.stop()
+        assert len(transients) == 3 * 4
+        assert max(transients[1:]) < activation
 
     def test_shuffle_is_function_of_seed_and_count_only(self):
         a = shuffle_order(7, 3, 50)
