@@ -12,7 +12,8 @@ oldest window first.
 
 Every builder returns (train, test). One routine cuts the windows of every
 selected column of a domain's (N, S, D) series view; pooled rows are
-series-major, time-minor.
+series-major, time-minor. Rows carry no tags: assemble_predictions puts
+predicted test rows back by that same order.
 
 Datasets hold estimated channels only, labels included (the true channel is
 never measurable); the scorer reads the truth at each row's label block.
@@ -30,6 +31,7 @@ from .channel import (
     DOMAIN_ANTENNA,
     DOMAIN_SUBCARRIER,
     PROVENANCE_ESTIMATED,
+    PROVENANCE_PREDICTED,
     series_view,
 )
 from .errors import ConfigError, ContractError
@@ -87,32 +89,24 @@ class DatasetSpec:
 class WindowedDataset:
     """Real-valued feature/label matrices cut from one or more series.
 
-    features: (rows, 2*n0*dim), labels: (rows, 2*dim); `series` tags the
-    source series index of each row and `block_end` its window-end block
-    (1-based).
+    features: (rows, 2*n0*D), labels: (rows, 2*D). A row's series and window
+    are given by its position alone: series-major, time-minor (see _windows).
     """
 
     features: np.ndarray
     labels: np.ndarray
-    n0: int
-    dim: int
-    series: np.ndarray
-    block_end: np.ndarray
 
     @property
     def n_rows(self) -> int:
         return self.features.shape[0]
 
-    def validate(self) -> "WindowedDataset":
-        rows = self.n_rows
-        if self.features.shape != (rows, 2 * self.n0 * self.dim):
-            raise ContractError(f"features shape {self.features.shape} inconsistent "
-                                f"with n0={self.n0}, dim={self.dim}")
-        if self.labels.shape != (rows, 2 * self.dim):
-            raise ContractError(f"labels shape {self.labels.shape} inconsistent with dim={self.dim}")
-        if self.series.shape != (rows,) or self.block_end.shape != (rows,):
-            raise ContractError("series/block_end tags must have one entry per row")
-        return self
+
+def _columns(values: np.ndarray, domain: str, index: int | None) -> np.ndarray:
+    """View of series `index` of `domain`'s (N, S, D) view of `values`, or of all (None)."""
+    view = series_view(values, domain)
+    if index is not None and not 0 <= index < view.shape[1]:
+        raise ContractError(f"{domain} series index {index} out of range [0, {view.shape[1]})")
+    return view if index is None else view[:, index:index + 1]
 
 
 def _windows(view: np.ndarray, start: int, rows: int, n0: int):
@@ -133,20 +127,24 @@ def _datasets(est: ChannelTensor, domain: str, index: int | None, spec: DatasetS
     """(train, test) windows of series `index` of `est`'s `domain` view, or of all (None)."""
     spec.validate()
     est.require(PROVENANCE_ESTIMATED, spec.min_blocks)
-    view = series_view(est.values, domain)
-    if index is not None and not 0 <= index < view.shape[1]:
-        raise ContractError(f"{domain} series index {index} out of range [0, {view.shape[1]})")
-    cols = slice(None) if index is None else slice(index, index + 1)
-    ids = np.arange(view.shape[1])[cols]
-    out = []
-    for start, rows in ((0, spec.n_tr), (spec.n_gap, spec.n_te)):
-        feats, labels = _windows(view[:, cols], start, rows, spec.n0)
-        out.append(WindowedDataset(
-            features=feats, labels=labels, n0=spec.n0, dim=view.shape[2],
-            series=np.repeat(ids, rows),
-            block_end=np.tile(start + spec.n0 + np.arange(rows), ids.size),  # 1-based window end
-        ).validate())
-    return tuple(out)
+    cols = _columns(est.values, domain, index)
+    return tuple(WindowedDataset(*_windows(cols, start, rows, spec.n0))
+                 for start, rows in ((0, spec.n_tr), (spec.n_gap, spec.n_te)))
+
+
+def assemble_predictions(parts, spec: DatasetSpec, shape: tuple) -> ChannelTensor:
+    """Put predicted test rows back into an (n_te, L, M) subcarrier tensor.
+
+    `parts` holds (domain, series, predicted rows) per job, `series` as the
+    builders take it. The rows are in _windows' order, so they go back by
+    position. An entry that no job predicts stays NaN and fails validation.
+    """
+    values = np.full((spec.n_te, *shape), np.nan, dtype=np.complex128)
+    for domain, series, preds in parts:
+        target = _columns(values, domain, series)   # a view: writes reach `values`
+        n_te, n_cols, dim = target.shape
+        target[...] = preds.reshape(n_cols, n_te, dim).swapaxes(0, 1)
+    return ChannelTensor(values, PROVENANCE_PREDICTED).validate()
 
 
 def build_series_dataset(est: ChannelTensor, series: tuple[str, int], spec: DatasetSpec):
@@ -177,7 +175,6 @@ def build_jldt(est: ChannelTensor, spec: DatasetSpec):
 
 def fit_scale(train: WindowedDataset) -> float:
     """Root-mean-square of all training feature entries (one global scalar)."""
-    train.validate()
     if train.n_rows == 0:
         raise ContractError("cannot fit a scale on an empty dataset")
     rms = float(np.sqrt(np.mean(train.features ** 2)))

@@ -76,14 +76,11 @@ def init_mlp(dims, rng: np.random.Generator | int) -> MlpModel:
     return MlpModel(weights, biases).validate()
 
 
-def _layer_outputs(model: MlpModel, x: np.ndarray, outs=None):
-    """Yield each layer's output in turn: ReLU on hidden layers, linear on the last.
+def _forward(model: MlpModel, x: np.ndarray, outs=None) -> np.ndarray:
+    """The last layer's output; hidden layers apply ReLU, the last is linear.
 
-    Layer i's matmul writes into outs[i], or into a fresh array when `outs`
-    is None. A generator, so a caller that wants only the prediction holds one
-    layer's arrays at a time. Each layer adds its bias and applies ReLU in
-    place on its own output, so the caller's features and earlier yielded
-    outputs are never written.
+    Layer i writes into outs[i] (a fresh array when `outs` is None) and adds
+    its bias and applies ReLU there in place, so `x` is never written.
     """
     a = x
     last = model.n_layers - 1
@@ -92,7 +89,7 @@ def _layer_outputs(model: MlpModel, x: np.ndarray, outs=None):
         a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
-        yield a
+    return a
 
 
 def _check_batch(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> None:
@@ -109,9 +106,7 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Batched forward pass; rows are samples."""
     features = np.asarray(features, dtype=np.float64)
     _check_batch(model, features)
-    for out in _layer_outputs(model, features):
-        pass
-    return out
+    return _forward(model, features)
 
 
 def _mean_squared_norm(err: np.ndarray, squares: np.ndarray | None = None) -> float:
@@ -167,8 +162,7 @@ def backward(model: MlpModel, batch, work: _Workspace | None = None):
         raise ContractError(f"workspace for dims {work.dims} and {work.rows} rows cannot "
                             f"hold a batch of {n} rows for dims {model.dims}")
     outputs = [o[:n] for o in work.outputs]
-    for _ in _layer_outputs(model, x, outputs):
-        pass
+    _forward(model, x, outputs)
     err = np.subtract(outputs[-1], y, out=work.deltas[-1][:n])
     # the prediction is not read again, so its array takes the squares
     loss = _mean_squared_norm(err, squares=outputs[-1])
@@ -229,7 +223,8 @@ def adam_step(model: MlpModel, grads, state: AdamState):
     Each parameter is updated _ADAM_BLOCK elements at a time. Every product,
     quotient and root is written into the state's scratch arrays, in the
     order the formula above evaluates them, so the result is bit for bit that
-    of the plain expression. `grads` is only read.
+    of the plain expression. From step 356 on, 1-b1^t rounds to 1.0 and the
+    division by it, which changes no bit, is skipped. `grads` is only read.
     """
     grad_w, grad_b = grads
     if len(grad_w) != model.n_layers or len(grad_b) != model.n_layers:
@@ -263,7 +258,8 @@ def adam_step(model: MlpModel, grads, state: AdamState):
             mb += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
             vb *= ADAM_BETA2
             vb += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=s1), out=s1)
-            np.multiply(state.learning_rate, np.divide(mb, c1, out=s1), out=s1)
+            m_hat = mb if c1 == 1.0 else np.divide(mb, c1, out=s1)
+            np.multiply(state.learning_rate, m_hat, out=s1)
             np.add(np.sqrt(np.divide(vb, c2, out=s2), out=s2), ADAM_EPSILON, out=s2)
             p -= np.divide(s1, s2, out=s1)
     return model, state

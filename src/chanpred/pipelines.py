@@ -31,11 +31,11 @@ from .channel import (
     PROVENANCE_PREDICTED,
     PROVENANCE_TRUE,
     draw_paths,
-    series_view,
     synthesize,
 )
 from .datasets import (
     DatasetSpec,
+    assemble_predictions,
     build_jl,
     build_jldt,
     build_series_dataset,
@@ -191,20 +191,6 @@ def train_jobs(cfg: ExperimentConfig, approach: str) -> list:
     return [TrainJob(domain, None, cfg.n_tr_prime, 0)]
 
 
-def assemble_predictions(parts, spec: DatasetSpec, shape: tuple) -> ChannelTensor:
-    """Map predicted test rows back to an (n_te, L, M) subcarrier tensor.
-
-    `parts` holds (domain, block_end, series, predicted rows) per job, with the
-    row tags of the job's test dataset; each row goes to its window's label
-    block and its series in that domain's series view. An entry that no job
-    predicts stays NaN and fails validation.
-    """
-    values = np.full((spec.n_te, *shape), np.nan, dtype=np.complex128)
-    for domain, block_end, series, preds in parts:
-        series_view(values, domain)[block_end - spec.n_gap - spec.n0, series] = preds
-    return ChannelTensor(values, PROVENANCE_PREDICTED).validate()
-
-
 @dataclass
 class CellResult:
     """One (approach, SNR, seed) evaluation."""
@@ -240,7 +226,7 @@ def evaluate_cell(truth: ChannelTensor, est: ChannelTensor, cfg: ExperimentConfi
         preds, model, history = _train_predict(train_ds, test_ds, cfg,
                                                stream(seed, "mlp-init", job.index),
                                                derive_seed(seed, "shuffle", job.index))
-        parts.append((job.domain, test_ds.block_end, test_ds.series, preds))  # not the features
+        parts.append((job.domain, job.series, preds))
         result.histories[job.index] = history
         if collect_models:
             result.models[job.index] = model

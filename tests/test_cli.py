@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanpred import ConfigError, import_trace
+from chanpred import ConfigError, import_trace, prepare_link
 from chanpred.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -158,6 +158,20 @@ class TestSubcommands:
         tensor = import_trace(est)
         assert tensor.provenance == "estimated"
         assert tensor.n_blocks == 30
+
+    def test_file_chain_reproduces_prepare_link(self, tmp_path, micro_cfg_file, capsys):
+        # generate and estimate each spell out the seed and stream tags that
+        # prepare_link uses; the files must carry its tensors bit for bit
+        trace, est = str(tmp_path / "true.trace"), str(tmp_path / "est.trace")
+        flags = ["--config", micro_cfg_file, "--seed", "3", "--snr-db", "7.5"]
+        assert main(["generate", *flags, "--out", trace]) == EXIT_OK
+        assert main(["estimate", *flags, "--trace", trace, "--out", est]) == EXIT_OK
+        capsys.readouterr()
+        truth, want = prepare_link(parse_config(micro_cfg_file), 7.5, 3)
+        for path, tensor in ((trace, truth), (est, want)):
+            got = import_trace(path)
+            assert got.provenance == tensor.provenance
+            assert np.array_equal(got.values, tensor.values)
 
     def test_correlate_row_count_and_determinism(self, tmp_path, micro_cfg_file):
         out1 = str(tmp_path / "corr1.csv")

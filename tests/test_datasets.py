@@ -20,6 +20,7 @@ from chanpred import (
     series_view,
     synthesize,
 )
+from chanpred.datasets import assemble_predictions
 from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.rng import stream
 
@@ -30,6 +31,25 @@ def _pair(seed=5, n=40, l=3, m_h=2, m_v=2):
     est = estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=10.0),
                          stream(seed, "pilot-noise"))
     return truth, est
+
+
+def _numbered(n_blocks, l=1, m=1):
+    """Tensor whose entry at 1-based block n, subcarrier l, antenna m is
+    n + (100 l + m)j: the real part names the block, the imaginary part the cell."""
+    cells = 100 * np.arange(l)[:, None] + np.arange(m)
+    return ChannelTensor(np.arange(1, n_blocks + 1)[:, None, None] + 1j * cells, "estimated")
+
+
+def _read(ds, n0):
+    """Feature blocks (rows, n0), label blocks (rows,) and label cells (rows, D) of a
+    dataset cut from _numbered, read from its values alone."""
+    d = ds.labels.shape[1] // 2
+    feats = ds.features.reshape(ds.n_rows, n0, 2, d)     # row, window slot, re/im, entry
+    labels = ds.labels.reshape(ds.n_rows, 2, d)
+    assert np.all(feats[:, :, 0] == feats[:, :, 0, :1])    # one block per window slot
+    assert np.all(labels[:, 0] == labels[:, 0, :1])
+    assert np.all(feats[:, :, 1] == labels[:, None, 1])    # every slot reads the label's series
+    return feats[:, :, 0, 0], labels[:, 0, 0], labels[:, 1]
 
 
 class TestComplexRealSplit:
@@ -73,15 +93,22 @@ class TestBuildSeriesDataset:
         first = np.concatenate([complex_to_real(v[i]) for i in range(3)])
         assert np.array_equal(ds.features[0], first)
         assert np.array_equal(ds.labels[0], complex_to_real(v[3]))
-        assert ds.block_end[0] == 3 and ds.block_end[-1] == 7
+        # the last row's window ends at block 7
+        ds, _ = build_series_dataset(_numbered(spec.min_blocks, l=2), ("subcarrier", 1), spec)
+        feats, labels, cells = _read(ds, spec.n0)
+        assert np.array_equal(feats, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6], [5, 6, 7]])
+        assert np.array_equal(labels, [4, 5, 6, 7, 8])
+        assert np.all(cells == 100)
 
     def test_window_consistency_every_row(self):
         truth, est = _pair()
         spec = DatasetSpec(n0=2, n_tr=6, n_te=3, n_gap=8)
-        for ds in build_series_dataset(est, ("subcarrier", 0), spec):
-            v = series_view(est.values, "subcarrier")[:, 0]
+        v = series_view(est.values, "subcarrier")[:, 0]
+        datasets = build_series_dataset(est, ("subcarrier", 0), spec)
+        for ds, start, rows in zip(datasets, (0, spec.n_gap), (spec.n_tr, spec.n_te)):
+            assert ds.n_rows == rows
             for r in range(ds.n_rows):
-                end = ds.block_end[r]
+                end = start + spec.n0 + r   # 1-based window end, from the row's position
                 window = ds.features[r].reshape(spec.n0, -1)
                 for w in range(spec.n0):
                     assert np.array_equal(real_to_complex(window[w]),
@@ -101,15 +128,12 @@ class TestBuildSeriesDataset:
     def test_test_phase_index_range(self):
         # N_gap=1500, N_te=200, n0=3: last test window ends at block 1702,
         # label block 1703 (index arithmetic oracle)
-        values = (np.arange(1704, dtype=float)[:, None, None]
-                  + 0j * np.zeros((1704, 1, 1)))
-        est = ChannelTensor(values + 1j, "estimated")
         spec = DatasetSpec(n0=3, n_tr=1000, n_te=200, n_gap=1500)
-        _, ds = build_series_dataset(est, ("subcarrier", 0), spec)
+        _, ds = build_series_dataset(_numbered(1704), ("subcarrier", 0), spec)
         assert ds.n_rows == 200
-        assert ds.block_end[0] == 1503 and ds.block_end[-1] == 1702
-        # the label of the last row is the channel at block 1703 (0-based 1702)
-        assert real_to_complex(ds.labels[-1])[0] == values[1702, 0, 0] + 1j
+        feats, labels, _ = _read(ds, spec.n0)
+        assert np.array_equal(feats[[0, -1]], [[1501, 1502, 1503], [1700, 1701, 1702]])
+        assert np.array_equal(labels, np.arange(1504, 1704))
 
     def test_insufficient_blocks_rejected(self):
         truth, est = _pair(n=20)
@@ -162,10 +186,15 @@ class TestPooledBuilders:
         assert np.array_equal(train.labels, series.labels)
 
     def test_union_order_series_major_time_minor(self):
-        truth, est = _pair(l=3)
-        train, _ = build_jl(est, DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6))
-        assert np.array_equal(train.series, np.repeat([0, 1, 2], 4))
-        assert np.array_equal(train.block_end, np.tile([2, 3, 4, 5], 3))
+        spec = DatasetSpec(n0=2, n_tr=4, n_te=2, n_gap=6)
+        est = _numbered(spec.min_blocks, l=3, m=2)
+        # subcarrier l reads cells 100 l + (0, 1); antenna m reads cells (0, 100, 200) + m
+        for build, series_cells in ((build_jl, [[0, 1], [100, 101], [200, 201]]),
+                                    (build_jldt, [[0, 100, 200], [1, 101, 201]])):
+            train, _ = build(est, spec)
+            _, labels, cells = _read(train, spec.n0)
+            assert np.array_equal(labels, np.tile([3, 4, 5, 6], len(series_cells)))
+            assert np.array_equal(cells, np.repeat(series_cells, 4, axis=0))
 
     def test_jldt_shapes_paper_values(self):
         # M=64, N'_tr=20, n0=3, L=50 -> 1280 rows of width 300
@@ -195,12 +224,14 @@ class TestPooledBuilders:
             np.sum(dt_train.features ** 2), rel=1e-12)
 
     def test_no_leakage_block_separation(self):
-        truth, est = _pair(n=40)
         spec = DatasetSpec(n0=3, n_tr=8, n_te=4, n_gap=12)
-        train, test = build_jl(est, spec)
-        max_train_touched = int(train.block_end.max()) + 1   # label block
-        min_test_touched = int(test.block_end.min()) - spec.n0 + 1
-        assert max_train_touched < min_test_touched
+        train, test = build_jl(_numbered(40, l=3, m=2), spec)
+        train_feats, train_labels, _ = _read(train, spec.n0)
+        test_feats, _, _ = _read(test, spec.n0)
+        max_train_touched = max(train_feats.max(), train_labels.max())
+        assert max_train_touched == spec.n_tr + spec.n0
+        assert test_feats.min() == spec.n_gap + 1
+        assert max_train_touched < test_feats.min()
 
 
 class TestScaling:
@@ -226,7 +257,7 @@ class TestScaling:
 def _naive_rows(est_values, domain, ids, spec, phase):
     """Per-row loop over the window arithmetic of the module docstring."""
     start, rows = (0, spec.n_tr) if phase == "train" else (spec.n_gap, spec.n_te)
-    feats, labels, series, block_end = [], [], [], []
+    feats, labels = [], []
     for s in ids:
         v = est_values[:, s, :] if domain == "subcarrier" else est_values[:, :, s]
         for r in range(rows):
@@ -234,9 +265,7 @@ def _naive_rows(est_values, domain, ids, spec, phase):
             window = [v[end - spec.n0 + w] for w in range(spec.n0)]   # blocks n-n0+1 .. n
             feats.append(np.concatenate([np.concatenate([x.real, x.imag]) for x in window]))
             labels.append(np.concatenate([v[end].real, v[end].imag]))   # block n+1
-            series.append(s)
-            block_end.append(end)
-    return np.array(feats), np.array(labels), np.array(series), np.array(block_end)
+    return np.array(feats), np.array(labels)
 
 
 @st.composite
@@ -265,10 +294,51 @@ class TestWindowsProperty:
                 cases += [(build_series_dataset(est, (domain, s), spec)[p], [s])
                           for s in range(n_series)]
                 for ds, ids in cases:
-                    feats, labels, series, block_end = _naive_rows(
-                        est.values, domain, ids, spec, phase)
+                    # exact equality with the per-row loop pins the row order too
+                    feats, labels = _naive_rows(est.values, domain, ids, spec, phase)
                     assert ds.features.flags["C_CONTIGUOUS"]
                     assert np.array_equal(ds.features, feats)
                     assert np.array_equal(ds.labels, labels)
-                    assert np.array_equal(ds.series, series)
-                    assert np.array_equal(ds.block_end, block_end)
+
+
+def _perfect_part(est, domain, series, spec):
+    """(domain, series, rows) of one job whose predictions are its test labels."""
+    if series is None:
+        _, test = (build_jl if domain == "subcarrier" else build_jldt)(est, spec)
+    else:
+        _, test = build_series_dataset(est, (domain, series), spec)
+    return domain, series, real_to_complex(test.labels)
+
+
+class TestAssemblePredictions:
+    SPEC = DatasetSpec(n0=2, n_tr=3, n_te=4, n_gap=6)
+
+    def _label_blocks(self, est):
+        return est.values[self.SPEC.n_gap + self.SPEC.n0 + np.arange(self.SPEC.n_te)]
+
+    def test_each_job_shape_puts_back_its_labels(self):
+        est = _numbered(self.SPEC.min_blocks, l=3, m=2)
+        for parts in ([_perfect_part(est, "subcarrier", l, self.SPEC) for l in range(3)],
+                      [_perfect_part(est, "subcarrier", None, self.SPEC)],
+                      [_perfect_part(est, "antenna", None, self.SPEC)]):
+            rebuilt = assemble_predictions(parts, self.SPEC, est.values.shape[1:])
+            assert rebuilt.provenance == "predicted"
+            assert np.array_equal(rebuilt.values, self._label_blocks(est))
+
+    def test_per_series_part_and_pooled_part(self):
+        # a pooled antenna part fills every entry, then a per-series part cut
+        # from the negated tensor overwrites subcarrier 1 and nothing else
+        est = _numbered(self.SPEC.min_blocks, l=3, m=2)
+        negated = ChannelTensor(-est.values, "estimated")
+        parts = [_perfect_part(est, "antenna", None, self.SPEC),
+                 _perfect_part(negated, "subcarrier", 1, self.SPEC)]
+        expected = self._label_blocks(est)
+        expected[:, 1] *= -1
+        rebuilt = assemble_predictions(parts, self.SPEC, est.values.shape[1:])
+        assert np.array_equal(rebuilt.values, expected)
+
+    def test_unpredicted_column_rejected(self):
+        est = _numbered(self.SPEC.min_blocks, l=3, m=2)
+        parts = [_perfect_part(est, "subcarrier", l, self.SPEC) for l in (0, 2)]
+        with pytest.raises(ContractError, match="non-finite"):
+            assemble_predictions(parts, self.SPEC, est.values.shape[1:])

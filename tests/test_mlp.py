@@ -392,6 +392,24 @@ class TestBitIdentity:
         for got, want in zip(model.weights + model.biases, ref):
             assert np.array_equal(got, want)
 
+    def test_adam_past_unit_bias_correction(self):
+        # 1 - b1^t rounds to 1.0 from step 356 on, where adam_step skips the division
+        assert 1.0 - ADAM_BETA1 ** 355 < 1.0 == 1.0 - ADAM_BETA1 ** 356
+        model = init_mlp([3, 4, 2], 6)
+        ref = [p.copy() for p in model.weights + model.biases]
+        ref_moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+        state = AdamState.for_model(model, learning_rate=1e-2)
+        rng = stream(6, "adam-late")
+        for t in range(1, 401):
+            gw, gb = _random_grads(model, rng, t)
+            adam_step(model, (gw, gb), state)
+            _reference_adam_step(ref, gw + gb, ref_moments, 1e-2, t)
+        for got, want in zip(model.weights + model.biases, ref):
+            assert np.array_equal(got, want)
+        for m, v, (ref_m, ref_v) in zip(state.m_w + state.m_b, state.v_w + state.v_b,
+                                        ref_moments):
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
     @pytest.mark.parametrize("rows, batch_size", [(20, 8), (5, 64)],
                              ids=["short-last-batch", "rows-below-batch"])
     def test_train_matches_reference_loop(self, rows, batch_size):

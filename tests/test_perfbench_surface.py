@@ -41,7 +41,12 @@ def test_tracing_targets_resolve_and_count_jobs(monkeypatch):
         pipelines.snr_sweep(cfg)
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["mlp.jobs"] == n_sub + 1 + 1
-    assert metrics["datasets.rows"] > 0
+    # train and test rows per series, times the series each builder reads:
+    # sl L*(n_tr + n_te), jl L*(n_tr' + n_te), jldt M*(n_tr' + n_te)
+    n_ant, n_tr_prime, n_te = 2, 3, 2
+    assert metrics["datasets.rows"] == (n_sub * (n_sub * n_tr_prime + n_te)
+                                        + n_sub * (n_tr_prime + n_te)
+                                        + n_ant * (n_tr_prime + n_te)) == 58
 
 
 @pytest.mark.parametrize("workload", ["desk-separate", "paper-jldt"])

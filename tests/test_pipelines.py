@@ -14,13 +14,18 @@ from chanpred import (
     nmse,
     persistence_nmse,
     prepare_link,
-    series_view,
     snr_sweep,
 )
 from chanpred.channel import PROVENANCES
 from chanpred.cli import config_from_dict
 from chanpred.correlation import correlation_report
-from chanpred.datasets import DatasetSpec, build_jl, build_jldt, build_series_dataset
+from chanpred.datasets import (
+    DatasetSpec,
+    build_jl,
+    build_jldt,
+    build_series_dataset,
+    real_to_complex,
+)
 from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.pipelines import assemble_predictions, evaluate_cell, score
 from chanpred.rng import stream
@@ -104,13 +109,12 @@ class TestStaticChannel:
 class TestJldtReconstruction:
     def test_true_labels_reconstruct_exactly(self):
         cfg = micro_config()
-        truth, est = prepare_link(cfg, 10.0, seed=4)
-        from chanpred.datasets import build_jldt
+        truth, _ = prepare_link(cfg, 10.0, seed=4)
         spec = cfg.dataset_spec(cfg.n_tr_prime)
-        _, test_ds = build_jldt(est, spec)
-        # the 1-based window end n is the 0-based index of label block n+1
-        true_rows = series_view(truth.values, "antenna")[test_ds.block_end, test_ds.series]
-        part = ("antenna", test_ds.block_end, test_ds.series, true_rows)
+        # windows cut from the truth itself: each test label is the true channel
+        # of its row, so predicting the labels must rebuild the truth exactly
+        _, test_ds = build_jldt(ChannelTensor(truth.values, "estimated"), spec)
+        part = ("antenna", None, real_to_complex(test_ds.labels))
         rebuilt = assemble_predictions([part], spec, truth.values.shape[1:])
         label_blocks = spec.n_gap + spec.n0 + np.arange(spec.n_te)
         assert np.array_equal(rebuilt.values, truth.values[label_blocks])
