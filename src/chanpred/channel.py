@@ -16,8 +16,8 @@ temporal auto-correlation high out to large block shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import islice, product
+from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -292,24 +292,21 @@ def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int) -> ChannelT
 _TRACE_MAGIC = "chanpred-trace v1"
 # records are always in (n, l, m) order, which the header names by its domain
 _TRACE_DOMAIN = DOMAIN_SUBCARRIER
-_TRACE_RECORD = "%d %d %d %.17g %.17g\n"  # n l m re im; %.17g round-trips every double
-_EXPORT_CHUNK = 1 << 13  # records per write, bounds the memory of the formatted text
 
 
 def export_trace(tensor: ChannelTensor, path) -> None:
     """Write `tensor` to `path` in the plain-text trace format (lossless)."""
     tensor.validate()
     N, L, M = tensor.values.shape
-    flat = tensor.values.reshape(-1)
-    index = product(range(1, N + 1), range(1, L + 1), range(1, M + 1))
+    # records "n l m re im", one block per write; the records of a block differ
+    # only in (l, m) and the values, and %.17g round-trips every double
+    tail = [f" {l} {m} %.17g %.17g\n" for l, m in product(range(1, L + 1), range(1, M + 1))]
     with open(path, "w") as f:
         f.write(_TRACE_MAGIC + "\n")
         f.write(f"N={N} L={L} M={M} domain={_TRACE_DOMAIN} provenance={tensor.provenance}\n")
-        for start in range(0, flat.size, _EXPORT_CHUNK):
-            part = flat[start:start + _EXPORT_CHUNK]
-            f.write("".join([_TRACE_RECORD % (*nlm, real, imag) for nlm, real, imag in
-                             zip(islice(index, part.size), part.real.tolist(),
-                                 part.imag.tolist())]))
+        for n, block in enumerate(tensor.values, start=1):
+            parts = np.ascontiguousarray(block, dtype=complex).view(np.float64).ravel()
+            f.write((str(n) + str(n).join(tail)) % tuple(parts.tolist()))
 
 
 def _parse_header(line: str) -> dict:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .channel import ChannelConfig, draw_paths, export_trace, import_trace, synthesize
-from .correlation import correlation_report
+from .correlation import check_window, correlation_report
 from .errors import ChanpredError, ConfigError
 from .estimation import estimate_trace
 from .mlp import save_model
@@ -273,6 +273,7 @@ def _cmd_correlate(args) -> int:
     cfg = _effective_config(args)
     seed = cfg.seeds[0]
     _echo_config(cfg, [seed])
+    check_window(args.max_shift, args.n_avg)
     if args.trace:
         tensor = import_trace(args.trace)
     else:

@@ -5,6 +5,13 @@ R(shift) = (1/N_avg) * sum_n <a_n, b_(n+shift)>, with the inner product
 conjugate-linear in the first argument. Reported values are normalized by
 sqrt(R_a(0) * R_b(0)) and averaged as magnitudes over series (auto) or over
 series pairs (cross), separately for the subcarrier and antenna domains.
+
+All shifts come from one pass of FFTs over overlapping segments of the
+series view: per segment, the zero-padded FFT of its blocks against the FFT
+of those blocks and the max_shift after them, multiplied frequency by
+frequency into (S, S) products. Summing the products and taking one inverse
+FFT gives R(0..max_shift). Memory is a few (F, S, D) and (F, S, S) arrays
+for an FFT length F near max_shift + 48, never a copy of the tensor.
 """
 
 from __future__ import annotations
@@ -40,31 +47,51 @@ class CorrelationReport:
         return out
 
 
+def _fft_length(max_shift: int) -> int:
+    # smallest power of two >= max_shift + 48: each segment then averages at
+    # least 48 blocks, so the segment count stays near n_avg / 48
+    return 1 << (max_shift + 47).bit_length()
+
+
 def _domain_curves(values: np.ndarray, domain: str, max_shift: int, n_avg: int):
-    # One C-contiguous (S, N*D) transpose: row s is series s of the domain,
-    # block after block, so the window of blocks shift .. shift+n_avg-1 is the
-    # strided view [:, shift*D:(shift+n_avg)*D] and no shift copies data.
     x = series_view(values[:n_avg + max_shift], domain)
-    n, s, d = x.shape
+    s = x.shape[1]
     if s < 2:
         raise ContractError(f"{domain} domain has {s} series; its cross-correlation "
                             f"needs at least 2")
-    rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(s, n * d)
-    first = rows[:, :n_avg * d].conj()
-    mask = ~np.eye(s, dtype=bool)
+    # Segments of seg blocks: the segment's FFT (A) against the FFT of the
+    # same blocks and the max_shift after them (B). seg + max_shift <= F, so
+    # lags 0..max_shift of conj(A) B never wrap round. P sums, per frequency,
+    # the (S, S) products of all segments, and its inverse FFT holds every lag.
+    fft_len = _fft_length(max_shift)
+    seg = fft_len - max_shift
+    p = np.zeros((fft_len, s, s), dtype=complex)
+    for start in range(0, n_avg, seg):
+        stop = min(start + seg, n_avg)
+        a = np.fft.fft(x[start:stop], n=fft_len, axis=0)
+        np.conjugate(a, out=a)
+        b = np.fft.fft(x[start:stop + max_shift], n=fft_len, axis=0)
+        # one frequency at a time, so no (F, S, S) product lives beside P; and
+        # A and B go before the next segment's FFTs are made
+        for f in range(fft_len):
+            p[f] += a[f] @ b[f].T
+        del a, b
+    g = np.fft.ifft(p, axis=0)[:max_shift + 1] / n_avg
 
-    auto = np.empty(max_shift + 1)
-    cross = np.empty(max_shift + 1)
-    for shift in range(max_shift + 1):
-        # (S, S) matrix of <series_i, series_j shifted> summed over (n, D)
-        g = (first @ rows[:, shift * d:(shift + n_avg) * d].T) / n_avg
-        if shift == 0:
-            diag0 = np.real(np.diag(g))
-            denom = np.sqrt(np.outer(diag0, diag0))
-        norm = np.abs(g) / denom
-        auto[shift] = float(np.mean(np.diag(norm)))
-        cross[shift] = float(np.mean(norm[mask]))
+    diag0 = np.real(np.diagonal(g[0]))
+    norm = np.abs(g) / np.sqrt(np.outer(diag0, diag0))
+    mask = ~np.eye(s, dtype=bool)
+    auto = np.array([np.mean(np.diag(shift)) for shift in norm])
+    cross = np.array([np.mean(shift[mask]) for shift in norm])
     return auto, cross
+
+
+def check_window(max_shift: int, n_avg: int) -> None:
+    """Reject a correlation window before any blocks are made or read for it."""
+    if max_shift < 0:
+        raise ContractError(f"max_shift must be >= 0, got {max_shift}")
+    if n_avg < 1:
+        raise ContractError(f"n_avg must be >= 1, got {n_avg}")
 
 
 def correlation_report(tensor: ChannelTensor, max_shift: int = 16,
@@ -74,10 +101,7 @@ def correlation_report(tensor: ChannelTensor, max_shift: int = 16,
     Auto-correlation magnitudes are averaged over all series of each domain;
     cross-correlation magnitudes over all ordered pairs of distinct series.
     """
-    if max_shift < 0:
-        raise ContractError(f"max_shift must be >= 0, got {max_shift}")
-    if n_avg < 1:
-        raise ContractError(f"n_avg must be >= 1, got {n_avg}")
+    check_window(max_shift, n_avg)
     tensor.require(PROVENANCE_TRUE, n_avg + max_shift)
 
     # subcarrier domain: series l, vectors over m; antenna domain: series m, vectors over l

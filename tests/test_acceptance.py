@@ -9,7 +9,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import pytest
 
 from chanpred import (
     ChannelConfig,
@@ -27,7 +26,7 @@ from chanpred import (
     synthesize,
 )
 from chanpred.channel import DOMAIN_ANTENNA
-from chanpred.datasets import DatasetSpec, build_jl, build_jldt, build_series_dataset
+from chanpred.datasets import DatasetSpec, build_jl, build_jldt
 from chanpred.estimation import estimate_trace
 from chanpred.mlp import AdamState, MlpModel, backward
 from chanpred.cli import main, parse_config

@@ -4,11 +4,10 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chanpred import (
     ChannelConfig,
@@ -22,7 +21,6 @@ from chanpred import (
     steering_vector,
     synthesize,
 )
-from chanpred import channel
 from chanpred.channel import SPEED_OF_LIGHT
 from chanpred.rng import stream
 from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line, random_tensor
@@ -278,30 +276,40 @@ def _savetxt_trace(tensor, path):
                                        flat.real, flat.imag]), fmt="%d %d %d %.17g %.17g")
 
 
+_TRACE_RECORD = "%d %d %d %.17g %.17g\n"  # one record, n l m re im
+
+
 class TestTraceFileProperties:
     @settings(max_examples=100, deadline=None)
-    @given(_tensors(), st.integers(1, 8))
-    def test_export_matches_savetxt(self, tensor, chunk):
-        # small write chunks put chunk boundaries inside these small tensors
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(channel, "_EXPORT_CHUNK", chunk):
+    @given(_tensors())
+    def test_export_matches_savetxt(self, tensor):
+        with tempfile.TemporaryDirectory() as tmp:
             ours, ref = Path(tmp, "a.trace"), Path(tmp, "b.trace")
             export_trace(tensor, ours)
             _savetxt_trace(tensor, ref)
             assert ours.read_bytes() == ref.read_bytes()
 
-    def test_export_spans_write_chunks(self, tmp_path):
-        # the shipped chunk size: a little over two chunks, edge values mixed in
-        N, L, M = 2 * channel._EXPORT_CHUNK // 15 + 3, 3, 5
-        rng = stream(11, "export-chunks")
-        parts = rng.standard_normal(2 * N * L * M) * 10.0 ** rng.integers(-300, 300, 2 * N * L * M)
-        parts[::97] = np.resize([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308],
-                                len(parts[::97]))
-        tensor = ChannelTensor(parts.view(np.complex128).reshape(N, L, M), "estimated")
-        assert tensor.values.size > 2 * channel._EXPORT_CHUNK
-        export_trace(tensor, tmp_path / "a.trace")
-        _savetxt_trace(tensor, tmp_path / "b.trace")
-        assert (tmp_path / "a.trace").read_bytes() == (tmp_path / "b.trace").read_bytes()
+    @settings(max_examples=50, deadline=None)
+    @given(st.tuples(st.integers(1, 40), st.integers(1, 6), st.integers(1, 6)),
+           st.integers(0, 10 ** 6))
+    @example((5, 1, 4), 0)
+    @example((5, 4, 1), 1)
+    def test_export_matches_per_record_format(self, shape, seed):
+        # each block is formatted at once; its bytes are those of one
+        # _TRACE_RECORD per value, signed zeros, subnormals and 1e308 mixed in
+        rng = stream(seed, "export-records")
+        size = 2 * int(np.prod(shape))
+        parts = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        parts[::7] = np.resize([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308], len(parts[::7]))
+        tensor = ChannelTensor(parts.view(np.complex128).reshape(shape), "estimated")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "a.trace")
+            export_trace(tensor, path)
+            records = path.read_bytes().decode().splitlines(keepends=True)[2:]
+        N, L, M = shape
+        assert records == [_TRACE_RECORD % (n + 1, l + 1, m + 1, tensor.values[n, l, m].real,
+                                            tensor.values[n, l, m].imag)
+                           for n in range(N) for l in range(L) for m in range(M)]
 
     @settings(max_examples=100, deadline=None)
     @given(_tensors())

@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ class TestSubcommands:
                      "--max-shift", "3", "--out", str(out)]) == EXIT_RUNTIME
         assert "antenna domain has 1 series" in capsys.readouterr().err
         assert not out.exists()  # no CSV, so no nan rows
+
+    @pytest.mark.parametrize("window, name", [(["--n-avg", "-20", "--max-shift", "16"], "n_avg"),
+                                              (["--max-shift", "-5"], "max_shift"),
+                                              (["--n-avg", "0"], "n_avg")])
+    def test_correlate_window_checked_before_synthesis(self, tmp_path, capsys, window, name):
+        out = tmp_path / "corr.csv"
+        with mock.patch("chanpred.cli.synthesize") as synth:
+            code = main(["correlate", "--preset", "desk", *window, "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert f"error: {name} must be" in capsys.readouterr().err
+        synth.assert_not_called()
+        assert not out.exists()
 
     def test_run_deterministic_outputs(self, tmp_path, micro_cfg_file):
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")

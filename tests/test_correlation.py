@@ -1,5 +1,7 @@
 """Correlation diagnostics against closed forms and a brute-force oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from chanpred import (
     series_view,
     synthesize,
 )
+from chanpred.correlation import _fft_length
 from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.rng import stream
 
@@ -34,6 +37,16 @@ def _copied_window_curves(x, max_shift, n_avg):
         auto[shift] = float(np.mean(np.diag(norm)))
         cross[shift] = float(np.mean(norm[mask]))
     return auto, cross
+
+
+def _assert_near_copied_windows(rep, values, max_shift, n_avg):
+    # the report sums in another order than the per-shift reference
+    for domain, auto, cross in (("subcarrier", rep.subcarrier_auto, rep.subcarrier_cross),
+                                ("antenna", rep.antenna_auto, rep.antenna_cross)):
+        ref_auto, ref_cross = _copied_window_curves(
+            np.ascontiguousarray(series_view(values, domain)), max_shift, n_avg)
+        assert np.allclose(auto, ref_auto, rtol=0, atol=1e-13)
+        assert np.allclose(cross, ref_cross, rtol=0, atol=1e-13)
 
 
 class TestAutoCorrelation:
@@ -99,20 +112,47 @@ class TestCorrelationReport:
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 12), st.integers(0, 6),
            st.booleans(), st.integers(0, 10 ** 6))
     def test_bits_match_copied_windows(self, L, M, n_avg, max_shift, strided, seed):
-        # the report reads shifted windows as views; a reference that copies
-        # each window contiguously must give the same bits in both domains
+        # strided values give the bits of a contiguous copy of them, and both
+        # domains agree with a reference that copies every shifted window
         n = n_avg + max_shift
         rng = stream(seed, "corr-bits")
         base = rng.standard_normal((2 * n, L, M + 1)) + 1j * rng.standard_normal((2 * n, L, M + 1))
         values = base[::2, :, :M] if strided else np.ascontiguousarray(base[:n, :, :M])
         assert values.flags.c_contiguous != strided
         rep = correlation_report(ChannelTensor(values, "true"), max_shift=max_shift, n_avg=n_avg)
-        for domain, auto, cross in (("subcarrier", rep.subcarrier_auto, rep.subcarrier_cross),
-                                    ("antenna", rep.antenna_auto, rep.antenna_cross)):
-            ref_auto, ref_cross = _copied_window_curves(
-                np.ascontiguousarray(series_view(values, domain)), max_shift, n_avg)
-            assert np.array_equal(auto, ref_auto)
-            assert np.array_equal(cross, ref_cross)
+        copied = correlation_report(ChannelTensor(np.ascontiguousarray(values), "true"),
+                                    max_shift=max_shift, n_avg=n_avg)
+        for curve in ("subcarrier_auto", "subcarrier_cross", "antenna_auto", "antenna_cross"):
+            assert np.array_equal(getattr(rep, curve), getattr(copied, curve))
+        _assert_near_copied_windows(rep, values, max_shift, n_avg)
+
+    @pytest.mark.parametrize("max_shift", [0, 1, 16])
+    @pytest.mark.parametrize("segs, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+    def test_windows_straddling_segments(self, max_shift, segs, extra):
+        # lags come from FFT segments of seg blocks; windows of n_avg =
+        # segs * seg + extra end before, on and after a segment boundary
+        n_avg = segs * (_fft_length(max_shift) - max_shift) + extra
+        rng = stream(n_avg + max_shift, "corr-segments")
+        shape = (n_avg + max_shift, 3, 4)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rep = correlation_report(ChannelTensor(values, "true"), max_shift=max_shift, n_avg=n_avg)
+        _assert_near_copied_windows(rep, values, max_shift, n_avg)
+
+    def test_peak_memory_below_half_the_tensor(self):
+        # the report holds per-segment FFTs and (S, S) sums, never a copy of
+        # the tensor or of a domain's series
+        rng = stream(5, "corr-memory")
+        shape = (520, 20, 32)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tensor = ChannelTensor(values, "true")
+        tracemalloc.start()
+        try:
+            correlation_report(tensor, max_shift=16, n_avg=504)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensor_bytes = values.nbytes
+        assert peak < tensor_bytes / 2
 
     def test_rotating_sequence_closed_form(self):
         # h_n = exp(j*w*n) H  =>  R(shift) = exp(j*w*shift) ||series||^2: magnitude 1 normalized
