@@ -116,16 +116,25 @@ class ExperimentConfig:
         return PilotScheme.dft(self.tau, self.pilot_column, snr_db)
 
 
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """||v||^2 of each vector along the last axis."""
+    return np.sum(np.abs(v) ** 2, axis=-1)
+
+
+def _mean_ratio(err: np.ndarray, power: np.ndarray) -> float:
+    """Mean of err / power over all entries, in C order."""
+    if np.any(power == 0):
+        raise ContractError("zero-norm truth sample in NMSE")
+    return float(np.mean(err / power))
+
+
 def nmse(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mean over samples of ||h - h_hat||^2 / ||h||^2 (rows are samples)."""
     pred = np.atleast_2d(np.asarray(pred))
     truth = np.atleast_2d(np.asarray(truth))
     if pred.shape != truth.shape:
         raise ContractError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    power = np.sum(np.abs(truth) ** 2, axis=1)
-    if np.any(power == 0):
-        raise ContractError("zero-norm truth sample in NMSE")
-    return float(np.mean(np.sum(np.abs(pred - truth) ** 2, axis=1) / power))
+    return _mean_ratio(_squared_norms(pred - truth), _squared_norms(truth))
 
 
 def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
@@ -140,14 +149,21 @@ def score(pred: ChannelTensor, truth: ChannelTensor, spec: DatasetSpec) -> float
     """NMSE of an (n_te, L, M) prediction against the truth at the test label blocks.
 
     The only reader of the true tensor. Rows are the length-M subcarrier
-    vectors in (subcarrier, block) order.
+    vectors in (subcarrier, block) order: nmse of the (L * n_te, M) rows,
+    bit for bit. The label blocks are a view, and the squared norms go into
+    (L, n_te) arrays one subcarrier at a time, so no tensor-sized copy is made.
     """
     truth.require(PROVENANCE_TRUE, spec.min_blocks)
-    label = truth.values[spec.n_gap + spec.n0 + np.arange(spec.n_te)]
+    first = spec.n_gap + spec.n0
+    label = truth.values[first:first + spec.n_te]
     if pred.values.shape != label.shape:
         raise ContractError(f"prediction shape {pred.values.shape} != label shape {label.shape}")
-    rows = [v.transpose(1, 0, 2).reshape(-1, label.shape[2]) for v in (pred.values, label)]
-    return nmse(*rows)
+    err = np.empty((label.shape[1], spec.n_te))
+    power = np.empty_like(err)
+    for l in range(label.shape[1]):
+        err[l] = _squared_norms(pred.values[:, l] - label[:, l])
+        power[l] = _squared_norms(label[:, l])
+    return _mean_ratio(err, power)
 
 
 def persistence_nmse(truth: ChannelTensor, est: ChannelTensor,
@@ -155,7 +171,8 @@ def persistence_nmse(truth: ChannelTensor, est: ChannelTensor,
     """Sanity floor: predict h_(n+1) by the newest estimate g_n."""
     spec = cfg.dataset_spec()
     est.require(PROVENANCE_ESTIMATED, spec.min_blocks)
-    newest = est.values[spec.n_gap + spec.n0 - 1 + np.arange(spec.n_te)]
+    first = spec.n_gap + spec.n0 - 1
+    newest = est.values[first:first + spec.n_te]
     return score(ChannelTensor(newest, PROVENANCE_PREDICTED), truth, spec)
 
 
@@ -204,14 +221,18 @@ class CellResult:
 
 
 def _train_predict(train_ds, test_ds, cfg, init_stream, shuffle_seed):
+    # the datasets are the job's own, so they are scaled in place
     scale = fit_scale(train_ds)
+    for a in (train_ds.features, train_ds.labels, test_ds.features):
+        a /= scale
     dims = (train_ds.features.shape[1], *cfg.hidden, train_ds.labels.shape[1])
     model = init_mlp(dims, init_stream)
-    model, history = train(model, (train_ds.features / scale, train_ds.labels / scale),
+    model, history = train(model, (train_ds.features, train_ds.labels),
                            TrainConfig(cfg.batch_size, cfg.epochs, cfg.learning_rate,
                                        shuffle_seed))
-    preds = real_to_complex(predict(model, test_ds.features / scale) * scale)
-    return preds, model, history
+    preds = predict(model, test_ds.features)
+    preds *= scale
+    return real_to_complex(preds), model, history
 
 
 def evaluate_cell(truth: ChannelTensor, est: ChannelTensor, cfg: ExperimentConfig,

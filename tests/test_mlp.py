@@ -460,6 +460,43 @@ class TestBitIdentity:
             assert np.array_equal(_flat_params(models[d]), alone[d])
 
 
+_B = mlp._PREDICT_ROWS
+_DESK_DIMS = (96, 512, 512, 32)
+
+
+class TestPredictBlocks:
+    """predict walks row blocks and still equals one unblocked forward pass."""
+
+    @pytest.mark.parametrize("rows", [2 * _B - 1, 2 * _B, 2 * _B + 1, 3 * _B + 1, 5 * _B + 3])
+    def test_blocks_match_one_forward_pass(self, rows):
+        # a short tail block (2B + 1 split as B, B, 1) would take OpenBLAS's
+        # small-matrix path and change bits; the last block takes the remainder
+        model = init_mlp(_DESK_DIMS, 4)
+        rng = stream(rows, "predict-blocks")
+        for b in model.biases:
+            b[:] = rng.standard_normal(b.shape)
+        x = rng.standard_normal((rows, _DESK_DIMS[0]))
+        x_kept = x.copy()
+        assert np.array_equal(predict(model, x), mlp._forward(model, x))
+        assert np.array_equal(x, x_kept)
+
+    def test_peak_memory_is_the_result_and_one_block(self):
+        # beyond the result, each hidden layer holds one activation of the
+        # largest block: 5B + 3 rows go as four blocks of B and one of B + 3
+        rows = 5 * _B + 3
+        model = init_mlp(_DESK_DIMS, 0)
+        x = stream(0, "predict-memory").standard_normal((rows, _DESK_DIMS[0]))
+        tracemalloc.start()
+        try:
+            result = predict(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activations = 2 * (_B + 3) * _DESK_DIMS[1] * 8
+        # numpy's broadcast bias add takes a 64 kB ufunc buffer
+        assert peak < result.nbytes + activations + 128 * 1024
+
+
 class TestTrain:
     def _toy(self, rows=20, din=4, dout=2, seed=0):
         rng = stream(seed, "toy")

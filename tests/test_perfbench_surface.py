@@ -15,7 +15,7 @@ import pathlib
 import pytest
 
 from chanpred import ChannelConfig, ExperimentConfig
-from chanpred import pipelines
+from chanpred import mlp, pipelines
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -95,3 +95,23 @@ def test_traced_desk_sweep_has_one_backward_per_adam_step(monkeypatch, tmp_path)
     rows = sum(cfg.channel.n_subcarriers * (cfg.overhead_blocks(a) + cfg.n_te)
                for a in cfg.approaches)
     assert tracing.layer_metrics(tracer.spans)["datasets.rows"] == rows
+
+
+def test_traced_run_has_one_predict_span_per_training_job(monkeypatch):
+    # predict works through row blocks inside one call; the benchmark's
+    # mlp.predict.s reads one span per job, so the blocks must not show as calls
+    tracing = _perfbench(monkeypatch, "tracing")
+    monkeypatch.setattr(mlp, "_PREDICT_ROWS", 2)
+    cfg = ExperimentConfig(
+        channel=ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, n_paths=5),
+        snr_db=(10.0,), n0=2, n_tr_prime=3, n_gap=11, n_te=5,
+        hidden=(4,), batch_size=8, epochs=2, seeds=(1,),
+        approaches=("sl", "jl", "jldt")).validate()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        pipelines.snr_sweep(cfg)
+    names = [span["name"] for span in tracer.spans]
+    # sl: one job per subcarrier; jl and jldt: one pooled job each, whose
+    # 15 and 20 test rows go as several blocks of 2
+    assert names.count("mlp.train") == 3 + 1 + 1
+    assert names.count("mlp.predict") == names.count("mlp.train")

@@ -1,9 +1,11 @@
 """Experiment orchestration: NMSE, approach equivalences, fairness, trends."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chanpred import (
     ChannelConfig,
@@ -142,6 +144,34 @@ class TestScore:
         short = ChannelTensor(truth.values[:spec.min_blocks - missing], "true")
         with pytest.raises(ContractError, match="blocks"):
             score(pred, short, spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_te=st.integers(1, 12), l=st.integers(1, 9), m=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 16))
+    @example(n_te=5, l=1, m=8, seed=0)
+    @example(n_te=5, l=6, m=1, seed=1)
+    def test_equals_nmse_of_transposed_rows(self, n_te, l, m, seed):
+        # rows in (subcarrier, block) order, as the scorer once built them
+        spec = DatasetSpec(n0=2, n_tr=1, n_te=n_te, n_gap=3)
+        truth = random_tensor(seed, n=spec.min_blocks, l=l, m=m)
+        pred = random_tensor(seed + 1, n=n_te, l=l, m=m, provenance="predicted")
+        label = truth.values[spec.n_gap + spec.n0 + np.arange(n_te)]
+        rows = [v.transpose(1, 0, 2).reshape(-1, m) for v in (pred.values, label)]
+        assert score(pred, truth, spec) == nmse(*rows)
+
+    def test_peak_memory_below_one_prediction(self):
+        # paper-like (n_te, L, M): the labels are a view and the norms go
+        # subcarrier by subcarrier, so no transient reaches a tensor's size
+        spec = DatasetSpec(n0=3, n_tr=1, n_te=200, n_gap=4)
+        truth = random_tensor(0, n=spec.min_blocks, l=50, m=64)
+        pred = random_tensor(1, n=spec.n_te, l=50, m=64, provenance="predicted")
+        tracemalloc.start()
+        try:
+            score(pred, truth, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pred.values.nbytes
 
 
 def _require_consumer(name):
