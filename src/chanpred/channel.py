@@ -35,7 +35,8 @@ PROVENANCE_ESTIMATED = "estimated"
 PROVENANCE_PREDICTED = "predicted"
 PROVENANCES = (PROVENANCE_TRUE, PROVENANCE_ESTIMATED, PROVENANCE_PREDICTED)
 
-_SYNTH_CHUNK = 256  # blocks per synthesis chunk, bounds peak memory
+SYNTH_CHUNK = 256  # blocks per synthesis chunk, bounds peak memory
+_FINITE_CHUNK = 1 << 16  # entries per finiteness check, bounds its bool temporary
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,11 @@ class ChannelTensor:
             raise ContractError(f"channel dimensions must be >= 1, got shape {self.values.shape}")
         if self.provenance not in PROVENANCES:
             raise ContractError(f"unknown provenance {self.provenance!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise ContractError("channel values contain non-finite entries")
+        # whole blocks at a time, so the check never makes a tensor-sized bool array
+        step = max(1, _FINITE_CHUNK // (self.n_subcarriers * self.n_antennas))
+        for start in range(0, self.n_blocks, step):
+            if not np.isfinite(self.values[start:start + step]).all():
+                raise ContractError("channel values contain non-finite entries")
         return self
 
     def require(self, provenance: str, n_blocks: int) -> "ChannelTensor":
@@ -249,18 +253,24 @@ def draw_paths(config: ChannelConfig) -> PathSet:
     return PathSet(gains, delays, dopplers, azimuths, elevations).validate()
 
 
-def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int) -> ChannelTensor:
+def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int,
+               first_block: int = 0) -> ChannelTensor:
     """Superimpose the paths into a true (n_blocks, L, M) tensor.
 
     values[n, l, m] = sum_p gain_p * exp(j*2*pi*nu_p*n*T_B)
                               * exp(-j*2*pi*(l-1)*delta_f*tau_p)
                               * steering(theta_p, phi_p)[m]
-    with 1-based block index n and subcarrier index l.
+    with 1-based block index n and subcarrier index l. The tensor holds
+    blocks first_block+1 .. first_block+n_blocks, so a link can be made one
+    piece at a time; a piece that starts and ends on a SYNTH_CHUNK boundary
+    (or at the link's end) is bit for bit the same blocks of the whole link.
     """
     config.validate()
     paths.validate()
     if n_blocks < 1:
         raise ContractError(f"n_blocks must be >= 1, got {n_blocks}")
+    if first_block < 0:
+        raise ContractError(f"first_block must be >= 0, got {first_block}")
 
     L = config.n_subcarriers
     M = config.n_antennas
@@ -274,13 +284,13 @@ def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int) -> ChannelT
                                    config.m_h, config.m_v)
 
     out = np.empty((n_blocks, L, M), dtype=np.complex128)
-    for start in range(0, n_blocks, _SYNTH_CHUNK):
-        stop = min(start + _SYNTH_CHUNK, n_blocks)
-        n = np.arange(start + 1, stop + 1)                                 # 1-based blocks
+    for start in range(0, n_blocks, SYNTH_CHUNK):
+        stop = min(start + SYNTH_CHUNK, n_blocks)
+        n = np.arange(first_block + start + 1, first_block + stop + 1)     # 1-based blocks
         rot = paths.gains[None, :] * np.exp(
             2j * np.pi * paths.dopplers[None, :] * n[:, None] * config.block_duration)
         mix = rot[:, None, :] * freq[None, :, :]                           # (chunk, L, P)
-        out[start:stop] = (mix.reshape(-1, P) @ steer).reshape(stop - start, L, M)
+        np.matmul(mix.reshape(-1, P), steer, out=out[start:stop].reshape(-1, M))
 
     return ChannelTensor(out, PROVENANCE_TRUE).validate()
 

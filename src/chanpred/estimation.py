@@ -62,14 +62,17 @@ class PilotScheme:
 
 
 def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
-                   rng: np.random.Generator) -> ChannelTensor:
+                   rng: np.random.Generator, out: np.ndarray | None = None) -> ChannelTensor:
     """LS-estimate every (block, subcarrier) cell of a true tensor.
 
     Each cell receives Y = sqrt(rho) h phi^T + Z, an (M, tau) matrix with i.i.d.
     unit-variance complex Gaussian Z, and is estimated as
     g = Y conj(phi) / (sqrt(rho) ||phi||^2), vectorized in chunks of blocks.
     The noise comes from `rng` alone, drawn in fixed block order, so results
-    are deterministic for a given rng.
+    are deterministic for a given rng; a tensor cut on _EST_CHUNK boundaries
+    and estimated piece by piece with one rng gives the same bits as the
+    whole. The estimates go into `out` if it is given (a C-contiguous complex
+    array of the tensor's shape), else into a new array.
     """
     tensor.require(PROVENANCE_TRUE, 1)
     scheme.validate()
@@ -80,13 +83,23 @@ def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
     conj_pilot = np.conj(scheme.pilot)
     energy = float(np.sum(np.abs(scheme.pilot) ** 2))
     root_rho = np.sqrt(scheme.snr)
+    # dividing complex noise by sqrt(2) + 0j multiplies each part by this rounded value
+    noise_scale = 1.0 / np.sqrt(2)
 
-    g = np.empty_like(h)
+    g = np.empty_like(h) if out is None else out
+    # every chunk reuses two buffers: the received pilots Y and one part of Z
+    y_buf = np.empty((min(_EST_CHUNK, n_blocks), L, M, tau), dtype=np.complex128)
+    z_buf = np.empty(y_buf.shape)
     for start in range(0, n_blocks, _EST_CHUNK):
         stop = min(start + _EST_CHUNK, n_blocks)
-        shape = (stop - start, L, M, tau)
-        y = root_rho * h[start:stop, :, :, None] * scheme.pilot
-        y = y + (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-        g[start:stop] = y @ conj_pilot / (root_rho * energy)
+        y, z = y_buf[:stop - start], z_buf[:stop - start]
+        np.multiply(root_rho, h[start:stop, :, :, None], out=y)
+        y *= scheme.pilot
+        for part in (y.real, y.imag):   # Z's real parts are drawn first, then its imaginary
+            rng.standard_normal(out=z)
+            z *= noise_scale
+            part += z
+        np.matmul(y, conj_pilot, out=g[start:stop])
+        g[start:stop] /= root_rho * energy
 
     return ChannelTensor(g, PROVENANCE_ESTIMATED).validate()

@@ -10,7 +10,8 @@ Four approach labels are understood throughout:
 
 At a fixed (SNR, seed) every approach consumes the identical estimated tensor;
 NMSE is always scored in the subcarrier domain against the true channel at the
-predicted block, averaged over subcarriers and test blocks. The per-series
+predicted block, averaged over subcarriers and test blocks. Those label
+blocks are the only true channels a cell keeps. The per-series
 time overhead of collecting training data is n_tr blocks for ``sl`` and
 n_tr_prime blocks for the other three.
 """
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
+    SYNTH_CHUNK,
     ChannelConfig,
     ChannelTensor,
     DOMAIN_ANTENNA,
@@ -138,42 +140,67 @@ def nmse(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
-    """Deterministic (true, estimated) tensor pair for one (SNR, seed) cell."""
-    chan_cfg = cfg.channel.with_seed(seed)
-    truth = synthesize(chan_cfg, draw_paths(chan_cfg), cfg.required_blocks)
-    est = estimate_trace(truth, cfg.scheme(snr_db), stream(seed, "pilot-noise"))
-    return truth, est
+    """Deterministic (labels, estimated) tensor pair for one (SNR, seed) cell.
 
-
-def score(pred: ChannelTensor, truth: ChannelTensor, spec: DatasetSpec) -> float:
-    """NMSE of an (n_te, L, M) prediction against the truth at the test label blocks.
-
-    The only reader of the true tensor. Rows are the length-M subcarrier
-    vectors in (subcarrier, block) order: nmse of the (L * n_te, M) rows,
-    bit for bit. The label blocks are a view, and the squared norms go into
-    (L, n_te) arrays one subcarrier at a time, so no tensor-sized copy is made.
+    `est` holds every block's LS estimate. `labels` holds the true channels
+    of the n_te test label blocks, n_gap + n0 onwards, the only true blocks
+    `score` reads. The link is made one synthesis chunk at a time: each chunk
+    is estimated with the cell's one pilot-noise stream, its label blocks are
+    copied out, and it is dropped, so no full true tensor ever exists. Every
+    chunk is a whole synthesis chunk of whole estimation chunks (SYNTH_CHUNK
+    is a multiple of _EST_CHUNK), so the bits are those of estimating the
+    whole link at once.
     """
-    truth.require(PROVENANCE_TRUE, spec.min_blocks)
-    first = spec.n_gap + spec.n0
-    label = truth.values[first:first + spec.n_te]
-    if pred.values.shape != label.shape:
-        raise ContractError(f"prediction shape {pred.values.shape} != label shape {label.shape}")
-    err = np.empty((label.shape[1], spec.n_te))
+    chan_cfg = cfg.channel.with_seed(seed)
+    paths = draw_paths(chan_cfg)
+    scheme = cfg.scheme(snr_db)
+    noise = stream(seed, "pilot-noise")
+    n_blocks = cfg.required_blocks
+    first = cfg.n_gap + cfg.n0
+    last = first + cfg.n_te
+    shape = (cfg.channel.n_subcarriers, cfg.channel.n_antennas)
+    est = np.empty((n_blocks, *shape), dtype=np.complex128)
+    labels = np.empty((cfg.n_te, *shape), dtype=np.complex128)
+    for start in range(0, n_blocks, SYNTH_CHUNK):
+        stop = min(start + SYNTH_CHUNK, n_blocks)
+        truth = synthesize(chan_cfg, paths, stop - start, start)
+        estimate_trace(truth, scheme, noise, out=est[start:stop])
+        lo, hi = max(start, first), min(stop, last)
+        if lo < hi:
+            labels[lo - first:hi - first] = truth.values[lo - start:hi - start]
+        del truth   # before the next chunk is made
+    return ChannelTensor(labels, PROVENANCE_TRUE), ChannelTensor(est, PROVENANCE_ESTIMATED)
+
+
+def score(pred: ChannelTensor, labels: ChannelTensor) -> float:
+    """NMSE of an (n_te, L, M) prediction against the true (n_te, L, M) label blocks.
+
+    The only reader of the true channels. Rows are the length-M subcarrier
+    vectors in (subcarrier, block) order: nmse of the (L * n_te, M) rows,
+    bit for bit. The squared norms go into (L, n_te) arrays one subcarrier
+    at a time, so no tensor-sized copy is made.
+    """
+    labels.require(PROVENANCE_TRUE, pred.values.shape[0])
+    if pred.values.shape != labels.values.shape:
+        raise ContractError(f"prediction shape {pred.values.shape} != label shape "
+                            f"{labels.values.shape}")
+    n_te, n_sub = pred.values.shape[:2]
+    err = np.empty((n_sub, n_te))
     power = np.empty_like(err)
-    for l in range(label.shape[1]):
-        err[l] = _squared_norms(pred.values[:, l] - label[:, l])
-        power[l] = _squared_norms(label[:, l])
+    for l in range(n_sub):
+        err[l] = _squared_norms(pred.values[:, l] - labels.values[:, l])
+        power[l] = _squared_norms(labels.values[:, l])
     return _mean_ratio(err, power)
 
 
-def persistence_nmse(truth: ChannelTensor, est: ChannelTensor,
+def persistence_nmse(labels: ChannelTensor, est: ChannelTensor,
                      cfg: ExperimentConfig) -> float:
     """Sanity floor: predict h_(n+1) by the newest estimate g_n."""
     spec = cfg.dataset_spec()
     est.require(PROVENANCE_ESTIMATED, spec.min_blocks)
     first = spec.n_gap + spec.n0 - 1
     newest = est.values[first:first + spec.n_te]
-    return score(ChannelTensor(newest, PROVENANCE_PREDICTED), truth, spec)
+    return score(ChannelTensor(newest, PROVENANCE_PREDICTED), labels)
 
 
 @dataclass(frozen=True)
@@ -235,9 +262,9 @@ def _train_predict(train_ds, test_ds, cfg, init_stream, shuffle_seed):
     return real_to_complex(preds), model, history
 
 
-def evaluate_cell(truth: ChannelTensor, est: ChannelTensor, cfg: ExperimentConfig,
+def evaluate_cell(labels: ChannelTensor, est: ChannelTensor, cfg: ExperimentConfig,
                   approach: str, seed: int, collect_models: bool = False) -> CellResult:
-    """Train and score one approach on already-prepared tensors."""
+    """Train and score one approach on a link from prepare_link."""
     if approach not in APPROACHES:
         raise ConfigError(f"unknown approach {approach!r}")
     result = CellResult(approach, float("nan"), seed, float("nan"))
@@ -251,8 +278,8 @@ def evaluate_cell(truth: ChannelTensor, est: ChannelTensor, cfg: ExperimentConfi
         result.histories[job.index] = history
         if collect_models:
             result.models[job.index] = model
-    spec = cfg.dataset_spec()
-    result.nmse = score(assemble_predictions(parts, spec, est.values.shape[1:]), truth, spec)
+    result.nmse = score(assemble_predictions(parts, cfg.dataset_spec(), est.values.shape[1:]),
+                        labels)
     return result
 
 
@@ -304,12 +331,13 @@ def snr_sweep(cfg: ExperimentConfig, collect_models: bool = False) -> NmseReport
     for snr in cfg.snr_db:
         per_seed_persist = []
         for seed in cfg.seeds:
-            truth, est = prepare_link(cfg, snr, seed)
-            per_seed_persist.append(persistence_nmse(truth, est, cfg))
+            labels, est = prepare_link(cfg, snr, seed)
+            per_seed_persist.append(persistence_nmse(labels, est, cfg))
             for approach in cfg.approaches:
-                cell = evaluate_cell(truth, est, cfg, approach, seed, collect_models)
+                cell = evaluate_cell(labels, est, cfg, approach, seed, collect_models)
                 cell.snr_db = float(snr)
                 cells.append(cell)
+            del labels, est   # so the next link is never made beside this one
         persistence[float(snr)] = float(np.mean(per_seed_persist))
 
     entries = []

@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from chanpred import (
     steering_vector,
     synthesize,
 )
-from chanpred.channel import SPEED_OF_LIGHT
+from chanpred.channel import SPEED_OF_LIGHT, SYNTH_CHUNK
 from chanpred.rng import stream
 from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line, random_tensor
 
@@ -144,6 +145,46 @@ class TestSynthesize:
     def test_all_finite_and_flags(self, default_trace):
         assert default_trace.provenance == "true"
         assert np.all(np.isfinite(default_trace.values))
+
+
+    def test_first_block_continues_the_link(self):
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, seed=22)
+        paths = draw_paths(cfg)
+        whole = synthesize(cfg, paths, 2 * SYNTH_CHUNK + 5).values
+        # a piece cut on chunk boundaries is the same bits; any other piece
+        # is the same blocks, made by GEMMs of another shape
+        tail = synthesize(cfg, paths, SYNTH_CHUNK + 5, SYNTH_CHUNK).values
+        assert np.array_equal(tail, whole[SYNTH_CHUNK:])
+        piece = synthesize(cfg, paths, 7, 100).values
+        assert np.allclose(piece, whole[100:107], rtol=0, atol=1e-12)
+        with pytest.raises(ContractError, match="first_block"):
+            synthesize(cfg, paths, 7, -1)
+
+
+class TestTensorValidate:
+    # 50 x 64 entries per block: the finiteness check goes 20 blocks at a time
+    SHAPE = (45, 50, 64)
+
+    @pytest.mark.parametrize("block", [0, 19, 20, 22, 44])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)])
+    def test_non_finite_entry_rejected_in_any_block(self, block, bad):
+        values = np.zeros(self.SHAPE, dtype=complex)
+        values[block, 49, 63] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            ChannelTensor(values, "true").validate()
+        values[block, 49, 63] = 0.0
+        ChannelTensor(values, "true").validate()
+
+    def test_peak_memory_at_paper_size(self):
+        # the check's bool temporaries are bounded; the tensor's would be 5.45 MB
+        tensor = ChannelTensor(np.zeros((1704, 50, 64), dtype=complex), "true")
+        tracemalloc.start()
+        try:
+            tensor.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestTraceIO:

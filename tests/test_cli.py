@@ -162,17 +162,22 @@ class TestSubcommands:
 
     def test_file_chain_reproduces_prepare_link(self, tmp_path, micro_cfg_file, capsys):
         # generate and estimate each spell out the seed and stream tags that
-        # prepare_link uses; the files must carry its tensors bit for bit
+        # prepare_link uses; the estimated file must carry its estimate bit
+        # for bit, and the true file's label blocks its labels
         trace, est = str(tmp_path / "true.trace"), str(tmp_path / "est.trace")
         flags = ["--config", micro_cfg_file, "--seed", "3", "--snr-db", "7.5"]
         assert main(["generate", *flags, "--out", trace]) == EXIT_OK
         assert main(["estimate", *flags, "--trace", trace, "--out", est]) == EXIT_OK
         capsys.readouterr()
-        truth, want = prepare_link(parse_config(micro_cfg_file), 7.5, 3)
-        for path, tensor in ((trace, truth), (est, want)):
-            got = import_trace(path)
-            assert got.provenance == tensor.provenance
-            assert np.array_equal(got.values, tensor.values)
+        cfg = parse_config(micro_cfg_file)
+        labels, want = prepare_link(cfg, 7.5, 3)
+        got = import_trace(est)
+        assert got.provenance == want.provenance
+        assert np.array_equal(got.values, want.values)
+        truth = import_trace(trace)
+        assert truth.provenance == labels.provenance
+        first = cfg.n_gap + cfg.n0
+        assert np.array_equal(truth.values[first:first + cfg.n_te], labels.values)
 
     def test_correlate_row_count_and_determinism(self, tmp_path, micro_cfg_file):
         out1 = str(tmp_path / "corr1.csv")

@@ -18,7 +18,7 @@ from chanpred import (
     prepare_link,
     snr_sweep,
 )
-from chanpred.channel import PROVENANCES
+from chanpred.channel import PROVENANCES, SYNTH_CHUNK, draw_paths, synthesize
 from chanpred.cli import config_from_dict
 from chanpred.correlation import correlation_report
 from chanpred.datasets import (
@@ -80,38 +80,44 @@ class TestConfigValidation:
 class TestDegenerateEquivalences:
     def test_jl_equals_sl_for_single_subcarrier(self):
         cfg = micro_config(l=1, n_tr_prime=6)
-        truth, est = prepare_link(cfg, 10.0, seed=1)
-        a = evaluate_cell(truth, est, cfg, "sl", seed=1)
-        b = evaluate_cell(truth, est, cfg, "jl", seed=1)
+        labels, est = prepare_link(cfg, 10.0, seed=1)
+        a = evaluate_cell(labels, est, cfg, "sl", seed=1)
+        b = evaluate_cell(labels, est, cfg, "jl", seed=1)
         assert a.nmse == b.nmse
 
     def test_jldt_equals_sl_for_scalar_series(self):
         cfg = micro_config(l=1, n_tr_prime=6, m_h=1, m_v=1)
-        truth, est = prepare_link(cfg, 10.0, seed=2)
-        a = evaluate_cell(truth, est, cfg, "sl", seed=2)
-        b = evaluate_cell(truth, est, cfg, "jldt", seed=2)
+        labels, est = prepare_link(cfg, 10.0, seed=2)
+        a = evaluate_cell(labels, est, cfg, "sl", seed=2)
+        b = evaluate_cell(labels, est, cfg, "jldt", seed=2)
         assert a.nmse == pytest.approx(b.nmse, abs=1e-15)
+
+
+def _full_truth(cfg, seed):
+    """The whole true tensor of a cell's link, which prepare_link never holds."""
+    chan = cfg.channel.with_seed(seed)
+    return synthesize(chan, draw_paths(chan), cfg.required_blocks)
 
 
 class TestStaticChannel:
     def test_noise_free_static_channel_learned_exactly(self):
         # constant map is realizable: NMSE < 1e-4 with brief training
-        from chanpred.estimation import estimate_trace
-        from chanpred.channel import draw_paths, synthesize
         cfg = micro_config(l=2, n_tr_prime=5,
                            channel={"n_paths": 1, "speed": 0.0, "delay_spread": 0.0},
                            epochs=300, learning_rate=1e-2, n0=2)
-        chan = cfg.channel.with_seed(3)
-        truth = synthesize(chan, draw_paths(chan), cfg.required_blocks)
+        truth = _full_truth(cfg, 3)
         est = estimate_trace(truth, cfg.scheme(10.0), ZeroNoise())
-        cell = evaluate_cell(truth, est, cfg, "sl", seed=3)
+        first = cfg.n_gap + cfg.n0
+        labels = ChannelTensor(truth.values[first:first + cfg.n_te], "true")
+        cell = evaluate_cell(labels, est, cfg, "sl", seed=3)
         assert cell.nmse < 1e-4
 
 
 class TestJldtReconstruction:
     def test_true_labels_reconstruct_exactly(self):
         cfg = micro_config()
-        truth, _ = prepare_link(cfg, 10.0, seed=4)
+        truth = _full_truth(cfg, 4)
+        labels, _ = prepare_link(cfg, 10.0, seed=4)
         spec = cfg.dataset_spec(cfg.n_tr_prime)
         # windows cut from the truth itself: each test label is the true channel
         # of its row, so predicting the labels must rebuild the truth exactly
@@ -120,30 +126,106 @@ class TestJldtReconstruction:
         rebuilt = assemble_predictions([part], spec, truth.values.shape[1:])
         label_blocks = spec.n_gap + spec.n0 + np.arange(spec.n_te)
         assert np.array_equal(rebuilt.values, truth.values[label_blocks])
+        assert np.array_equal(rebuilt.values, labels.values)
         assert rebuilt.provenance == "predicted"
+
+
+class TestPrepareLink:
+    """prepare_link builds the link chunk by chunk; the bits are those of the whole."""
+
+    @pytest.mark.parametrize("blocks, n_te", [
+        (127, 4), (128, 4), (129, 4),                 # around a multiple of 64
+        (255, 4), (256, 4), (257, 4),                 # around a multiple of 256
+        (511, 4), (512, 4), (513, 4),
+        (300, 60), (600, 400)])                       # labels across chunk edges
+    def test_chunks_equal_whole_link(self, blocks, n_te):
+        n_gap = blocks - n_te - 3                     # required_blocks = n_gap + n_te + n0 + 1
+        cfg = micro_config(n0=2, n_te=n_te, n_gap=n_gap)
+        assert cfg.required_blocks == blocks
+        labels, est = prepare_link(cfg, 10.0, seed=11)
+        truth = _full_truth(cfg, 11)
+        want = estimate_trace(truth, cfg.scheme(10.0), stream(11, "pilot-noise"))
+        assert np.array_equal(est.values.view(np.uint64), want.values.view(np.uint64))
+        first = cfg.n_gap + cfg.n0
+        got_labels = truth.values[first:first + cfg.n_te]
+        assert np.array_equal(labels.values.view(np.uint64), got_labels.view(np.uint64))
+        assert (labels.provenance, est.provenance) == ("true", "estimated")
+
+    def test_peak_memory_holds_no_full_truth(self):
+        # paper-like L = 50, M = 64 over four synthesis chunks, three of them
+        # whole: beside its outputs prepare_link may hold one synthesis chunk
+        # of truth and estimate_trace's two buffers, Y (complex) and one part
+        # of Z (real), each (64, L, M, tau); the full truth alone is more.
+        # The slack covers lazy imports and the small arrays
+        cfg = ExperimentConfig(n0=3, n_tr_prime=1, n_te=20, n_gap=3 * SYNTH_CHUNK + 1 - 24,
+                               snr_db=(0.0,), seeds=(1,)).validate()
+        L, M, tau = cfg.channel.n_subcarriers, cfg.channel.n_antennas, cfg.tau
+        assert cfg.required_blocks == 3 * SYNTH_CHUNK + 1
+        tracemalloc.start()
+        try:
+            labels, est = prepare_link(cfg, 0.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        complex_bytes = 16
+        outputs = (cfg.required_blocks + cfg.n_te) * L * M * complex_bytes
+        chunk = SYNTH_CHUNK * L * M * complex_bytes
+        buffers = 64 * L * M * tau * (complex_bytes + 8)
+        assert peak < outputs + chunk + buffers + 2 * 2 ** 20   # 2 MB: lazy imports, small arrays
+        assert labels.values.shape == (cfg.n_te, L, M)
+        assert est.values.nbytes + labels.values.nbytes == outputs
+
+    def test_sweep_drops_each_link_before_the_next(self, monkeypatch):
+        # a long link and a tiny model, so a link left over from the first
+        # seed would show in the second seed's prepare_link peak
+        cfg = micro_config(n_gap=3000, epochs=1, hidden=(4,), approaches=("jl",), seeds=(1, 2))
+        link_bytes = (cfg.required_blocks + cfg.n_te) * 3 * 4 * 16
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            link = prepare_link(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return link
+
+        monkeypatch.setattr("chanpred.pipelines.prepare_link", traced)
+        tracemalloc.start()
+        try:
+            snr_sweep(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2
+        # slack for what the first cell leaves behind: its result and history
+        assert peaks[1] <= peaks[0] + link_bytes // 8
 
 
 class TestScore:
     def _perfect(self, seed):
         cfg = micro_config()
-        truth, est = prepare_link(cfg, 10.0, seed=seed)
-        spec = cfg.dataset_spec()
-        label = truth.values[spec.n_gap + spec.n0 + np.arange(spec.n_te)]
-        pred = ChannelTensor(label, "predicted")
-        assert score(pred, truth, spec) == 0.0
-        return pred, truth, est, spec
+        labels, est = prepare_link(cfg, 10.0, seed=seed)
+        pred = ChannelTensor(labels.values.copy(), "predicted")
+        assert score(pred, labels) == 0.0
+        return pred, labels, est
 
     def test_estimate_is_not_truth(self):
-        pred, _, est, spec = self._perfect(7)
+        pred, _, est = self._perfect(7)
         with pytest.raises(ContractError, match="provenance"):
-            score(pred, est, spec)
+            score(pred, est)
 
     @pytest.mark.parametrize("missing", [1, 3])
     def test_short_truth_rejected(self, missing):
-        pred, truth, _, spec = self._perfect(8)
-        short = ChannelTensor(truth.values[:spec.min_blocks - missing], "true")
-        with pytest.raises(ContractError, match="blocks"):
-            score(pred, short, spec)
+        pred, labels, _ = self._perfect(8)
+        short = ChannelTensor(labels.values[:pred.n_blocks - missing], "true")
+        with pytest.raises(ContractError, match="too short"):
+            score(pred, short)
+
+    def test_shape_mismatch_rejected(self):
+        pred, labels, _ = self._perfect(9)
+        longer = ChannelTensor(np.concatenate([labels.values, labels.values[:1]]), "true")
+        narrower = ChannelTensor(labels.values[:, :, 1:], "true")
+        for bad in (longer, narrower):
+            with pytest.raises(ContractError, match="shape"):
+                score(pred, bad)
 
     @settings(max_examples=60, deadline=None)
     @given(n_te=st.integers(1, 12), l=st.integers(1, 9), m=st.integers(1, 40),
@@ -157,17 +239,16 @@ class TestScore:
         pred = random_tensor(seed + 1, n=n_te, l=l, m=m, provenance="predicted")
         label = truth.values[spec.n_gap + spec.n0 + np.arange(n_te)]
         rows = [v.transpose(1, 0, 2).reshape(-1, m) for v in (pred.values, label)]
-        assert score(pred, truth, spec) == nmse(*rows)
+        assert score(pred, ChannelTensor(label, "true")) == nmse(*rows)
 
     def test_peak_memory_below_one_prediction(self):
-        # paper-like (n_te, L, M): the labels are a view and the norms go
-        # subcarrier by subcarrier, so no transient reaches a tensor's size
-        spec = DatasetSpec(n0=3, n_tr=1, n_te=200, n_gap=4)
-        truth = random_tensor(0, n=spec.min_blocks, l=50, m=64)
-        pred = random_tensor(1, n=spec.n_te, l=50, m=64, provenance="predicted")
+        # paper-like (n_te, L, M): the norms go subcarrier by subcarrier, so
+        # no transient reaches a tensor's size
+        labels = random_tensor(0, n=200, l=50, m=64)
+        pred = random_tensor(1, n=200, l=50, m=64, provenance="predicted")
         tracemalloc.start()
         try:
-            score(pred, truth, spec)
+            score(pred, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,11 +266,11 @@ def _require_consumer(name):
         return "estimated", spec.min_blocks, lambda t: build(t, spec)
     if name == "score":
         pred = random_tensor(2, n=spec.n_te, provenance="predicted")
-        return "true", spec.min_blocks, lambda t: score(pred, t, spec)
+        return "true", spec.n_te, lambda t: score(pred, t)
     if name == "persistence_nmse":
         cfg = micro_config(l=3, m_h=2, m_v=2, n_tr_prime=1)
-        truth = random_tensor(3, n=cfg.required_blocks)
-        return "estimated", cfg.required_blocks, lambda t: persistence_nmse(truth, t, cfg)
+        labels = random_tensor(3, n=cfg.n_te)
+        return "estimated", cfg.required_blocks, lambda t: persistence_nmse(labels, t, cfg)
     if name == "estimate_trace":
         scheme = PilotScheme.dft(4, 1, 10.0)
         return "true", 1, lambda t: estimate_trace(t, scheme, stream(0, "noise"))
@@ -215,21 +296,21 @@ class TestTensorPreconditions:
 class TestScaleInvariance:
     def test_global_rescaling_leaves_nmse(self):
         cfg = micro_config()
-        truth, est = prepare_link(cfg, 10.0, seed=5)
-        scaled_truth = dataclasses.replace(truth, values=4.0 * truth.values)
+        labels, est = prepare_link(cfg, 10.0, seed=5)
+        scaled_labels = dataclasses.replace(labels, values=4.0 * labels.values)
         scaled_est = dataclasses.replace(est, values=4.0 * est.values)
         for approach in ("sl", "jl", "jldt"):
-            a = evaluate_cell(truth, est, cfg, approach, seed=5)
-            b = evaluate_cell(scaled_truth, scaled_est, cfg, approach, seed=5)
+            a = evaluate_cell(labels, est, cfg, approach, seed=5)
+            b = evaluate_cell(scaled_labels, scaled_est, cfg, approach, seed=5)
             assert abs(a.nmse - b.nmse) < 1e-12
 
 
 class TestFairnessAndDeterminism:
     def test_prepared_links_byte_identical(self):
         cfg = micro_config()
-        t1, e1 = prepare_link(cfg, 10.0, seed=6)
-        t2, e2 = prepare_link(cfg, 10.0, seed=6)
-        assert np.array_equal(t1.values, t2.values)
+        l1, e1 = prepare_link(cfg, 10.0, seed=6)
+        l2, e2 = prepare_link(cfg, 10.0, seed=6)
+        assert np.array_equal(l1.values, l2.values)
         assert np.array_equal(e1.values, e2.values)
 
     def test_report_determinism(self):
@@ -242,9 +323,13 @@ class TestFairnessAndDeterminism:
 
     def test_trace_shared_across_snrs(self):
         cfg = micro_config(snr_db=(0.0, 10.0))
-        ta, _ = prepare_link(cfg, 0.0, seed=7)
-        tb, _ = prepare_link(cfg, 10.0, seed=7)
-        assert np.array_equal(ta.values, tb.values)
+        la, ea = prepare_link(cfg, 0.0, seed=7)
+        lb, eb = prepare_link(cfg, 10.0, seed=7)
+        assert np.array_equal(la.values, lb.values)
+        # the noise is shared too: only its scale 1/sqrt(rho) differs
+        truth = _full_truth(cfg, 7).values
+        ratio = np.sqrt(cfg.scheme(10.0).snr / cfg.scheme(0.0).snr)
+        assert np.allclose((ea.values - truth) / ratio, eb.values - truth, rtol=1e-9, atol=1e-12)
 
 
 class TestOverheadAccounting:
