@@ -172,24 +172,16 @@ def _echo_config(cfg: ExperimentConfig, seeds) -> None:
     print(f"seeds: {list(seeds)}")
 
 
-def _config_header(cfg: ExperimentConfig) -> list:
-    return [f"# config_hash: {config_hash(cfg)}",
-            f"# config: {canonical_json(cfg)}"]
-
-
 def _write_csv(path, cfg, header_cols, rows) -> None:
-    lines = _config_header(cfg)
-    lines.append(",".join(header_cols))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [f"# config_hash: {config_hash(cfg)}", f"# config: {canonical_json(cfg)}",
+             ",".join(header_cols)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
+    return format(value, ".10g") if isinstance(value, float) else str(value)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -232,7 +224,16 @@ def _effective_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _one_entry(args, *flags) -> None:
+    """A command that runs one seed or SNR rejects a flag that lists more."""
+    for flag in flags:
+        if len(getattr(args, flag) or ()) > 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} takes one entry for {args.command}, "
+                              f"got {getattr(args, flag)}")
+
+
 def _cmd_generate(args) -> int:
+    _one_entry(args, "seeds")
     cfg = _effective_config(args)
     seed = cfg.seeds[0]
     _echo_config(cfg, [seed])
@@ -258,6 +259,7 @@ def _cmd_import(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    _one_entry(args, "seeds", "snr_db")
     cfg = _effective_config(args)
     seed = cfg.seeds[0]
     _echo_config(cfg, [seed])
@@ -270,6 +272,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    _one_entry(args, "seeds")
     cfg = _effective_config(args)
     seed = cfg.seeds[0]
     _echo_config(cfg, [seed])
@@ -314,7 +317,7 @@ def _cmd_sweep(args) -> int:
         os.makedirs(args.save_models, exist_ok=True)
         for cell in report.cells:
             for series, model in cell.models.items():
-                name = f"{cell.approach}_snr{cell.snr_db:g}_seed{cell.seed}_series{series}.txt"
+                name = f"{cell.approach}_snr{cell.snr_db!r}_seed{cell.seed}_series{series}.txt"
                 save_model(model, os.path.join(args.save_models, name))
         print(f"saved models under: {args.save_models}")
     return EXIT_OK

@@ -135,15 +135,22 @@ def _datasets(est: ChannelTensor, domain: str, index: int | None, spec: DatasetS
 def assemble_predictions(parts, spec: DatasetSpec, shape: tuple) -> ChannelTensor:
     """Put predicted test rows back into an (n_te, L, M) subcarrier tensor.
 
-    `parts` holds (domain, series, predicted rows) per job, `series` as the
-    builders take it. The rows are in _windows' order, so they go back by
-    position. An entry that no job predicts stays NaN and fails validation.
+    `parts` holds (domain, series, real rows) per job, `series` as the
+    builders take it. The rows are label rows in _windows' order, so they go
+    back by position, their real and imaginary halves straight into the real
+    and imaginary parts. An entry that no job predicts stays NaN and fails
+    validation.
     """
     values = np.full((spec.n_te, *shape), np.nan, dtype=np.complex128)
-    for domain, series, preds in parts:
+    for domain, series, rows in parts:
         target = _columns(values, domain, series)   # a view: writes reach `values`
         n_te, n_cols, dim = target.shape
-        target[...] = preds.reshape(n_cols, n_te, dim).swapaxes(0, 1)
+        if rows.shape != (n_cols * n_te, 2 * dim):
+            raise ContractError(f"{domain} series {'all' if series is None else series}: "
+                                f"predicted rows {rows.shape} != ({n_cols * n_te}, {2 * dim})")
+        rows = rows.reshape(n_cols, n_te, 2 * dim).swapaxes(0, 1)
+        target.real[...] = rows[..., :dim]
+        target.imag[...] = rows[..., dim:]
     return ChannelTensor(values, PROVENANCE_PREDICTED).validate()
 
 

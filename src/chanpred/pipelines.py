@@ -42,7 +42,6 @@ from .datasets import (
     build_jldt,
     build_series_dataset,
     fit_scale,
-    real_to_complex,
 )
 from .errors import ConfigError, ContractError
 from .estimation import PilotScheme, estimate_trace
@@ -203,38 +202,6 @@ def persistence_nmse(labels: ChannelTensor, est: ChannelTensor,
     return score(ChannelTensor(newest, PROVENANCE_PREDICTED), labels)
 
 
-@dataclass(frozen=True)
-class TrainJob:
-    """One model to train: which series it sees and its random-stream tag.
-
-    `series` is one series index of `domain`, or None for all of them pooled;
-    `n_tr` is the training rows per series. `index` tags the init stream,
-    the shuffle seed and the job's entry in histories and models.
-    """
-
-    domain: str
-    series: int | None
-    n_tr: int
-    index: int
-
-    def datasets(self, est: ChannelTensor, spec: DatasetSpec):
-        """(train, test) windowed datasets of this job."""
-        if self.series is None:
-            build = build_jldt if self.domain == DOMAIN_ANTENNA else build_jl
-            return build(est, spec)
-        return build_series_dataset(est, (self.domain, self.series), spec)
-
-
-def train_jobs(cfg: ExperimentConfig, approach: str) -> list:
-    """sl and sl_small train one model per subcarrier; jl and jldt one pooled model."""
-    if approach in ("sl", "sl_small"):
-        n_tr = cfg.overhead_blocks(approach)
-        return [TrainJob(DOMAIN_SUBCARRIER, l, n_tr, l)
-                for l in range(cfg.channel.n_subcarriers)]
-    domain = DOMAIN_ANTENNA if approach == "jldt" else DOMAIN_SUBCARRIER
-    return [TrainJob(domain, None, cfg.n_tr_prime, 0)]
-
-
 @dataclass
 class CellResult:
     """One (approach, SNR, seed) evaluation."""
@@ -247,37 +214,43 @@ class CellResult:
     models: dict = field(default_factory=dict)      # job index -> MlpModel (opt-in)
 
 
-def _train_predict(train_ds, test_ds, cfg, init_stream, shuffle_seed):
-    # the datasets are the job's own, so they are scaled in place
-    scale = fit_scale(train_ds)
-    for a in (train_ds.features, train_ds.labels, test_ds.features):
-        a /= scale
-    dims = (train_ds.features.shape[1], *cfg.hidden, train_ds.labels.shape[1])
-    model = init_mlp(dims, init_stream)
-    model, history = train(model, (train_ds.features, train_ds.labels),
-                           TrainConfig(cfg.batch_size, cfg.epochs, cfg.learning_rate,
-                                       shuffle_seed))
-    preds = predict(model, test_ds.features)
-    preds *= scale
-    return real_to_complex(preds), model, history
-
-
 def evaluate_cell(labels: ChannelTensor, est: ChannelTensor, cfg: ExperimentConfig,
                   approach: str, seed: int, collect_models: bool = False) -> CellResult:
-    """Train and score one approach on a link from prepare_link."""
+    """Train and score one approach on a link from prepare_link.
+
+    jldt windows the antenna domain, the others the subcarrier domain. jl and
+    jldt pool every series into one model, job 0; sl and sl_small train job l
+    on subcarrier l alone. Job k's tag k names its init stream, its shuffle
+    seed and its entry in the histories and models. A job scales its own
+    windows and predictions in place.
+    """
     if approach not in APPROACHES:
         raise ConfigError(f"unknown approach {approach!r}")
+    domain = DOMAIN_ANTENNA if approach == "jldt" else DOMAIN_SUBCARRIER
+    pooled = approach in ("jl", "jldt")
+    spec = cfg.dataset_spec(cfg.overhead_blocks(approach))
     result = CellResult(approach, float("nan"), seed, float("nan"))
     parts = []
-    for job in train_jobs(cfg, approach):
-        train_ds, test_ds = job.datasets(est, cfg.dataset_spec(job.n_tr))
-        preds, model, history = _train_predict(train_ds, test_ds, cfg,
-                                               stream(seed, "mlp-init", job.index),
-                                               derive_seed(seed, "shuffle", job.index))
-        parts.append((job.domain, job.series, preds))
-        result.histories[job.index] = history
+    for k in range(1 if pooled else cfg.channel.n_subcarriers):
+        if pooled:
+            train_ds, test_ds = (build_jldt if approach == "jldt" else build_jl)(est, spec)
+        else:
+            train_ds, test_ds = build_series_dataset(est, (domain, k), spec)
+        scale = fit_scale(train_ds)
+        for a in (train_ds.features, train_ds.labels, test_ds.features):
+            a /= scale
+        dims = (train_ds.features.shape[1], *cfg.hidden, train_ds.labels.shape[1])
+        model, history = train(init_mlp(dims, stream(seed, "mlp-init", k)),
+                               (train_ds.features, train_ds.labels),
+                               TrainConfig(cfg.batch_size, cfg.epochs, cfg.learning_rate,
+                                           derive_seed(seed, "shuffle", k)))
+        rows = predict(model, test_ds.features)
+        rows *= scale
+        parts.append((domain, None if pooled else k, rows))
+        result.histories[k] = history
         if collect_models:
-            result.models[job.index] = model
+            result.models[k] = model
+    # assembled after the loop, so no job trains beside the (n_te, L, M) tensor
     result.nmse = score(assemble_predictions(parts, cfg.dataset_spec(), est.values.shape[1:]),
                         labels)
     return result
@@ -298,7 +271,6 @@ class NmseReport:
     """Seed-averaged NMSE per (approach, SNR), plus diagnostics."""
 
     entries: list
-    seeds: tuple
     persistence: dict                 # snr_db -> seed-averaged persistence NMSE
     runtime_seconds: float = 0.0
     cells: list = field(default_factory=list)  # per-(approach, snr, seed) CellResult
@@ -349,5 +321,5 @@ def snr_sweep(cfg: ExperimentConfig, collect_models: bool = False) -> NmseReport
             entries.append(NmseEntry(approach, float(snr), mean,
                                      10.0 * float(np.log10(mean)),
                                      cfg.overhead_blocks(approach), len(cfg.seeds)))
-    return NmseReport(entries, cfg.seeds, persistence,
+    return NmseReport(entries, persistence,
                       time.perf_counter() - started, cells)

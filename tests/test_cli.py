@@ -246,6 +246,18 @@ class TestSubcommands:
         model = load_model(files[0])
         assert model.dims[0] == 2 * MICRO["n0"] * 4  # 2*n0*M
 
+    def test_save_models_names_checkpoints_by_exact_snr(self, tmp_path, micro_cfg_file):
+        # two SNRs that print alike under :g train two models; both are kept
+        outdir = tmp_path / "models"
+        assert main(["run", "--config", micro_cfg_file, "--approach", "jl",
+                     "--snr-db", "10,10.0000001", "--save-models", str(outdir)]) == EXIT_OK
+        files = sorted(outdir.glob("*.txt"))
+        assert [f.name for f in files] == ["jl_snr10.0000001_seed1_series0.txt",
+                                           "jl_snr10.0_seed1_series0.txt"]
+        from chanpred import load_model
+        a, b = (load_model(f) for f in files)
+        assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
+
     def test_emit_config_round_trip(self, tmp_path, micro_cfg_file):
         emitted = str(tmp_path / "effective.json")
         trace = str(tmp_path / "t.trace")
@@ -289,6 +301,34 @@ class TestSubcommands:
         code = main(["generate", "--preset", "desk", *flags, "--out", str(trace)])
         assert code == EXIT_CONFIG if config_error else code != EXIT_OK
         assert not trace.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("generate", ["--seeds", "1,2"]),
+        ("correlate", ["--seeds", "3,4"]),
+        ("estimate", ["--seeds", "1,2"]),
+        ("estimate", ["--snr-db", "5,10"]),
+    ])
+    def test_single_run_commands_reject_extra_entries(self, tmp_path, micro_cfg_file, capsys,
+                                                      command, flags):
+        # each command runs one seed (and estimate one SNR): a longer list
+        # given as a flag is an error, not silently cut to its first entry
+        trace = str(tmp_path / "t.trace")
+        assert main(["generate", "--config", micro_cfg_file, "--blocks", "25",
+                     "--out", trace]) == EXIT_OK
+        out = tmp_path / "out"
+        extra = ["--trace", trace] if command == "estimate" else []
+        capsys.readouterr()
+        code = main([command, "--config", micro_cfg_file, *flags, *extra, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preset_lists_keep_their_first_entry(self, tmp_path):
+        # the preset's seeds are [1, 2, 3]; a single-run command takes seed 1
+        trace = tmp_path / "t.trace"
+        assert main(["generate", "--preset", "desk", "--blocks", "5",
+                     "--out", str(trace)]) == EXIT_OK
+        assert trace.exists()
 
     def test_seed_and_seeds_are_exclusive(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"

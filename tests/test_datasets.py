@@ -302,12 +302,12 @@ class TestWindowsProperty:
 
 
 def _perfect_part(est, domain, series, spec):
-    """(domain, series, rows) of one job whose predictions are its test labels."""
+    """(domain, series, real rows) of one job whose predictions are its test labels."""
     if series is None:
         _, test = (build_jl if domain == "subcarrier" else build_jldt)(est, spec)
     else:
         _, test = build_series_dataset(est, (domain, series), spec)
-    return domain, series, real_to_complex(test.labels)
+    return domain, series, test.labels
 
 
 class TestAssemblePredictions:
@@ -342,3 +342,15 @@ class TestAssemblePredictions:
         parts = [_perfect_part(est, "subcarrier", l, self.SPEC) for l in (0, 2)]
         with pytest.raises(ContractError, match="non-finite"):
             assemble_predictions(parts, self.SPEC, est.values.shape[1:])
+
+    @pytest.mark.parametrize("domain, series, name", [
+        ("subcarrier", 1, "subcarrier series 1"), ("antenna", None, "antenna series all")])
+    @pytest.mark.parametrize("cut", ["row", "column", "reshaped"])
+    def test_mis_sized_part_rejected_by_name(self, domain, series, name, cut):
+        # "reshaped" holds the right number of entries in the wrong shape
+        est = _numbered(self.SPEC.min_blocks, l=3, m=2)
+        domain, series, rows = _perfect_part(est, domain, series, self.SPEC)
+        rows = {"row": rows[:-1], "column": rows[:, :-2],
+                "reshaped": rows.reshape(2 * rows.shape[0], -1)}[cut]
+        with pytest.raises(ContractError, match=name):
+            assemble_predictions([(domain, series, rows)], self.SPEC, est.values.shape[1:])

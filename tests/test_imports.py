@@ -1,11 +1,15 @@
-"""Tooling: no module in src/ or tests/ imports a name it never uses.
+"""Tooling: no module in src/ or tests/ imports a name it never uses, and no
+private helper in src/ is left without a caller.
 
-The repository configures no linter, so this is an AST scan: every name an
-import statement binds must be read somewhere in the module. A package's
-__init__.py imports to re-export, so it is exempt.
+The repository configures no linter, so these are AST scans. Every name an
+import statement binds must be read somewhere in the module; a package's
+__init__.py imports to re-export, so it is exempt. Every module-level private
+name (`_x`) that src/ defines must be read somewhere in src/ outside its own
+definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,46 @@ def test_scan_reads_names_in_annotations_and_attributes():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _reads(node) -> Counter:
+    """How often each name is read under `node`: loads, attributes and imports."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            reads[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            reads.update(alias.name for alias in sub.names)
+    return reads
+
+
+def _defined(node) -> list:
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def orphaned_private_names(sources: dict) -> list:
+    """(module, name) of each module-level `_x` that no other code in `sources` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return sorted((module, name) for module, tree in trees.items() for node in tree.body
+                  for name in _defined(node)
+                  if name.startswith("_") and not name.startswith("__")
+                  and reads[name] == _reads(node)[name])
+
+
+def test_orphan_scan_finds_an_unread_private_name():
+    sources = {"a": "_used = 1\n_unused = 2\ndef _self(n):\n    return _self(n - 1)\n"
+                    "class _Kept:\n    pass\n__all__ = []\n",
+               "b": "from a import _Kept\nprint(_used)\n"}
+    assert orphaned_private_names(sources) == [("a", "_self"), ("a", "_unused")]
+
+
+def test_no_orphaned_private_names_in_src():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in (ROOT / "src").rglob("*.py")}
+    assert orphaned_private_names(sources) == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chanpred import (
+    APPROACHES,
     ChannelConfig,
     ChannelTensor,
     ConfigError,
@@ -26,11 +27,12 @@ from chanpred.datasets import (
     build_jl,
     build_jldt,
     build_series_dataset,
-    real_to_complex,
+    fit_scale,
 )
 from chanpred.estimation import PilotScheme, estimate_trace
+from chanpred.mlp import TrainConfig, init_mlp, train
 from chanpred.pipelines import assemble_predictions, evaluate_cell, score
-from chanpred.rng import stream
+from chanpred.rng import derive_seed, stream
 from conftest import ZeroNoise, random_tensor
 
 
@@ -93,6 +95,32 @@ class TestDegenerateEquivalences:
         assert a.nmse == pytest.approx(b.nmse, abs=1e-15)
 
 
+class TestJobTags:
+    @pytest.mark.parametrize("approach", APPROACHES)
+    def test_each_history_is_its_job_trained_directly(self, approach):
+        # job k: the windows of its builder, init stream ("mlp-init", k) and
+        # shuffle seed ("shuffle", k); per-subcarrier jobs are tagged by
+        # subcarrier, a pooled job by 0
+        cfg = micro_config(l=3, epochs=8)
+        labels, est = prepare_link(cfg, 10.0, seed=5)
+        cell = evaluate_cell(labels, est, cfg, approach, seed=5)
+        spec = cfg.dataset_spec(cfg.overhead_blocks(approach))
+        per_subcarrier = approach in ("sl", "sl_small")
+        assert set(cell.histories) == ({0, 1, 2} if per_subcarrier else {0})
+        for k in cell.histories:
+            if per_subcarrier:
+                ds, _ = build_series_dataset(est, ("subcarrier", k), spec)
+            else:
+                ds, _ = (build_jldt if approach == "jldt" else build_jl)(est, spec)
+            scale = fit_scale(ds)
+            x, y = ds.features / scale, ds.labels / scale
+            model = init_mlp((x.shape[1], *cfg.hidden, y.shape[1]), stream(5, "mlp-init", k))
+            _, history = train(model, (x, y), TrainConfig(cfg.batch_size, cfg.epochs,
+                                                          cfg.learning_rate,
+                                                          derive_seed(5, "shuffle", k)))
+            assert history == cell.histories[k]
+
+
 def _full_truth(cfg, seed):
     """The whole true tensor of a cell's link, which prepare_link never holds."""
     chan = cfg.channel.with_seed(seed)
@@ -122,7 +150,7 @@ class TestJldtReconstruction:
         # windows cut from the truth itself: each test label is the true channel
         # of its row, so predicting the labels must rebuild the truth exactly
         _, test_ds = build_jldt(ChannelTensor(truth.values, "estimated"), spec)
-        part = ("antenna", None, real_to_complex(test_ds.labels))
+        part = ("antenna", None, test_ds.labels)
         rebuilt = assemble_predictions([part], spec, truth.values.shape[1:])
         label_blocks = spec.n_gap + spec.n0 + np.arange(spec.n_te)
         assert np.array_equal(rebuilt.values, truth.values[label_blocks])
