@@ -19,36 +19,48 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-@dataclass
+def _n_parameters(dims: tuple) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+
+
+def _layer_views(vec: np.ndarray, dims: tuple) -> tuple:
+    """Tuples of per-layer (weights, biases) views of a vector laid out as MlpModel.params."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        stop = start + fan_out * fan_in
+        weights.append(vec[start:stop].reshape(fan_out, fan_in))
+        biases.append(vec[stop:stop + fan_out])
+        start = stop + fan_out
+    return tuple(weights), tuple(biases)
+
+
 class MlpModel:
-    """Layer weights (out x in) and biases."""
+    """Layer dims and every parameter in one flat float64 vector `params`.
 
-    weights: list
-    biases: list
+    `params` is laid out as a checkpoint lists it: w0, b0, w1, b1, ..., each
+    weight (out x in) row-major. `weights` and `biases` are tuples of views
+    into it, so a write to either is a write to `params`.
+    """
 
-    @property
-    def dims(self) -> tuple:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+    def __init__(self, dims, params: np.ndarray):
+        self.dims = tuple(int(d) for d in dims)
+        if len(self.dims) < 2 or min(self.dims) < 1:
+            raise ContractError(f"need at least two dims, each >= 1, got {self.dims}")
+        count = _n_parameters(self.dims)
+        # one unit-stride block: the views, ADAM's slices and BLAS all read it as is
+        if not (isinstance(params, np.ndarray) and params.dtype == np.float64
+                and params.shape == (count,) and params.flags.c_contiguous):
+            raise ContractError(f"params must be a C-contiguous float64 vector of the {count} "
+                                f"parameters of dims {self.dims}")
+        self.params = params
+        self.weights, self.biases = _layer_views(params, self.dims)
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.dims) - 1
 
     def n_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def validate(self) -> "MlpModel":
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ContractError("model needs matching, non-empty weight/bias lists")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.shape != (w.shape[0],):
-                raise ContractError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
-                raise ContractError(f"layer {i}: input dim {w.shape[1]} does not match "
-                                    f"previous output {self.weights[i - 1].shape[0]}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ContractError(f"layer {i}: non-finite parameters")
-        return self
+        return self.params.size
 
 
 def init_mlp(dims, rng: np.random.Generator | int) -> MlpModel:
@@ -59,21 +71,21 @@ def init_mlp(dims, rng: np.random.Generator | int) -> MlpModel:
     the seed of the "mlp-init" stream.
     """
     dims = tuple(int(d) for d in dims)
-    if len(dims) < 2:
-        raise ConfigError(f"need at least input and output dims, got {dims}")
-    if any(d < 1 for d in dims):
-        raise ConfigError(f"all layer dims must be >= 1, got {dims}")
+    if len(dims) < 2 or min(dims) < 1:
+        raise ConfigError(f"need at least two dims, each >= 1, got {dims}")
     if isinstance(rng, (int, np.integer)):
         rng = stream(int(rng), "mlp-init")
 
-    weights, biases = [], []
+    model = MlpModel(dims, np.zeros(_n_parameters(dims)))
     last = len(dims) - 2
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    for i, w in enumerate(model.weights):
+        fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / fan_in) if i < last else np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(weights, biases).validate()
+        # uniform(-limit, limit) computed in place as -limit + 2 limit u: the same bits
+        rng.random(out=w)
+        w *= 2.0 * limit
+        w -= limit
+    return model
 
 
 def _forward(model: MlpModel, x: np.ndarray, outs=None) -> np.ndarray:
@@ -154,7 +166,8 @@ class _Workspace:
 
     Holds the gathered batch, each layer's output, each layer's delta (the
     last one starts as the output error), the hidden layers' ReLU masks and
-    the gradients. A batch of r rows uses the C-contiguous prefixes [:r].
+    `grad`, laid out as the model's params, with per-layer views `grad_w` and
+    `grad_b`. A batch of r rows uses the C-contiguous prefixes [:r].
     """
 
     def __init__(self, dims, rows: int):
@@ -165,17 +178,17 @@ class _Workspace:
         self.outputs = [np.empty((rows, d)) for d in widths]
         self.deltas = [np.empty((rows, d)) for d in widths]
         self.masks = [np.empty((rows, d), dtype=bool) for d in widths[:-1]]
-        self.grad_w = [np.empty((o, i)) for i, o in zip(self.dims, widths)]
-        self.grad_b = [np.empty(o) for o in widths]
+        self.grad = np.empty(_n_parameters(self.dims))
+        self.grad_w, self.grad_b = _layer_views(self.grad, self.dims)
 
 
 def backward(model: MlpModel, batch, work: _Workspace | None = None):
     """Exact gradients of loss_mse on `batch` = (features, labels).
 
-    Returns (grad_weights, grad_biases, loss). ReLU subgradient at 0 is 0.
-    Every intermediate and both gradient lists live in `work` (a fresh one
-    when None), so the returned gradients are `work`'s arrays: the next call
-    with the same `work` overwrites them.
+    Returns (grad, loss), `grad` laid out as the model's params. ReLU
+    subgradient at 0 is 0. Every intermediate and the gradient live in
+    `work` (a fresh one when None), so the returned `grad` is `work.grad`:
+    the next call with the same `work` overwrites it.
     """
     x, y = batch
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -204,7 +217,7 @@ def backward(model: MlpModel, batch, work: _Workspace | None = None):
             hidden = np.matmul(delta, model.weights[i], out=work.deltas[i - 1][:n])
             mask = np.greater(activations[i], 0.0, out=work.masks[i - 1][:n])
             delta = np.multiply(hidden, mask, out=hidden)
-    return work.grad_w, work.grad_b, loss
+    return work.grad, loss
 
 
 # Elements per ADAM block: the block's params, grad, m, v and two scratch
@@ -214,80 +227,58 @@ _ADAM_BLOCK = 2 ** 15
 
 @dataclass
 class AdamState:
-    """First/second moments per parameter, the step counter, and two flat
-    scratch arrays of one ADAM block that adam_step reuses."""
+    """First and second moments laid out as the model's params, the step
+    counter, and two scratch arrays of one ADAM block that adam_step reuses."""
 
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     learning_rate: float = 1e-3
     _scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        size = min(max((m.size for m in self.m_w + self.m_b), default=0), _ADAM_BLOCK)
+        size = min(self.m.size, _ADAM_BLOCK)
         self._scratch = (np.empty(size), np.empty(size))
 
     @classmethod
     def for_model(cls, model: MlpModel, learning_rate: float = 1e-3) -> "AdamState":
-        return cls(
-            m_w=[np.zeros_like(w) for w in model.weights],
-            v_w=[np.zeros_like(w) for w in model.weights],
-            m_b=[np.zeros_like(b) for b in model.biases],
-            v_b=[np.zeros_like(b) for b in model.biases],
-            learning_rate=learning_rate)
+        return cls(np.zeros_like(model.params), np.zeros_like(model.params),
+                   learning_rate=learning_rate)
 
 
-def adam_step(model: MlpModel, grads, state: AdamState):
+def adam_step(model: MlpModel, grad, state: AdamState):
     """One ADAM update with bias correction; mutates model and state in place.
 
     With b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON:
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
 
-    Each parameter is updated _ADAM_BLOCK elements at a time. Every product,
-    quotient and root is written into the state's scratch arrays, in the
-    order the formula above evaluates them, so the result is bit for bit that
-    of the plain expression. From step 356 on, 1-b1^t rounds to 1.0 and the
-    division by it, which changes no bit, is skipped. `grads` is only read.
+    model.params is updated _ADAM_BLOCK elements at a time from `grad`, which
+    is laid out like it and only read. Every product, quotient and root is
+    written into the state's scratch arrays, in the order the formula above
+    evaluates them, so the result is bit for bit that of the plain expression.
+    From step 356 on, 1-b1^t rounds to 1.0 and the division by it, which
+    changes no bit, is skipped.
     """
-    grad_w, grad_b = grads
-    if len(grad_w) != model.n_layers or len(grad_b) != model.n_layers:
-        raise ContractError("gradient list lengths do not match the model")
-    flat = []
-    for i in range(model.n_layers):
-        for name, params, grad, m, v in (
-            ("w", model.weights[i], grad_w[i], state.m_w[i], state.v_w[i]),
-            ("b", model.biases[i], grad_b[i], state.m_b[i], state.v_b[i]),
-        ):
-            if np.shape(grad) != params.shape:
-                raise ContractError(f"layer {i} {name}: gradient shape {np.shape(grad)} "
-                                    f"does not match parameter shape {params.shape}")
-            # the written arrays flatten to views or raise; the read-only grad may copy
-            try:
-                written = [a.reshape(-1, copy=False) for a in (params, m, v)]
-            except ValueError as exc:
-                raise ContractError(f"layer {i} {name}: parameters and moments must be "
-                                    f"C-contiguous") from exc
-            flat.append((*written, np.reshape(grad, -1)))
+    params = model.params
+    if np.shape(grad) != params.shape:
+        raise ContractError(f"gradient shape {np.shape(grad)} is not the params' ({params.size},)")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
     flat1, flat2 = state._scratch
-    for params, m, v, grad in flat:
-        for start in range(0, params.size, _ADAM_BLOCK):
-            block = slice(start, start + _ADAM_BLOCK)
-            p, g, mb, vb = params[block], grad[block], m[block], v[block]
-            s1, s2 = flat1[:p.size], flat2[:p.size]
-            mb *= ADAM_BETA1
-            mb += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
-            vb *= ADAM_BETA2
-            vb += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=s1), out=s1)
-            m_hat = mb if c1 == 1.0 else np.divide(mb, c1, out=s1)
-            np.multiply(state.learning_rate, m_hat, out=s1)
-            np.add(np.sqrt(np.divide(vb, c2, out=s2), out=s2), ADAM_EPSILON, out=s2)
-            p -= np.divide(s1, s2, out=s1)
+    for start in range(0, params.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        p, g, mb, vb = params[block], grad[block], state.m[block], state.v[block]
+        s1, s2 = flat1[:p.size], flat2[:p.size]
+        mb *= ADAM_BETA1
+        mb += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
+        vb *= ADAM_BETA2
+        vb += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=s1), out=s1)
+        m_hat = mb if c1 == 1.0 else np.divide(mb, c1, out=s1)
+        np.multiply(state.learning_rate, m_hat, out=s1)
+        np.add(np.sqrt(np.divide(vb, c2, out=s2), out=s2), ADAM_EPSILON, out=s2)
+        p -= np.divide(s1, s2, out=s1)
     return model, state
 
 
@@ -299,7 +290,7 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def validate(self) -> "TrainConfig":
-        if self.batch_size < 1 or self.epochs < 1 or self.learning_rate < 0:
+        if self.batch_size < 1 or self.epochs < 1 or not 0 <= self.learning_rate < np.inf:
             raise ConfigError(f"invalid training config {self}")
         return self
 
@@ -336,9 +327,9 @@ def train(model: MlpModel, dataset, cfg: TrainConfig):
             # mode="raise" would gather into a temporary; order holds only valid rows
             batch = (np.take(x, idx, axis=0, out=work.x[:idx.size], mode="clip"),
                      np.take(y, idx, axis=0, out=work.y[:idx.size], mode="clip"))
-            grad_w, grad_b, loss = backward(model, batch, work)
+            grad, loss = backward(model, batch, work)
             batch_losses.append(loss)
-            adam_step(model, (grad_w, grad_b), state)
+            adam_step(model, grad, state)
         epoch_loss = float(np.mean(batch_losses))
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
@@ -356,7 +347,8 @@ _CKPT_ACTIVATION = "activation relu"   # hidden layers are always ReLU
 
 def save_model(model: MlpModel, path) -> None:
     """Write dims and parameters to a plain-text checkpoint (lossless)."""
-    model.validate()
+    if not np.all(np.isfinite(model.params)):
+        raise ContractError("cannot save a model with non-finite parameters")
     with open(path, "w") as f:
         f.write(_CKPT_MAGIC + "\n")
         f.write("dims " + " ".join(str(d) for d in model.dims) + "\n")
@@ -401,16 +393,15 @@ def load_model(path) -> MlpModel:
     if activation != _CKPT_ACTIVATION:
         raise TraceFormatError(f"line 3: expected {_CKPT_ACTIVATION!r}, got {activation!r}")
 
-    weights, biases = [], []
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    parts = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         cursor = 3 + 3 * i
         if cursor >= len(lines) or lines[cursor] != f"layer {i}":
             raise TraceFormatError(f"line {cursor + 1}: expected 'layer {i}'")
-        w = _parse_values(lines, cursor + 1, fan_out * fan_in, f"layer {i} weights")
-        weights.append(w.reshape(fan_out, fan_in))
-        biases.append(_parse_values(lines, cursor + 2, fan_out, f"layer {i} biases"))
-    end = 3 + 3 * len(weights)
+        parts.append(_parse_values(lines, cursor + 1, fan_out * fan_in, f"layer {i} weights"))
+        parts.append(_parse_values(lines, cursor + 2, fan_out, f"layer {i} biases"))
+    end = 3 + 3 * (len(dims) - 1)
     if len(lines) > end:
         raise TraceFormatError(f"line {end + 1}: unexpected content after the last layer")
-    return MlpModel(weights, biases).validate()
+    # every line is parsed before the vector is made, so a huge dims count fails on its line
+    return MlpModel(dims, np.concatenate(parts))

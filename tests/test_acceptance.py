@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from chanpred import (
     ChannelConfig,
@@ -28,7 +29,7 @@ from chanpred import (
 from chanpred.channel import DOMAIN_ANTENNA
 from chanpred.datasets import DatasetSpec, build_jl, build_jldt
 from chanpred.estimation import estimate_trace
-from chanpred.mlp import AdamState, MlpModel, backward
+from chanpred.mlp import AdamState, MlpModel, _layer_views, backward
 from chanpred.cli import main, parse_config
 from chanpred.rng import stream
 
@@ -100,8 +101,8 @@ def _grad_check_case(seed):
     return model, x, y
 
 
-def _check_gradient(model, batch, grads):
-    """Check `grads` = (grad_w, grad_b) against finite differences of loss_mse.
+def _check_gradient(model, batch, grad):
+    """Check the flat gradient `grad` against finite differences of loss_mse.
 
     A coordinate whose +-step evaluation flips any hidden ReLU mask sits on a
     kink, where the loss has no derivative; there `err` is how far the analytic
@@ -113,11 +114,12 @@ def _check_gradient(model, batch, grads):
     base = loss_mse(predict(model, x), y)
     base_masks = _hidden_masks(model, x)
     coords = []
+    grad_w, grad_b = _layer_views(grad, model.dims)
     for li in range(model.n_layers):
-        for param, arr, grad in (("w", model.weights[li], grads[0][li]),
-                                 ("b", model.biases[li], grads[1][li])):
+        for param, arr, layer_grad in (("w", model.weights[li], grad_w[li]),
+                                       ("b", model.biases[li], grad_b[li])):
             flat = arr.reshape(-1)
-            for idx, g in enumerate(grad.reshape(-1).tolist()):
+            for idx, g in enumerate(layer_grad.reshape(-1).tolist()):
                 orig = flat[idx]
                 flat[idx] = orig + GRAD_STEP
                 up = loss_mse(predict(model, x), y)
@@ -147,8 +149,8 @@ def test_criterion_2_gradient_checks():
     checked = []
     for seed in range(n_models):
         model, x, y = _grad_check_case(seed)
-        gw, gb, _ = backward(model, (x, y))
-        checked += [(seed, c) for c in _check_gradient(model, (x, y), (gw, gb))]
+        grad, _ = backward(model, (x, y))
+        checked += [(seed, c) for c in _check_gradient(model, (x, y), grad)]
     kinks = [c for _, c in checked if c.kink]
     worst_smooth = max(c.err for _, c in checked if not c.kink)
     violations = sum(c.err >= GRAD_BOUND for c in kinks)
@@ -164,16 +166,17 @@ def test_criterion_2_gradient_checks():
 def test_criterion_2_check_flags_corrupted_gradients():
     # the check must still catch a wrong gradient, off a kink and on one
     model, x, y = _grad_check_case(2)
-    gw, gb, _ = backward(model, (x, y))
-    coords = _check_gradient(model, (x, y), (gw, gb))
+    grad, _ = backward(model, (x, y))
+    coords = _check_gradient(model, (x, y), grad)
     assert all(c.err < GRAD_BOUND for c in coords)
     kink = next(c for c in coords if (c.layer, c.param, c.index) == (1, "b", 1))
     assert kink.kink and kink.analytic == 0.0
     smooth = max((c for c in coords if not c.kink), key=lambda c: abs(c.analytic))
     for target, value in ((smooth, smooth.analytic * 1.01), (kink, -1.0)):
-        grads = ([w.copy() for w in gw], [b.copy() for b in gb])
-        grads[target.param == "b"][target.layer].reshape(-1)[target.index] = value
-        flagged = [c for c in _check_gradient(model, (x, y), grads)
+        corrupted = grad.copy()
+        layer_grads = _layer_views(corrupted, model.dims)[target.param == "b"]
+        layer_grads[target.layer].reshape(-1)[target.index] = value
+        flagged = [c for c in _check_gradient(model, (x, y), corrupted)
                    if c.err >= GRAD_BOUND]
         assert [(c.layer, c.param, c.index, c.kink) for c in flagged] == \
             [(target.layer, target.param, target.index, target.kink)], \
@@ -183,11 +186,11 @@ def test_criterion_2_check_flags_corrupted_gradients():
 def test_criterion_3_adam_oracle():
     # 3-step scalar ADAM with constant gradient vs hand-stepped reference
     theta0, g, lr, b1, b2, eps = 0.3, 0.5, 1e-3, 0.9, 0.999, 1e-8
-    model = MlpModel([np.array([[theta0]])], [np.zeros(1)])
+    model = MlpModel((1, 1), np.array([theta0, 0.0]))
     state = AdamState.for_model(model, learning_rate=lr)
     observed = []
     for _ in range(3):
-        adam_step(model, ([np.array([[g]])], [np.zeros(1)]), state)
+        adam_step(model, np.array([g, 0.0]), state)
         observed.append(float(model.weights[0][0, 0]))
     theta, m, v = theta0, 0.0, 0.0
     expected = []
@@ -220,6 +223,7 @@ def test_criterion_4_correlation_regimes():
     _report(4, ok, f"{checks} ({elapsed:.1f} s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_ordering():
     # ordinal reproduction of the reported comparison at desk scale, >= 3
     # seeds, SNR 15 dB: jldt beats the matched-budget sl and jl; the tiny-

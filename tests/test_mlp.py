@@ -1,5 +1,6 @@
 """MLP internals against hand computations, finite differences, and closed forms."""
 
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -31,9 +32,18 @@ from chanpred.rng import stream
 from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line
 
 
-def _flat_params(model):
-    return np.concatenate([w.reshape(-1) for w in model.weights]
-                          + [b.reshape(-1) for b in model.biases])
+def _parameters(weights, biases):
+    """[w0, b0, w1, b1, ...]: one array per parameter, in the order of MlpModel.params."""
+    return [a for pair in zip(weights, biases) for a in pair]
+
+
+def _flat(arrays):
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
+def _model(weights, biases):
+    dims = (weights[0].shape[1],) + tuple(w.shape[0] for w in weights)
+    return MlpModel(dims, _flat(_parameters(weights, biases)))
 
 
 class TestInit:
@@ -66,22 +76,57 @@ class TestInit:
             init_mlp((4, 0, 2), 0)
 
 
+class TestLayout:
+    """MlpModel.params is the only storage; weights and biases are views of it."""
+
+    # dims (3, 4, 2): w0 (4 x 3), b0 (4), w1 (2 x 4), b1 (2) = 26 parameters
+    @pytest.mark.parametrize("params", [
+        np.zeros(25), np.zeros(27), np.zeros((1, 26)), np.zeros(26, dtype=np.float32),
+        np.zeros(2 * 26)[::2], list(np.zeros(26)),
+    ], ids=["short", "long", "2-d", "float32", "strided", "list"])
+    def test_params_must_be_a_contiguous_float64_vector(self, params):
+        with pytest.raises(ContractError, match=r"float64 vector of the 26 parameters"):
+            MlpModel((3, 4, 2), params)
+
+    def test_views_follow_the_checkpoint_order(self):
+        model = MlpModel((3, 4, 2), np.arange(26.0))
+        assert np.array_equal(model.weights[0], np.arange(12.0).reshape(4, 3))
+        assert np.array_equal(model.biases[0], np.arange(12.0, 16.0))
+        assert np.array_equal(model.weights[1], np.arange(16.0, 24.0).reshape(2, 4))
+        assert np.array_equal(model.biases[1], np.arange(24.0, 26.0))
+        model.weights[1][1, 3] = -1.0
+        assert model.params[23] == -1.0
+
+    def test_layers_cannot_be_rebound(self):
+        # rebinding a layer would detach it from params
+        model = init_mlp((3, 4, 2), 0)
+        with pytest.raises(TypeError):
+            model.weights[0] = np.zeros((4, 3))
+
+    def test_workspace_gradients_are_views_of_one_vector(self):
+        work = mlp._Workspace((3, 4, 2), 5)
+        work.grad[:] = np.arange(26.0)
+        assert np.array_equal(_flat(_parameters(work.grad_w, work.grad_b)), work.grad)
+        assert all(np.shares_memory(g, work.grad) for g in work.grad_w + work.grad_b)
+
+
 class TestForward:
     def test_zero_parameters_give_zero(self):
         model = init_mlp((3, 4, 2), 0)
-        for w in model.weights:
-            w[:] = 0.0
+        model.biases[1][:] = 1.0
+        model.params[:] = 0.0
+        assert all(not p.any() for p in model.weights + model.biases)
         assert np.array_equal(predict(model, np.ones(3)[None])[0], np.zeros(2))
 
     def test_single_layer_identity(self):
-        model = MlpModel([np.eye(3)], [np.zeros(3)])
+        model = _model([np.eye(3)], [np.zeros(3)])
         x = np.array([0.5, -1.0, 2.0])
         assert np.array_equal(predict(model, x[None])[0], x)
 
     def test_hand_built_2_2_1(self):
         # by hand: z1 = (-0.25, 1.05) -> relu (0, 1.05)
         #          out = 0.5*0 - 0.6*1.05 + 0.2 = -0.43
-        model = MlpModel(
+        model = _model(
             [np.array([[0.1, -0.2], [0.3, 0.4]]), np.array([[0.5, -0.6]])],
             [np.array([0.05, -0.05]), np.array([0.2])])
         out = predict(model, np.array([1.0, 2.0])[None])[0]
@@ -118,10 +163,9 @@ class TestBackward:
         model = init_mlp((3, 4, 2), 7)
         x = stream(1, "x").standard_normal((5, 3))
         y = predict(model, x)
-        gw, gb, loss = backward(model, (x, y))
+        grad, loss = backward(model, (x, y))
         assert loss == 0.0
-        for g in gw + gb:
-            assert np.allclose(g, 0.0)
+        assert np.allclose(grad, 0.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
@@ -130,21 +174,18 @@ class TestBackward:
         model = init_mlp(dims, seed)
         x = rng.standard_normal((4, dims[0]))
         y = rng.standard_normal((4, dims[-1]))
-        gw, gb, _ = backward(model, (x, y))
+        grad, _ = backward(model, (x, y))
         step = 1e-6
-        for li in range(model.n_layers):
-            for arr, grad in ((model.weights[li], gw[li]), (model.biases[li], gb[li])):
-                flat = arr.reshape(-1)
-                for idx in range(flat.size):
-                    orig = flat[idx]
-                    flat[idx] = orig + step
-                    up = loss_mse(predict(model, x), y)
-                    flat[idx] = orig - step
-                    down = loss_mse(predict(model, x), y)
-                    flat[idx] = orig
-                    fd = (up - down) / (2 * step)
-                    g = grad.reshape(-1)[idx]
-                    assert abs(g - fd) <= 1e-4 * max(abs(g), abs(fd), 1e-6)
+        params = model.params
+        for idx, g in enumerate(grad.tolist()):
+            orig = params[idx]
+            params[idx] = orig + step
+            up = loss_mse(predict(model, x), y)
+            params[idx] = orig - step
+            down = loss_mse(predict(model, x), y)
+            params[idx] = orig
+            fd = (up - down) / (2 * step)
+            assert abs(g - fd) <= 1e-4 * max(abs(g), abs(fd), 1e-6)
 
     def test_linear_network_closed_form(self):
         # no hidden layer: gradient of mean ||Wx+b-y||^2 is 2 E^T X / B
@@ -152,10 +193,10 @@ class TestBackward:
         x = rng.standard_normal((12, 5))
         y = rng.standard_normal((12, 2))
         model = init_mlp((5, 2), 3)
-        gw, gb, _ = backward(model, (x, y))
+        grad, _ = backward(model, (x, y))
         err = predict(model, x) - y
-        assert np.allclose(gw[0], 2.0 * err.T @ x / 12, atol=1e-12)
-        assert np.allclose(gb[0], 2.0 * err.sum(axis=0) / 12, atol=1e-12)
+        assert np.allclose(grad[:10].reshape(2, 5), 2.0 * err.T @ x / 12, atol=1e-12)
+        assert np.allclose(grad[10:], 2.0 * err.sum(axis=0) / 12, atol=1e-12)
 
     @pytest.mark.parametrize("seed, dims", [
         (0, (5, 2)),            # single layer
@@ -170,7 +211,7 @@ class TestBackward:
         model = init_mlp(dims, seed)
         x = rng.standard_normal((7, dims[0]))
         y = rng.standard_normal((7, dims[-1]))
-        assert backward(model, (x, y))[2] == loss_mse(predict(model, x), y)
+        assert backward(model, (x, y))[1] == loss_mse(predict(model, x), y)
 
     def test_labels_of_wrong_width_rejected(self):
         # (5, 1) labels would broadcast against a 2-output model's (5, 2) output
@@ -193,17 +234,18 @@ class TestBackward:
             backward(model, batch, mlp._Workspace(dims, rows))
 
     def test_gradients_live_in_the_workspace(self):
-        # the next call with the same workspace overwrites the returned gradients
+        # the next call with the same workspace overwrites the returned gradient
         model = init_mlp((3, 4, 2), 0)
         rng = stream(2, "work")
         first, second = [(rng.standard_normal((5, 3)), rng.standard_normal((5, 2))) for _ in "ab"]
         work = mlp._Workspace(model.dims, 8)
-        gw, gb, _ = backward(model, first, work)
-        kept = [g.copy() for g in gw + gb]
+        grad, _ = backward(model, first, work)
+        assert grad is work.grad
+        kept = grad.copy()
         backward(model, second, work)
         ref_w, ref_b, _ = _reference_backward(model, *second)
-        assert all(np.array_equal(g, r) for g, r in zip(gw + gb, ref_w + ref_b))
-        assert not all(np.array_equal(g, k) for g, k in zip(gw + gb, kept))
+        assert np.array_equal(grad, _flat(_parameters(ref_w, ref_b)))
+        assert not np.array_equal(grad, kept)
 
 
 def _scalar_reference_adam(theta, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -222,43 +264,26 @@ def _scalar_reference_adam(theta, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 
 class TestAdam:
     def _scalar_model(self, theta0=0.3):
-        return MlpModel([np.array([[theta0]])], [np.zeros(1)])
+        return MlpModel((1, 1), np.array([theta0, 0.0]))
 
-    @pytest.mark.parametrize("layer, name, shape, message", [
-        (0, "w", (3,), r"layer 0 w: gradient shape \(3,\) does not match parameter shape \(4, 3\)"),
-        (0, "b", (1,), r"layer 0 b: gradient shape \(1,\) does not match parameter shape \(4,\)"),
-        (1, "w", (4, 2), r"layer 1 w: gradient shape \(4, 2\) does not match parameter shape \(2, 4\)"),
-    ], ids=["w0-flat", "b0-one-entry", "w1-transposed"])
-    def test_gradient_of_wrong_shape_rejected(self, layer, name, shape, message):
-        # the first two would broadcast into every entry of their parameter
+    @pytest.mark.parametrize("shape", [(25,), (27,), (1,), (2, 13), (26, 1)],
+                             ids=["short", "long", "one-entry", "2-d", "column"])
+    def test_gradient_of_wrong_shape_rejected(self, shape):
+        # one entry would broadcast into every parameter
         model = init_mlp((3, 4, 2), 0)
-        before = _flat_params(model)
+        before = model.params.copy()
         state = AdamState.for_model(model)
-        gw = [np.ones_like(w) for w in model.weights]
-        gb = [np.ones_like(b) for b in model.biases]
-        (gw if name == "w" else gb)[layer] = np.ones(shape)
-        with pytest.raises(ContractError, match=message):
-            adam_step(model, (gw, gb), state)
-        assert np.array_equal(_flat_params(model), before)
-        assert state.t == 0
-
-    def test_parameters_that_do_not_flatten_to_a_view_rejected(self):
-        # an update written to a flattened copy would be lost
-        model = init_mlp((3, 4, 2), 0)
-        model.weights[1] = np.asfortranarray(model.weights[1])
-        before = _flat_params(model)
-        state = AdamState.for_model(model)
-        grads = ([np.ones_like(w) for w in model.weights], [np.ones_like(b) for b in model.biases])
-        with pytest.raises(ContractError, match="layer 1 w: .*C-contiguous"):
-            adam_step(model, grads, state)
-        assert np.array_equal(_flat_params(model), before)
+        with pytest.raises(ContractError, match=rf"gradient shape {re.escape(str(shape))} "
+                                                r"is not the params' \(26,\)"):
+            adam_step(model, np.ones(shape), state)
+        assert np.array_equal(model.params, before)
         assert state.t == 0
 
     def test_first_step_magnitude(self):
         # t=1 bias correction makes the update lr*g/(|g|+eps) ~ lr*(1-2e-8)
         model = self._scalar_model(0.0)
         state = AdamState.for_model(model, learning_rate=1e-3)
-        adam_step(model, ([np.array([[0.5]])], [np.zeros(1)]), state)
+        adam_step(model, np.array([0.5, 0.0]), state)
         update = -model.weights[0][0, 0]
         expected = 1e-3 * 0.5 / (0.5 + 1e-8)
         assert abs(update - expected) < 1e-15
@@ -266,12 +291,10 @@ class TestAdam:
 
     def test_zero_gradient_leaves_parameters(self):
         model = init_mlp((3, 4, 2), 0)
-        before = _flat_params(model)
+        before = model.params.copy()
         state = AdamState.for_model(model)
-        gw = [np.zeros_like(w) for w in model.weights]
-        gb = [np.zeros_like(b) for b in model.biases]
-        adam_step(model, (gw, gb), state)
-        assert np.array_equal(_flat_params(model), before)
+        adam_step(model, np.zeros_like(model.params), state)
+        assert np.array_equal(model.params, before)
 
     def test_three_step_trace_vs_reference(self):
         theta0, g = 0.3, 0.5
@@ -279,7 +302,7 @@ class TestAdam:
         state = AdamState.for_model(model, learning_rate=1e-3)
         observed = []
         for _ in range(3):
-            adam_step(model, ([np.array([[g]])], [np.zeros(1)]), state)
+            adam_step(model, np.array([g, 0.0]), state)
             observed.append(model.weights[0][0, 0])
         expected = _scalar_reference_adam(theta0, [g, g, g])
         for o, e in zip(observed, expected):
@@ -325,11 +348,27 @@ def _reference_adam_step(params, grads, moments, lr, t):
 
 
 def _random_grads(model, rng, step):
-    # magnitudes over seven decades; odd steps pass column-major weight gradients
+    """(flat gradient, its per-parameter pieces); odd steps pass the flat one strided."""
     def draw(shape):
+        # magnitudes over seven decades
         return rng.standard_normal(shape) * 10.0 ** int(rng.integers(-4, 3))
-    gw = [draw(w.shape[::-1]).T if step % 2 else draw(w.shape) for w in model.weights]
-    return gw, [draw(b.shape) for b in model.biases]
+    pieces = [draw(p.shape) for p in _parameters(model.weights, model.biases)]
+    flat = _flat(pieces)
+    if step % 2:
+        flat = np.repeat(flat, 2)[::2]
+    return flat, pieces
+
+
+def _reference_state(model):
+    """Per-parameter copies of the model and per-parameter zero moments."""
+    ref = [p.copy() for p in _parameters(model.weights, model.biases)]
+    return ref, [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+
+
+def _assert_matches_reference(model, state, ref, ref_moments):
+    assert np.array_equal(model.params, _flat(ref))
+    assert np.array_equal(state.m, _flat([m for m, _ in ref_moments]))
+    assert np.array_equal(state.v, _flat([v for _, v in ref_moments]))
 
 
 class TestBitIdentity:
@@ -341,21 +380,16 @@ class TestBitIdentity:
     @example(dims=[3, 1, 1, 2], seed=1)
     def test_adam_matches_plain_expression(self, dims, seed):
         model = init_mlp(dims, seed)
-        ref = [p.copy() for p in model.weights + model.biases]
-        ref_moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+        ref, ref_moments = _reference_state(model)
         state = AdamState.for_model(model, learning_rate=1e-2)
         rng = stream(seed, "adam-bits")
         for t in range(1, 26):
-            gw, gb = _random_grads(model, rng, t)
-            kept = [g.copy() for g in gw + gb]
-            adam_step(model, (gw, gb), state)
-            assert all(np.array_equal(g, k) for g, k in zip(gw + gb, kept))
-            _reference_adam_step(ref, gw + gb, ref_moments, 1e-2, t)
-        for got, want in zip(model.weights + model.biases, ref):
-            assert np.array_equal(got, want)
-        for m, v, (ref_m, ref_v) in zip(state.m_w + state.m_b, state.v_w + state.v_b,
-                                        ref_moments):
-            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+            grad, pieces = _random_grads(model, rng, t)
+            kept = grad.copy()
+            adam_step(model, grad, state)
+            assert np.array_equal(grad, kept)
+            _reference_adam_step(ref, pieces, ref_moments, 1e-2, t)
+        _assert_matches_reference(model, state, ref, ref_moments)
 
     @settings(max_examples=40, deadline=None)
     @given(dims=_DIMS, seed=st.integers(0, 2 ** 16), rows=st.integers(1, 9))
@@ -371,44 +405,40 @@ class TestBitIdentity:
         x_kept = x.copy()
         assert np.array_equal(predict(model, x), _reference_layers(model, x)[-1])
         assert np.array_equal(x, x_kept)
-        gw, gb, loss = backward(model, (x, y))
+        grad, loss = backward(model, (x, y))
         ref_w, ref_b, ref_loss = _reference_backward(model, x, y)
         assert loss == ref_loss
-        assert all(np.array_equal(g, r) for g, r in zip(gw + gb, ref_w + ref_b))
+        assert np.array_equal(grad, _flat(_parameters(ref_w, ref_b)))
         assert np.array_equal(x, x_kept)
 
     def test_adam_across_block_boundary(self):
-        # a weight of 2.3 (or 4.7) blocks: full blocks and a short last one
+        # 4.7 blocks: full blocks, then a short last one that holds the end of
+        # the weight and the whole bias
         model = init_mlp([300, 512], 4)
-        assert model.weights[0].size > _ADAM_BLOCK and model.weights[0].size % _ADAM_BLOCK
-        ref = [p.copy() for p in model.weights + model.biases]
-        ref_moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+        boundary = model.weights[0].size
+        assert boundary // _ADAM_BLOCK == model.params.size // _ADAM_BLOCK
+        assert boundary % _ADAM_BLOCK and model.params.size % _ADAM_BLOCK
+        ref, ref_moments = _reference_state(model)
         state = AdamState.for_model(model, learning_rate=1e-2)
         rng = stream(4, "adam-blocks")
         for t in range(1, 6):
-            gw, gb = _random_grads(model, rng, t)
-            adam_step(model, (gw, gb), state)
-            _reference_adam_step(ref, gw + gb, ref_moments, 1e-2, t)
-        for got, want in zip(model.weights + model.biases, ref):
-            assert np.array_equal(got, want)
+            grad, pieces = _random_grads(model, rng, t)
+            adam_step(model, grad, state)
+            _reference_adam_step(ref, pieces, ref_moments, 1e-2, t)
+        _assert_matches_reference(model, state, ref, ref_moments)
 
     def test_adam_past_unit_bias_correction(self):
         # 1 - b1^t rounds to 1.0 from step 356 on, where adam_step skips the division
         assert 1.0 - ADAM_BETA1 ** 355 < 1.0 == 1.0 - ADAM_BETA1 ** 356
         model = init_mlp([3, 4, 2], 6)
-        ref = [p.copy() for p in model.weights + model.biases]
-        ref_moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+        ref, ref_moments = _reference_state(model)
         state = AdamState.for_model(model, learning_rate=1e-2)
         rng = stream(6, "adam-late")
         for t in range(1, 401):
-            gw, gb = _random_grads(model, rng, t)
-            adam_step(model, (gw, gb), state)
-            _reference_adam_step(ref, gw + gb, ref_moments, 1e-2, t)
-        for got, want in zip(model.weights + model.biases, ref):
-            assert np.array_equal(got, want)
-        for m, v, (ref_m, ref_v) in zip(state.m_w + state.m_b, state.v_w + state.v_b,
-                                        ref_moments):
-            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+            grad, pieces = _random_grads(model, rng, t)
+            adam_step(model, grad, state)
+            _reference_adam_step(ref, pieces, ref_moments, 1e-2, t)
+        _assert_matches_reference(model, state, ref, ref_moments)
 
     @pytest.mark.parametrize("rows, batch_size", [(20, 8), (5, 64)],
                              ids=["short-last-batch", "rows-below-batch"])
@@ -420,7 +450,7 @@ class TestBitIdentity:
         model, history = train(init_mlp(dims, 1), (x, y), cfg)
 
         ref = init_mlp(dims, 1)
-        params = ref.weights + ref.biases
+        params = _parameters(ref.weights, ref.biases)
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         ref_history, t = [], 0
         for epoch in range(cfg.epochs):
@@ -431,11 +461,10 @@ class TestBitIdentity:
                 gw, gb, loss = _reference_backward(ref, x[idx], y[idx])
                 losses.append(loss)
                 t += 1
-                _reference_adam_step(params, gw + gb, moments, cfg.learning_rate, t)
+                _reference_adam_step(params, _parameters(gw, gb), moments, cfg.learning_rate, t)
             ref_history.append(float(np.mean(losses)))
         assert np.array_equal(history, ref_history)
-        for got, want in zip(model.weights + model.biases, params):
-            assert np.array_equal(got, want)
+        assert np.array_equal(model.params, ref.params)
 
     def test_two_states_do_not_share_scratch(self):
         # stepping two models of different shapes alternately changes neither
@@ -448,16 +477,16 @@ class TestBitIdentity:
         for d in dims:
             model = init_mlp(d, 0)
             state = AdamState.for_model(model)
-            for g in grads[d]:
-                adam_step(model, g, state)
-            alone[d] = _flat_params(model)
+            for grad, _ in grads[d]:
+                adam_step(model, grad, state)
+            alone[d] = model.params.copy()
         models = {d: init_mlp(d, 0) for d in dims}
         states = {d: AdamState.for_model(models[d]) for d in dims}
         for step in range(10):
             for d in dims:
-                adam_step(models[d], grads[d][step], states[d])
+                adam_step(models[d], grads[d][step][0], states[d])
         for d in dims:
-            assert np.array_equal(_flat_params(models[d]), alone[d])
+            assert np.array_equal(models[d].params, alone[d])
 
 
 _B = mlp._PREDICT_ROWS
@@ -507,9 +536,19 @@ class TestTrain:
     def test_zero_learning_rate_is_identity(self):
         x, y = self._toy()
         model = init_mlp((4, 8, 2), 1)
-        before = _flat_params(model)
+        before = model.params.copy()
         model, _ = train(model, (x, y), TrainConfig(8, 5, 0.0, 3))
-        assert np.array_equal(_flat_params(model), before)
+        assert np.array_equal(model.params, before)
+
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -1e-3])
+    def test_learning_rate_must_be_finite_and_non_negative(self, learning_rate):
+        # a NaN or infinite rate would train every parameter to NaN
+        x, y = self._toy(rows=8)
+        model = init_mlp((4, 8, 2), 1)
+        before = model.params.copy()
+        with pytest.raises(ConfigError, match="invalid training config"):
+            train(model, (x, y), TrainConfig(8, 1, learning_rate, 0))
+        assert np.array_equal(model.params, before)
 
     def test_deterministic(self):
         x, y = self._toy()
@@ -517,7 +556,7 @@ class TestTrain:
         for _ in range(2):
             model = init_mlp((4, 8, 2), 1)
             model, hist = train(model, (x, y), TrainConfig(8, 10, 1e-3, 3))
-            runs.append((hist, _flat_params(model)))
+            runs.append((hist, model.params.copy()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -544,10 +583,10 @@ class TestTrain:
     def test_labels_of_wrong_width_rejected_before_training(self):
         x, _ = self._toy(rows=5)
         model = init_mlp((4, 8, 2), 1)
-        before = _flat_params(model)
+        before = model.params.copy()
         with pytest.raises(ContractError, match=r"labels must be \(5, 2\)"):
             train(model, (x, np.zeros((5, 1))), TrainConfig(2, 3, 1e-3, 0))
-        assert np.array_equal(_flat_params(model), before)
+        assert np.array_equal(model.params, before)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
@@ -606,9 +645,14 @@ class TestCheckpoint:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.dims == model.dims
-        for a, b in zip(model.weights + model.biases,
-                        loaded.weights + loaded.biases):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.params, model.params)
+
+    def test_non_finite_model_not_saved(self, tmp_path):
+        model = init_mlp((2, 3, 1), 1)
+        model.params[4] = np.inf
+        with pytest.raises(ContractError, match="non-finite"):
+            save_model(model, tmp_path / "model.txt")
+        assert not (tmp_path / "model.txt").exists()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -637,6 +681,7 @@ class TestCheckpoint:
         (1, "dims 2 x", 2),
         (5, None, 6),                 # checkpoint ends before the biases
         (6, "layer 1", 7),            # content after the last layer
+        (1, "dims 2 100000000000", 5),  # a count no vector is allocated for
     ])
     def test_malformed_lines_name_the_line(self, tmp_path, index, text, bad_line):
         path = tmp_path / "model.txt"
@@ -657,13 +702,9 @@ class TestCheckpoint:
 @st.composite
 def _models(draw):
     dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        w = draw(st.lists(FINITE_DOUBLES, min_size=fan_in * fan_out, max_size=fan_in * fan_out))
-        weights.append(np.array(w, dtype=np.float64).reshape(fan_out, fan_in))
-        biases.append(np.array(draw(st.lists(FINITE_DOUBLES, min_size=fan_out, max_size=fan_out)),
-                               dtype=np.float64))
-    return MlpModel(weights, biases)
+    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    params = draw(st.lists(FINITE_DOUBLES, min_size=count, max_size=count))
+    return MlpModel(dims, np.array(params, dtype=np.float64))
 
 
 class TestCheckpointProperty:
@@ -675,9 +716,7 @@ class TestCheckpointProperty:
             save_model(model, path)
             loaded = load_model(path)
         assert loaded.dims == model.dims
-        for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
-            assert a.shape == b.shape
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.array_equal(loaded.params.view(np.uint64), model.params.view(np.uint64))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=2, max_size=4),
