@@ -4,6 +4,7 @@ from .channel import (
     ChannelConfig,
     ChannelTensor,
     PathSet,
+    SynthesizedLink,
     draw_paths,
     export_trace,
     import_trace,

@@ -295,6 +295,34 @@ def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int,
     return ChannelTensor(out, PROVENANCE_TRUE).validate()
 
 
+@dataclass(frozen=True)
+class SynthesizedLink:
+    """The true link of `n_blocks` blocks that `paths` make, never held whole.
+
+    ``chunks()`` synthesizes it one SYNTH_CHUNK piece at a time. Each piece
+    starts and ends on a chunk boundary (or at the link's end), so it is bit
+    for bit the same blocks as ``synthesize(config, paths, n_blocks)``.
+    """
+
+    config: ChannelConfig
+    paths: PathSet
+    n_blocks: int
+
+    @property
+    def n_subcarriers(self) -> int:
+        return self.config.n_subcarriers
+
+    @property
+    def n_antennas(self) -> int:
+        return self.config.n_antennas
+
+    def chunks(self):
+        """Yield (start, true tensor of blocks start+1 .. start+SYNTH_CHUNK) in order."""
+        for start in range(0, self.n_blocks, SYNTH_CHUNK):
+            yield start, synthesize(self.config, self.paths,
+                                    min(SYNTH_CHUNK, self.n_blocks - start), start)
+
+
 # ---------------------------------------------------------------------------
 # Trace file I/O (text; format documented in docs/trace_format.md)
 # ---------------------------------------------------------------------------

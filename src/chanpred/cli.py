@@ -19,7 +19,14 @@ import sys
 
 import numpy as np
 
-from .channel import ChannelConfig, draw_paths, export_trace, import_trace, synthesize
+from .channel import (
+    ChannelConfig,
+    SynthesizedLink,
+    draw_paths,
+    export_trace,
+    import_trace,
+    synthesize,
+)
 from .correlation import check_window, correlation_report
 from .errors import ChanpredError, ConfigError
 from .estimation import estimate_trace
@@ -278,11 +285,11 @@ def _cmd_correlate(args) -> int:
     _echo_config(cfg, [seed])
     check_window(args.max_shift, args.n_avg)
     if args.trace:
-        tensor = import_trace(args.trace)
+        source = import_trace(args.trace)
     else:
         chan = cfg.channel.with_seed(seed)
-        tensor = synthesize(chan, draw_paths(chan), args.n_avg + args.max_shift)
-    report = correlation_report(tensor, max_shift=args.max_shift, n_avg=args.n_avg)
+        source = SynthesizedLink(chan, draw_paths(chan), args.n_avg + args.max_shift)
+    report = correlation_report(source, max_shift=args.max_shift, n_avg=args.n_avg)
     _write_csv(args.out, cfg, ("shift", "domain", "auto_mag", "cross_mag"),
                report.rows())
     print(f"wrote correlation study: {args.out}")

@@ -263,6 +263,9 @@ def adam_step(model: MlpModel, grad, state: AdamState):
     params = model.params
     if np.shape(grad) != params.shape:
         raise ContractError(f"gradient shape {np.shape(grad)} is not the params' ({params.size},)")
+    if state.m.shape != params.shape or state.v.shape != params.shape:
+        raise ContractError(f"ADAM moments of shapes {state.m.shape} and {state.v.shape} are "
+                            f"not the params' ({params.size},)")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t

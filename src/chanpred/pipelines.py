@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
-    SYNTH_CHUNK,
     ChannelConfig,
     ChannelTensor,
     DOMAIN_ANTENNA,
@@ -32,8 +31,8 @@ from .channel import (
     PROVENANCE_ESTIMATED,
     PROVENANCE_PREDICTED,
     PROVENANCE_TRUE,
+    SynthesizedLink,
     draw_paths,
-    synthesize,
 )
 from .datasets import (
     DatasetSpec,
@@ -151,18 +150,16 @@ def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
     whole link at once.
     """
     chan_cfg = cfg.channel.with_seed(seed)
-    paths = draw_paths(chan_cfg)
+    link = SynthesizedLink(chan_cfg, draw_paths(chan_cfg), cfg.required_blocks)
     scheme = cfg.scheme(snr_db)
     noise = stream(seed, "pilot-noise")
-    n_blocks = cfg.required_blocks
     first = cfg.n_gap + cfg.n0
     last = first + cfg.n_te
     shape = (cfg.channel.n_subcarriers, cfg.channel.n_antennas)
-    est = np.empty((n_blocks, *shape), dtype=np.complex128)
+    est = np.empty((link.n_blocks, *shape), dtype=np.complex128)
     labels = np.empty((cfg.n_te, *shape), dtype=np.complex128)
-    for start in range(0, n_blocks, SYNTH_CHUNK):
-        stop = min(start + SYNTH_CHUNK, n_blocks)
-        truth = synthesize(chan_cfg, paths, stop - start, start)
+    for start, truth in link.chunks():
+        stop = start + truth.n_blocks
         estimate_trace(truth, scheme, noise, out=est[start:stop])
         lo, hi = max(start, first), min(stop, last)
         if lo < hi:

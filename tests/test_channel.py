@@ -22,7 +22,7 @@ from chanpred import (
     steering_vector,
     synthesize,
 )
-from chanpred.channel import SPEED_OF_LIGHT, SYNTH_CHUNK
+from chanpred.channel import SPEED_OF_LIGHT, SYNTH_CHUNK, SynthesizedLink
 from chanpred.rng import stream
 from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line, random_tensor
 
@@ -159,6 +159,21 @@ class TestSynthesize:
         assert np.allclose(piece, whole[100:107], rtol=0, atol=1e-12)
         with pytest.raises(ContractError, match="first_block"):
             synthesize(cfg, paths, 7, -1)
+
+
+class TestSynthesizedLink:
+    @pytest.mark.parametrize("blocks", [1, SYNTH_CHUNK - 1, SYNTH_CHUNK, 2 * SYNTH_CHUNK + 5])
+    def test_chunks_are_the_whole_link(self, blocks):
+        # pieces on chunk boundaries, in order, with the bits of one synthesis
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=23)
+        paths = draw_paths(cfg)
+        link = SynthesizedLink(cfg, paths, blocks)
+        assert (link.n_subcarriers, link.n_antennas) == (3, 2)
+        chunks = list(link.chunks())
+        assert [start for start, _ in chunks] == list(range(0, blocks, SYNTH_CHUNK))
+        assert all(piece.provenance == "true" for _, piece in chunks)
+        whole = synthesize(cfg, paths, blocks).values
+        assert np.array_equal(np.concatenate([piece.values for _, piece in chunks]), whole)
 
 
 class TestTensorValidate:

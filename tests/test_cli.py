@@ -1,6 +1,7 @@
 """CLI: config parsing, subcommand smoke tests, determinism, exit codes."""
 
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from chanpred import ConfigError, import_trace, prepare_link
+from chanpred.channel import SYNTH_CHUNK
 from chanpred.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -197,9 +199,12 @@ class TestSubcommands:
         cfg = tmp_path / "one_antenna.json"
         cfg.write_text(json.dumps({**MICRO, "m_h": 1, "m_v": 1}))
         out = tmp_path / "corr.csv"
-        assert main(["correlate", "--config", str(cfg), "--n-avg", "20",
-                     "--max-shift", "3", "--out", str(out)]) == EXIT_RUNTIME
+        # refused before any block of the link is made
+        with mock.patch("chanpred.channel.synthesize") as synth:
+            assert main(["correlate", "--config", str(cfg), "--n-avg", "20",
+                         "--max-shift", "3", "--out", str(out)]) == EXIT_RUNTIME
         assert "antenna domain has 1 series" in capsys.readouterr().err
+        synth.assert_not_called()
         assert not out.exists()  # no CSV, so no nan rows
 
     @pytest.mark.parametrize("window, name", [(["--n-avg", "-20", "--max-shift", "16"], "n_avg"),
@@ -207,12 +212,32 @@ class TestSubcommands:
                                               (["--n-avg", "0"], "n_avg")])
     def test_correlate_window_checked_before_synthesis(self, tmp_path, capsys, window, name):
         out = tmp_path / "corr.csv"
-        with mock.patch("chanpred.cli.synthesize") as synth:
+        # the study makes its link through channel.synthesize
+        with mock.patch("chanpred.channel.synthesize") as synth:
             code = main(["correlate", "--preset", "desk", *window, "--out", str(out)])
         assert code == EXIT_RUNTIME
         assert f"error: {name} must be" in capsys.readouterr().err
         synth.assert_not_called()
         assert not out.exists()
+
+    def test_correlate_memory_does_not_grow_with_n_avg(self, tmp_path):
+        # paper dims, L = 50 and M = 64: the study holds about one synthesis
+        # chunk and one FFT window of the link, whatever --n-avg is; the link
+        # of n_avg = 2000 alone is eight chunks
+        out = str(tmp_path / "corr.csv")
+        peaks = {}
+        for n_avg in (500, 2000):
+            tracemalloc.start()
+            try:
+                assert main(["correlate", "--preset", "paper", "--n-avg", str(n_avg),
+                             "--max-shift", "16", "--out", out]) == EXIT_OK
+                peaks[n_avg] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block = 50 * 64 * 16
+        window = 64 * block   # the FFT length at max_shift 16
+        assert peaks[2000] < peaks[500] + window
+        assert peaks[2000] < 3 * SYNTH_CHUNK * block
 
     def test_run_deterministic_outputs(self, tmp_path, micro_cfg_file):
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")

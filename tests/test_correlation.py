@@ -10,11 +10,13 @@ from chanpred import (
     ChannelConfig,
     ChannelTensor,
     ContractError,
+    SynthesizedLink,
     correlation_report,
     draw_paths,
     series_view,
     synthesize,
 )
+from chanpred.channel import SYNTH_CHUNK
 from chanpred.correlation import _fft_length
 from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.rng import stream
@@ -244,3 +246,33 @@ class TestCorrelationReport:
         assert len(rows) == 2 * 4
         assert [r[1] for r in rows[:4]] == ["subcarrier"] * 4
         assert [r[0] for r in rows[:4]] == [0, 1, 2, 3]
+
+
+class TestSynthesizedLink:
+    """The study of a link made chunk by chunk has the bits of the whole link's."""
+
+    @pytest.mark.parametrize("blocks, max_shift", [
+        (255, 16), (256, 16), (257, 16),             # around one chunk edge
+        (511, 16), (512, 16), (513, 16),             # around two
+        (513, 250)])                                 # windows longer than a chunk
+    def test_bits_match_whole_link(self, blocks, max_shift):
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=5, seed=blocks)
+        paths = draw_paths(cfg)
+        n_avg = blocks - max_shift
+        seg = _fft_length(max_shift) - max_shift
+        # some segment's window [start, stop + max_shift) crosses a chunk edge
+        last_blocks = [min(start + seg, n_avg) + max_shift - 1 for start in range(0, n_avg, seg)]
+        crossing = [start for start, last in zip(range(0, n_avg, seg), last_blocks)
+                    if start // SYNTH_CHUNK != last // SYNTH_CHUNK]
+        assert bool(crossing) == (blocks > SYNTH_CHUNK)
+        whole = correlation_report(synthesize(cfg, paths, blocks), max_shift, n_avg)
+        streamed = correlation_report(SynthesizedLink(cfg, paths, blocks), max_shift, n_avg)
+        for curve in ("subcarrier_auto", "subcarrier_cross", "antenna_auto", "antenna_cross"):
+            assert np.array_equal(getattr(streamed, curve), getattr(whole, curve))
+
+    def test_too_short_link_rejected(self):
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=5, seed=3)
+        link = SynthesizedLink(cfg, draw_paths(cfg), 30)
+        with pytest.raises(ContractError, match="link of 30 blocks too short"):
+            correlation_report(link, max_shift=5, n_avg=26)
+        assert len(correlation_report(link, max_shift=5, n_avg=25).antenna_auto) == 6

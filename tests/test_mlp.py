@@ -279,6 +279,20 @@ class TestAdam:
         assert np.array_equal(model.params, before)
         assert state.t == 0
 
+    def test_moments_of_another_model_rejected(self):
+        # a state built for (3, 5, 2) moments stepped with a (3, 4, 2) model
+        # is refused before the step counter or anything else moves
+        model = init_mlp((3, 4, 2), 0)
+        state = AdamState.for_model(init_mlp((3, 5, 2), 0))
+        state.m[:], state.v[:] = 0.25, 0.5
+        params, m, v = model.params.copy(), state.m.copy(), state.v.copy()
+        with pytest.raises(ContractError, match=r"ADAM moments of shapes \(32,\) and \(32,\) "
+                                                r"are not the params' \(26,\)"):
+            adam_step(model, np.ones_like(model.params), state)
+        assert state.t == 0
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert np.array_equal(model.params, params)
+
     def test_first_step_magnitude(self):
         # t=1 bias correction makes the update lr*g/(|g|+eps) ~ lr*(1-2e-8)
         model = self._scalar_model(0.0)

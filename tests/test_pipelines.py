@@ -29,7 +29,7 @@ from chanpred.datasets import (
     build_series_dataset,
     fit_scale,
 )
-from chanpred.estimation import PilotScheme, estimate_trace
+from chanpred.estimation import _EST_CHUNK, PilotScheme, estimate_trace
 from chanpred.mlp import TrainConfig, init_mlp, train
 from chanpred.pipelines import assemble_predictions, evaluate_cell, score
 from chanpred.rng import derive_seed, stream
@@ -178,6 +178,11 @@ class TestPrepareLink:
         got_labels = truth.values[first:first + cfg.n_te]
         assert np.array_equal(labels.values.view(np.uint64), got_labels.view(np.uint64))
         assert (labels.provenance, est.provenance) == ("true", "estimated")
+
+    def test_synthesis_chunk_is_whole_estimation_chunks(self):
+        # each chunk prepare_link estimates must end on an estimation chunk
+        # boundary, or its noise draws would differ from the whole link's
+        assert SYNTH_CHUNK % _EST_CHUNK == 0
 
     def test_peak_memory_holds_no_full_truth(self):
         # paper-like L = 50, M = 64 over four synthesis chunks, three of them
