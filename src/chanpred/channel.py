@@ -316,11 +316,17 @@ class SynthesizedLink:
     def n_antennas(self) -> int:
         return self.config.n_antennas
 
-    def chunks(self):
-        """Yield (start, true tensor of blocks start+1 .. start+SYNTH_CHUNK) in order."""
+    def chunks(self, needed=None):
+        """Yield (start, stop, true tensor of blocks start+1 .. stop) in order.
+
+        With `needed`, a piece for which needed(start, stop) is false is not
+        made: its tensor is None.
+        """
         for start in range(0, self.n_blocks, SYNTH_CHUNK):
-            yield start, synthesize(self.config, self.paths,
-                                    min(SYNTH_CHUNK, self.n_blocks - start), start)
+            stop = min(start + SYNTH_CHUNK, self.n_blocks)
+            made = needed is None or needed(start, stop)
+            yield start, stop, synthesize(self.config, self.paths, stop - start,
+                                          start) if made else None
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ class _ChunkReader:
             self._held[0] = (lo, v[lo - start:].copy())
             del v   # the cut chunk goes before the next one is made
         while not self._held or self._end() < hi:
-            start, chunk = next(self._chunks)
+            start, _, chunk = next(self._chunks)
             self._held.append((start, chunk.values))
         pieces = [v[max(lo - start, 0):hi - start] for start, v in self._held]
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)

@@ -61,8 +61,37 @@ class PilotScheme:
         return cls(dft_pilot(tau, k), db_to_linear(snr_db)).validate()
 
 
-def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
-                   rng: np.random.Generator, out: np.ndarray | None = None) -> ChannelTensor:
+def _noise_chunks(rng: np.random.Generator, n_blocks: int, shape: tuple):
+    """The one order of the pilot-noise draws of n_blocks blocks.
+
+    Yields (start, stop, parts) per estimation chunk of _EST_CHUNK blocks;
+    `parts` draws Z of blocks start+1 .. stop into one reused real buffer of
+    (stop - start, *shape), its real parts first, then its imaginary parts,
+    each as it is reached. What a consumer leaves undrawn is drawn before
+    the next chunk, so every block's noise is drawn whatever is read of it.
+    """
+    z_buf = np.empty((min(_EST_CHUNK, n_blocks), *shape))
+    for start in range(0, n_blocks, _EST_CHUNK):
+        stop = min(start + _EST_CHUNK, n_blocks)
+        z = z_buf[:stop - start]
+        parts = (rng.standard_normal(out=z) for _ in range(2))
+        yield start, stop, parts
+        for _ in parts:
+            pass
+
+
+def draw_noise(rng: np.random.Generator, n_blocks: int, shape: tuple) -> None:
+    """Draw the pilot noise estimate_trace draws for n_blocks blocks of shape (L, M, tau).
+
+    Nothing is estimated: this only moves `rng` past those blocks, so the
+    next block estimated from it gets the bits it has in the whole link.
+    """
+    for _ in _noise_chunks(rng, n_blocks, shape):
+        pass
+
+
+def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme, rng: np.random.Generator,
+                   out: np.ndarray | None = None, keep=None) -> ChannelTensor:
     """LS-estimate every (block, subcarrier) cell of a true tensor.
 
     Each cell receives Y = sqrt(rho) h phi^T + Z, an (M, tau) matrix with i.i.d.
@@ -71,8 +100,14 @@ def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
     The noise comes from `rng` alone, drawn in fixed block order, so results
     are deterministic for a given rng; a tensor cut on _EST_CHUNK boundaries
     and estimated piece by piece with one rng gives the same bits as the
-    whole. The estimates go into `out` if it is given (a C-contiguous complex
-    array of the tensor's shape), else into a new array.
+    whole.
+
+    `keep`, ascending disjoint (lo, hi) ranges of 0-based blocks, limits the
+    estimate to those blocks, in order (default: every block). Every
+    block's noise is still drawn, so a kept block has the bits of the whole
+    estimate; a chunk with no kept block only draws. The estimates go into
+    `out` if it is given (a C-contiguous complex array of the kept blocks'
+    shape), else into a new array.
     """
     tensor.require(PROVENANCE_TRUE, 1)
     scheme.validate()
@@ -80,26 +115,32 @@ def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme,
     h = tensor.values
     n_blocks, L, M = h.shape
     tau = scheme.tau
+    keep = [(0, n_blocks)] if keep is None else keep
     conj_pilot = np.conj(scheme.pilot)
     energy = float(np.sum(np.abs(scheme.pilot) ** 2))
     root_rho = np.sqrt(scheme.snr)
     # dividing complex noise by sqrt(2) + 0j multiplies each part by this rounded value
     noise_scale = 1.0 / np.sqrt(2)
 
-    g = np.empty_like(h) if out is None else out
+    g = np.empty((sum(hi - lo for lo, hi in keep), L, M), h.dtype) if out is None else out
+    filled = 0
     # every chunk reuses two buffers: the received pilots Y and one part of Z
     y_buf = np.empty((min(_EST_CHUNK, n_blocks), L, M, tau), dtype=np.complex128)
-    z_buf = np.empty(y_buf.shape)
-    for start in range(0, n_blocks, _EST_CHUNK):
-        stop = min(start + _EST_CHUNK, n_blocks)
-        y, z = y_buf[:stop - start], z_buf[:stop - start]
+    for start, stop, parts in _noise_chunks(rng, n_blocks, (L, M, tau)):
+        runs = [(max(lo, start), min(hi, stop)) for lo, hi in keep
+                if max(lo, start) < min(hi, stop)]
+        if not runs:
+            continue
+        y = y_buf[:stop - start]
         np.multiply(root_rho, h[start:stop, :, :, None], out=y)
         y *= scheme.pilot
-        for part in (y.real, y.imag):   # Z's real parts are drawn first, then its imaginary
-            rng.standard_normal(out=z)
+        for part, z in zip((y.real, y.imag), parts):
             z *= noise_scale
             part += z
-        np.matmul(y, conj_pilot, out=g[start:stop])
-        g[start:stop] /= root_rho * energy
+        for lo, hi in runs:
+            kept = g[filled:filled + hi - lo]
+            np.matmul(y[lo - start:hi - start], conj_pilot, out=kept)
+            kept /= root_rho * energy
+            filled += hi - lo
 
     return ChannelTensor(g, PROVENANCE_ESTIMATED).validate()

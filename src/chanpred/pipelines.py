@@ -43,7 +43,7 @@ from .datasets import (
     fit_scale,
 )
 from .errors import ConfigError, ContractError
-from .estimation import PilotScheme, estimate_trace
+from .estimation import PilotScheme, draw_noise, estimate_trace
 from .mlp import TrainConfig, init_mlp, predict, train
 from .rng import derive_seed, stream
 
@@ -109,6 +109,21 @@ class ExperimentConfig:
     def required_blocks(self) -> int:
         return self.dataset_spec().min_blocks
 
+    @property
+    def head_blocks(self) -> int:
+        """h: the training head a cell keeps, blocks 1 .. h, which every approach's rows fit."""
+        return max(self.overhead_blocks(a) for a in self.approaches) + self.n0
+
+    def kept_spec(self, n_tr: int | None = None) -> DatasetSpec:
+        """The windows of n_tr training rows per series in prepare_link's estimate.
+
+        The estimate keeps the head of h blocks and then the test tail, so
+        its test windows start at a gap of h. n_tr defaults to the longest
+        overhead of the configured approaches, the one the head is cut for.
+        """
+        return DatasetSpec(self.n0, self.head_blocks - self.n0 if n_tr is None else n_tr,
+                           self.n_te, self.head_blocks)
+
     def overhead_blocks(self, approach: str) -> int:
         return self.n_tr if approach == "sl" else self.n_tr_prime
 
@@ -140,27 +155,44 @@ def nmse(pred: np.ndarray, truth: np.ndarray) -> float:
 def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
     """Deterministic (labels, estimated) tensor pair for one (SNR, seed) cell.
 
-    `est` holds every block's LS estimate. `labels` holds the true channels
-    of the n_te test label blocks, n_gap + n0 onwards, the only true blocks
-    `score` reads. The link is made one synthesis chunk at a time: each chunk
-    is estimated with the cell's one pilot-noise stream, its label blocks are
-    copied out, and it is dropped, so no full true tensor ever exists. Every
-    chunk is a whole synthesis chunk of whole estimation chunks (SYNTH_CHUNK
-    is a multiple of _EST_CHUNK), so the bits are those of estimating the
-    whole link at once.
+    `est` holds the LS estimates of the blocks a cell's windows read: the
+    training head, blocks 1 .. h (cfg.head_blocks), then the test tail,
+    blocks n_gap+1 .. required_blocks; cfg.kept_spec windows it. `labels`
+    holds the true channels of the n_te test label blocks, n_gap + n0
+    onwards, the only true blocks `score` reads. The link is made one
+    synthesis chunk at a time: its kept blocks are estimated into `est` with
+    the cell's one pilot-noise stream, its label blocks are copied out, and
+    it is dropped, so no full true tensor ever exists; a chunk with no kept
+    block is not made, only its noise drawn. Every chunk is a whole synthesis
+    chunk of whole estimation chunks (SYNTH_CHUNK is a multiple of the
+    estimation chunk), so every kept block has the bits of estimating the
+    whole link.
     """
     chan_cfg = cfg.channel.with_seed(seed)
     link = SynthesizedLink(chan_cfg, draw_paths(chan_cfg), cfg.required_blocks)
+    kept = ((0, cfg.head_blocks), (cfg.n_gap, link.n_blocks))
+
+    def runs(start, stop):
+        """The kept blocks of link blocks start .. stop-1, counted from start."""
+        return [(max(lo, start) - start, min(hi, stop) - start) for lo, hi in kept
+                if max(lo, start) < min(hi, stop)]
+
     scheme = cfg.scheme(snr_db)
     noise = stream(seed, "pilot-noise")
     first = cfg.n_gap + cfg.n0
     last = first + cfg.n_te
     shape = (cfg.channel.n_subcarriers, cfg.channel.n_antennas)
-    est = np.empty((link.n_blocks, *shape), dtype=np.complex128)
+    est = np.empty((cfg.kept_spec().min_blocks, *shape), dtype=np.complex128)
     labels = np.empty((cfg.n_te, *shape), dtype=np.complex128)
-    for start, truth in link.chunks():
-        stop = start + truth.n_blocks
-        estimate_trace(truth, scheme, noise, out=est[start:stop])
+    filled = 0
+    for start, stop, truth in link.chunks(lambda start, stop: bool(runs(start, stop))):
+        if truth is None:
+            draw_noise(noise, stop - start, (*shape, scheme.tau))
+            continue
+        keep = runs(start, stop)
+        n_kept = sum(hi - lo for lo, hi in keep)
+        estimate_trace(truth, scheme, noise, out=est[filled:filled + n_kept], keep=keep)
+        filled += n_kept
         lo, hi = max(start, first), min(stop, last)
         if lo < hi:
             labels[lo - first:hi - first] = truth.values[lo - start:hi - start]
@@ -189,11 +221,20 @@ def score(pred: ChannelTensor, labels: ChannelTensor) -> float:
     return _mean_ratio(err, power)
 
 
+def _require_kept(est: ChannelTensor, spec: DatasetSpec) -> None:
+    """Refuse an estimate that is not laid out as prepare_link keeps it."""
+    est.require(PROVENANCE_ESTIMATED, spec.min_blocks)
+    if est.n_blocks != spec.min_blocks:
+        raise ContractError(f"estimate of {est.n_blocks} blocks is not the kept layout of "
+                            f"{spec.min_blocks} blocks: a head of {spec.n_gap} and a tail "
+                            f"of {spec.n_te + spec.n0 + 1}")
+
+
 def persistence_nmse(labels: ChannelTensor, est: ChannelTensor,
                      cfg: ExperimentConfig) -> float:
     """Sanity floor: predict h_(n+1) by the newest estimate g_n."""
-    spec = cfg.dataset_spec()
-    est.require(PROVENANCE_ESTIMATED, spec.min_blocks)
+    spec = cfg.kept_spec()
+    _require_kept(est, spec)
     first = spec.n_gap + spec.n0 - 1
     newest = est.values[first:first + spec.n_te]
     return score(ChannelTensor(newest, PROVENANCE_PREDICTED), labels)
@@ -221,11 +262,13 @@ def evaluate_cell(labels: ChannelTensor, est: ChannelTensor, cfg: ExperimentConf
     seed and its entry in the histories and models. A job scales its own
     windows and predictions in place.
     """
-    if approach not in APPROACHES:
-        raise ConfigError(f"unknown approach {approach!r}")
+    if approach not in cfg.approaches:   # the kept head may be too short for another
+        raise ConfigError(f"approach {approach!r} is not one of the configured "
+                          f"{cfg.approaches}")
     domain = DOMAIN_ANTENNA if approach == "jldt" else DOMAIN_SUBCARRIER
     pooled = approach in ("jl", "jldt")
-    spec = cfg.dataset_spec(cfg.overhead_blocks(approach))
+    spec = cfg.kept_spec(cfg.overhead_blocks(approach))
+    _require_kept(est, spec)
     result = CellResult(approach, float("nan"), seed, float("nan"))
     parts = []
     for k in range(1 if pooled else cfg.channel.n_subcarriers):
@@ -233,22 +276,24 @@ def evaluate_cell(labels: ChannelTensor, est: ChannelTensor, cfg: ExperimentConf
             train_ds, test_ds = (build_jldt if approach == "jldt" else build_jl)(est, spec)
         else:
             train_ds, test_ds = build_series_dataset(est, (domain, k), spec)
+        test_x = test_ds.features
+        del test_ds   # and its labels: score reads the truth, never those
         scale = fit_scale(train_ds)
-        for a in (train_ds.features, train_ds.labels, test_ds.features):
+        for a in (train_ds.features, train_ds.labels, test_x):
             a /= scale
         dims = (train_ds.features.shape[1], *cfg.hidden, train_ds.labels.shape[1])
         model, history = train(init_mlp(dims, stream(seed, "mlp-init", k)),
                                (train_ds.features, train_ds.labels),
                                TrainConfig(cfg.batch_size, cfg.epochs, cfg.learning_rate,
                                            derive_seed(seed, "shuffle", k)))
-        rows = predict(model, test_ds.features)
+        rows = predict(model, test_x)
         rows *= scale
         parts.append((domain, None if pooled else k, rows))
         result.histories[k] = history
         if collect_models:
             result.models[k] = model
     # assembled after the loop, so no job trains beside the (n_te, L, M) tensor
-    result.nmse = score(assemble_predictions(parts, cfg.dataset_spec(), est.values.shape[1:]),
+    result.nmse = score(assemble_predictions(parts, spec, est.values.shape[1:]),
                         labels)
     return result
 

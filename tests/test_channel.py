@@ -170,10 +170,39 @@ class TestSynthesizedLink:
         link = SynthesizedLink(cfg, paths, blocks)
         assert (link.n_subcarriers, link.n_antennas) == (3, 2)
         chunks = list(link.chunks())
-        assert [start for start, _ in chunks] == list(range(0, blocks, SYNTH_CHUNK))
-        assert all(piece.provenance == "true" for _, piece in chunks)
+        starts = list(range(0, blocks, SYNTH_CHUNK))
+        assert [start for start, _, _ in chunks] == starts
+        assert [stop for _, stop, _ in chunks] == [*starts[1:], blocks]
+        assert all(piece.provenance == "true" for _, _, piece in chunks)
         whole = synthesize(cfg, paths, blocks).values
-        assert np.array_equal(np.concatenate([piece.values for _, piece in chunks]), whole)
+        assert np.array_equal(np.concatenate([piece.values for _, _, piece in chunks]), whole)
+
+    def test_unneeded_pieces_are_not_made(self, monkeypatch):
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=24)
+        paths = draw_paths(cfg)
+        blocks = 3 * SYNTH_CHUNK + 5
+        whole = synthesize(cfg, paths, blocks).values
+        made = []
+
+        def counted(config, paths, n_blocks, first_block=0):
+            made.append(first_block)
+            return synthesize(config, paths, n_blocks, first_block)
+
+        monkeypatch.setattr("chanpred.channel.synthesize", counted)
+        link = SynthesizedLink(cfg, paths, blocks)
+        asked = []
+
+        def needed(lo, hi):   # every piece but the second
+            asked.append((lo, hi))
+            return lo != SYNTH_CHUNK
+
+        for start, stop, piece in link.chunks(needed):
+            assert (piece is None) == (start == SYNTH_CHUNK)
+            if piece is not None:
+                assert np.array_equal(piece.values, whole[start:stop])
+        assert made == [0, 2 * SYNTH_CHUNK, 3 * SYNTH_CHUNK]
+        c = SYNTH_CHUNK
+        assert asked == [(0, c), (c, 2 * c), (2 * c, 3 * c), (3 * c, blocks)]
 
 
 class TestTensorValidate:

@@ -162,24 +162,30 @@ class TestSubcommands:
         assert tensor.provenance == "estimated"
         assert tensor.n_blocks == 30
 
-    def test_file_chain_reproduces_prepare_link(self, tmp_path, micro_cfg_file, capsys):
+    def test_file_chain_reproduces_prepare_link(self, tmp_path, capsys):
         # generate and estimate each spell out the seed and stream tags that
-        # prepare_link uses; the estimated file must carry its estimate bit
-        # for bit, and the true file's label blocks its labels
-        trace, est = str(tmp_path / "true.trace"), str(tmp_path / "est.trace")
-        flags = ["--config", micro_cfg_file, "--seed", "3", "--snr-db", "7.5"]
-        assert main(["generate", *flags, "--out", trace]) == EXIT_OK
-        assert main(["estimate", *flags, "--trace", trace, "--out", est]) == EXIT_OK
-        capsys.readouterr()
-        cfg = parse_config(micro_cfg_file)
-        labels, want = prepare_link(cfg, 7.5, 3)
-        got = import_trace(est)
-        assert got.provenance == want.provenance
-        assert np.array_equal(got.values, want.values)
-        truth = import_trace(trace)
-        assert truth.provenance == labels.provenance
-        first = cfg.n_gap + cfg.n0
-        assert np.array_equal(truth.values[first:first + cfg.n_te], labels.values)
+        # prepare_link uses; the estimated file must carry its kept blocks bit
+        # for bit (the head of 14 blocks, sl's, meets the tail at n_gap; a
+        # jldt cell's head is 6), and the true file's label blocks its labels
+        for approaches, head in ((["sl", "sl_small", "jl", "jldt"], 14), (["jldt"], 6)):
+            cfg_file = tmp_path / f"{len(approaches)}.json"
+            cfg_file.write_text(json.dumps({**MICRO, "approaches": approaches}))
+            trace, est = str(tmp_path / "true.trace"), str(tmp_path / "est.trace")
+            flags = ["--config", str(cfg_file), "--seed", "3", "--snr-db", "7.5"]
+            assert main(["generate", *flags, "--out", trace]) == EXIT_OK
+            assert main(["estimate", *flags, "--trace", trace, "--out", est]) == EXIT_OK
+            capsys.readouterr()
+            cfg = parse_config(str(cfg_file))
+            assert cfg.head_blocks == head
+            labels, want = prepare_link(cfg, 7.5, 3)
+            got = import_trace(est)
+            assert got.provenance == want.provenance
+            kept = np.concatenate([got.values[:head], got.values[cfg.n_gap:]])
+            assert np.array_equal(kept.view(np.uint64), want.values.view(np.uint64))
+            truth = import_trace(trace)
+            assert truth.provenance == labels.provenance
+            first = cfg.n_gap + cfg.n0
+            assert np.array_equal(truth.values[first:first + cfg.n_te], labels.values)
 
     def test_correlate_row_count_and_determinism(self, tmp_path, micro_cfg_file):
         out1 = str(tmp_path / "corr1.csv")
@@ -212,12 +218,17 @@ class TestSubcommands:
                                               (["--n-avg", "0"], "n_avg")])
     def test_correlate_window_checked_before_synthesis(self, tmp_path, capsys, window, name):
         out = tmp_path / "corr.csv"
-        # the study makes its link through channel.synthesize
-        with mock.patch("chanpred.channel.synthesize") as synth:
+        # the study makes its link through channel.synthesize; with n_avg <= 0
+        # it would read no block, so the paths, drawn before any, show a late
+        # check too
+        with mock.patch("chanpred.channel.synthesize") as synth, \
+                mock.patch("chanpred.cli.draw_paths",
+                           side_effect=AssertionError("paths drawn before the check")) as paths:
             code = main(["correlate", "--preset", "desk", *window, "--out", str(out)])
         assert code == EXIT_RUNTIME
         assert f"error: {name} must be" in capsys.readouterr().err
         synth.assert_not_called()
+        paths.assert_not_called()
         assert not out.exists()
 
     def test_correlate_memory_does_not_grow_with_n_avg(self, tmp_path):

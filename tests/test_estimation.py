@@ -15,6 +15,7 @@ from chanpred import (
     estimate_trace,
     synthesize,
 )
+from chanpred.estimation import draw_noise
 from chanpred.rng import stream
 from conftest import ZeroNoise
 
@@ -132,6 +133,45 @@ class TestEstimateTrace:
         cov = (c[:, :8].T.conj() @ c[:, 8:16]) / truth.n_blocks
         bound = 3.0 / np.sqrt(truth.n_blocks)  # error variance is 1/(rho*tau) = 0.25
         assert np.all(np.abs(cov) < bound)
+
+    def test_kept_blocks_have_the_bits_of_the_whole(self):
+        # runs of 64-block chunks 0 (two of them) and 2; chunk 1 keeps none
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, seed=17)
+        truth = synthesize(cfg, draw_paths(cfg), 150)
+        scheme = PilotScheme.dft(4, 1, snr_db=5.0)
+        whole = estimate_trace(truth, scheme, stream(17, "pilot-noise")).values
+        keep = [(0, 3), (40, 64), (130, 131), (140, 150)]
+        part = estimate_trace(truth, scheme, stream(17, "pilot-noise"), keep=keep)
+        want = np.concatenate([whole[lo:hi] for lo, hi in keep])
+        assert np.array_equal(part.values.view(np.uint64), want.view(np.uint64))
+        assert part.provenance == "estimated"
+
+    def test_unkept_chunks_only_draw(self, monkeypatch):
+        # every chunk draws its real, then its imaginary parts; only the two
+        # chunks with kept blocks compute, one matmul per run of kept blocks
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, seed=18)
+        truth = synthesize(cfg, draw_paths(cfg), 150)
+        scheme = PilotScheme.dft(4, 1, snr_db=5.0)
+        draws, matmuls = [], []
+
+        class Counted:
+            def __init__(self):
+                self.rng = stream(18, "pilot-noise")
+
+            def standard_normal(self, out):
+                draws.append(out.shape[0])
+                return self.rng.standard_normal(out=out)
+
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: matmuls.append(1) or matmul(*a, **k))
+        rng = Counted()
+        estimate_trace(truth, scheme, rng, keep=[(5, 10), (130, 140)])
+        assert draws == [64, 64, 64, 64, 22, 22] and len(matmuls) == 2
+        # draw_noise leaves the stream where a whole estimate leaves it
+        rng, skipped = stream(18, "pilot-noise"), stream(18, "pilot-noise")
+        estimate_trace(truth, scheme, rng)
+        draw_noise(skipped, 150, (3, 4, 4))
+        assert rng.standard_normal() == skipped.standard_normal()
 
     def test_wrong_domain_or_provenance(self, truth):
         scheme = PilotScheme.dft(4, 1, snr_db=10.0)

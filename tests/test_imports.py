@@ -1,11 +1,13 @@
-"""Tooling: no module in src/ or tests/ imports a name it never uses, and no
-private helper in src/ is left without a caller.
+"""Tooling: no module in src/ or tests/ imports a name it never uses, no
+private helper in src/ is left without a caller, and no src/ module imports
+another's private name.
 
 The repository configures no linter, so these are AST scans. Every name an
 import statement binds must be read somewhere in the module; a package's
 __init__.py imports to re-export, so it is exempt. Every module-level private
 name (`_x`) that src/ defines must be read somewhere in src/ outside its own
-definition.
+definition. A private name stays in its module: what it fixes, such as the
+order of the pilot-noise draws in estimation.py, is then decided in one place.
 """
 
 import ast
@@ -96,3 +98,26 @@ def test_orphan_scan_finds_an_unread_private_name():
 def test_no_orphaned_private_names_in_src():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in (ROOT / "src").rglob("*.py")}
     assert orphaned_private_names(sources) == []
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each private (`_x`) name `source` imports from a chanpred module."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").split(".")[0] == "chanpred")
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_private_import_scan_finds_one():
+    source = ("from __future__ import annotations\n"
+              "from .estimation import _EST_CHUNK, draw_noise\n"
+              "from chanpred.channel import _TRACE_MAGIC\nfrom . import _rng\n"
+              "from numpy.lib import _private\n")
+    assert private_imports(source) == [(2, "_EST_CHUNK"), (3, "_TRACE_MAGIC"), (4, "_rng")]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_imports_in_src(path):
+    assert private_imports(path.read_text()) == []

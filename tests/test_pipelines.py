@@ -104,7 +104,7 @@ class TestJobTags:
         cfg = micro_config(l=3, epochs=8)
         labels, est = prepare_link(cfg, 10.0, seed=5)
         cell = evaluate_cell(labels, est, cfg, approach, seed=5)
-        spec = cfg.dataset_spec(cfg.overhead_blocks(approach))
+        spec = cfg.kept_spec(cfg.overhead_blocks(approach))
         per_subcarrier = approach in ("sl", "sl_small")
         assert set(cell.histories) == ({0, 1, 2} if per_subcarrier else {0})
         for k in cell.histories:
@@ -127,6 +127,11 @@ def _full_truth(cfg, seed):
     return synthesize(chan, draw_paths(chan), cfg.required_blocks)
 
 
+def _kept(cfg, values):
+    """The blocks of a whole link that prepare_link keeps: the head, then the tail."""
+    return np.concatenate([values[:cfg.head_blocks], values[cfg.n_gap:]])
+
+
 class TestStaticChannel:
     def test_noise_free_static_channel_learned_exactly(self):
         # constant map is realizable: NMSE < 1e-4 with brief training
@@ -135,10 +140,44 @@ class TestStaticChannel:
                            epochs=300, learning_rate=1e-2, n0=2)
         truth = _full_truth(cfg, 3)
         est = estimate_trace(truth, cfg.scheme(10.0), ZeroNoise())
+        est = ChannelTensor(_kept(cfg, est.values), "estimated")
         first = cfg.n_gap + cfg.n0
         labels = ChannelTensor(truth.values[first:first + cfg.n_te], "true")
         cell = evaluate_cell(labels, est, cfg, "sl", seed=3)
         assert cell.nmse < 1e-4
+
+
+class TestKeptLayout:
+    def test_head_fits_every_configured_approach(self):
+        cfg = micro_config(l=3, n_tr_prime=4, n0=2, n_gap=40)
+        assert cfg.head_blocks == 3 * 4 + 2   # sl's rows
+        for approaches in (("jldt",), ("jl", "sl_small")):
+            assert dataclasses.replace(cfg, approaches=approaches).head_blocks == 4 + 2
+        spec = cfg.kept_spec()
+        assert (spec.n_tr, spec.n_gap, spec.min_blocks) == (12, 14, 14 + cfg.n_te + 2 + 1)
+
+    def test_full_length_estimate_refused(self):
+        # windowed at n_gap's offset the test windows would read head blocks
+        cfg = micro_config(approaches=("jldt",), n_gap=30)
+        labels, kept = prepare_link(cfg, 10.0, seed=3)
+        full = ChannelTensor(estimate_trace(_full_truth(cfg, 3), cfg.scheme(10.0),
+                                            stream(3, "pilot-noise")).values, "estimated")
+        assert (kept.n_blocks, full.n_blocks) == (cfg.kept_spec().min_blocks, cfg.required_blocks)
+        assert kept.n_blocks < full.n_blocks
+        for call in (lambda est: persistence_nmse(labels, est, cfg),
+                     lambda est: evaluate_cell(labels, est, cfg, "jldt", seed=3)):
+            call(kept)
+            with pytest.raises(ContractError, match="kept layout") as exc:
+                call(full)
+            assert f"{full.n_blocks} blocks" in str(exc.value)
+            assert f"{kept.n_blocks} blocks" in str(exc.value)
+
+    def test_unconfigured_approach_refused(self):
+        # sl's rows do not fit the head of a jldt-only cell
+        cfg = micro_config(approaches=("jldt",), n_gap=30)
+        labels, est = prepare_link(cfg, 10.0, seed=3)
+        with pytest.raises(ConfigError, match="'sl' is not one of the configured"):
+            evaluate_cell(labels, est, cfg, "sl", seed=3)
 
 
 class TestJldtReconstruction:
@@ -158,22 +197,36 @@ class TestJldtReconstruction:
         assert rebuilt.provenance == "predicted"
 
 
+def _link_case(blocks, n_te, head=None):
+    """A link of `blocks` for a cell of every approach, or of jldt alone with a `head`."""
+    if head is None:
+        return pytest.param(blocks, n_te, 4, APPROACHES, id=f"{blocks}-{n_te}")
+    return pytest.param(blocks, n_te, head - 2, ("jldt",), id=f"{blocks}-{n_te}-head{head}")
+
+
 class TestPrepareLink:
     """prepare_link builds the link chunk by chunk; the bits are those of the whole."""
 
-    @pytest.mark.parametrize("blocks, n_te", [
-        (127, 4), (128, 4), (129, 4),                 # around a multiple of 64
-        (255, 4), (256, 4), (257, 4),                 # around a multiple of 256
-        (511, 4), (512, 4), (513, 4),
-        (300, 60), (600, 400)])                       # labels across chunk edges
-    def test_chunks_equal_whole_link(self, blocks, n_te):
+    @pytest.mark.parametrize("blocks, n_te, n_tr_prime, approaches", [
+        # link ends around multiples of 64 and 256; a head of 14 blocks (sl's)
+        *(_link_case(blocks, 4) for blocks in (127, 128, 129, 255, 256, 257, 511, 512, 513)),
+        _link_case(300, 60), _link_case(600, 400),    # labels across chunk edges
+        # heads around multiples of 64 and 256; every tail starts mid chunk
+        _link_case(207, 4, 63), _link_case(201, 4, 64), _link_case(307, 4, 65),
+        _link_case(781, 4, 255), _link_case(790, 10, 256), _link_case(900, 4, 257),
+        _link_case(40, 4, 10),                        # head and tail in one chunk
+        _link_case(21, 4)])                           # head and tail meet: the whole link
+    def test_chunks_equal_whole_link(self, blocks, n_te, n_tr_prime, approaches):
         n_gap = blocks - n_te - 3                     # required_blocks = n_gap + n_te + n0 + 1
-        cfg = micro_config(n0=2, n_te=n_te, n_gap=n_gap)
+        cfg = micro_config(n0=2, n_te=n_te, n_gap=n_gap, n_tr_prime=n_tr_prime,
+                           approaches=approaches)
         assert cfg.required_blocks == blocks
         labels, est = prepare_link(cfg, 10.0, seed=11)
         truth = _full_truth(cfg, 11)
         want = estimate_trace(truth, cfg.scheme(10.0), stream(11, "pilot-noise"))
-        assert np.array_equal(est.values.view(np.uint64), want.values.view(np.uint64))
+        assert est.n_blocks == cfg.head_blocks + n_te + 3
+        assert np.array_equal(est.values.view(np.uint64),
+                              _kept(cfg, want.values).view(np.uint64))
         first = cfg.n_gap + cfg.n0
         got_labels = truth.values[first:first + cfg.n_te]
         assert np.array_equal(labels.values.view(np.uint64), got_labels.view(np.uint64))
@@ -184,16 +237,14 @@ class TestPrepareLink:
         # boundary, or its noise draws would differ from the whole link's
         assert SYNTH_CHUNK % _EST_CHUNK == 0
 
-    def test_peak_memory_holds_no_full_truth(self):
-        # paper-like L = 50, M = 64 over four synthesis chunks, three of them
-        # whole: beside its outputs prepare_link may hold one synthesis chunk
-        # of truth and estimate_trace's two buffers, Y (complex) and one part
-        # of Z (real), each (64, L, M, tau); the full truth alone is more.
-        # The slack covers lazy imports and the small arrays
-        cfg = ExperimentConfig(n0=3, n_tr_prime=1, n_te=20, n_gap=3 * SYNTH_CHUNK + 1 - 24,
-                               snr_db=(0.0,), seeds=(1,)).validate()
+    @staticmethod
+    def _peak_within_kept_bytes(cfg):
+        # paper-like L = 50, M = 64: beside its outputs, the kept estimate and
+        # the labels, prepare_link may hold one synthesis chunk of truth and
+        # estimate_trace's two buffers, Y (complex) and one part of Z (real),
+        # each (64, L, M, tau); the full truth alone is more. The slack
+        # covers lazy imports and the small arrays
         L, M, tau = cfg.channel.n_subcarriers, cfg.channel.n_antennas, cfg.tau
-        assert cfg.required_blocks == 3 * SYNTH_CHUNK + 1
         tracemalloc.start()
         try:
             labels, est = prepare_link(cfg, 0.0, seed=1)
@@ -201,18 +252,34 @@ class TestPrepareLink:
         finally:
             tracemalloc.stop()
         complex_bytes = 16
-        outputs = (cfg.required_blocks + cfg.n_te) * L * M * complex_bytes
+        outputs = (cfg.kept_spec().min_blocks + cfg.n_te) * L * M * complex_bytes
         chunk = SYNTH_CHUNK * L * M * complex_bytes
         buffers = 64 * L * M * tau * (complex_bytes + 8)
         assert peak < outputs + chunk + buffers + 2 * 2 ** 20   # 2 MB: lazy imports, small arrays
         assert labels.values.shape == (cfg.n_te, L, M)
         assert est.values.nbytes + labels.values.nbytes == outputs
 
+    def test_peak_memory_holds_no_full_truth(self):
+        # four synthesis chunks, three of them whole; a head of 53 blocks (sl's)
+        cfg = ExperimentConfig(n0=3, n_tr_prime=1, n_te=20, n_gap=3 * SYNTH_CHUNK + 1 - 24,
+                               snr_db=(0.0,), seeds=(1,)).validate()
+        assert cfg.required_blocks == 3 * SYNTH_CHUNK + 1
+        assert cfg.kept_spec().min_blocks == 53 + 24
+        self._peak_within_kept_bytes(cfg)
+
+    def test_jldt_link_holds_only_its_kept_blocks(self):
+        # paper-jldt's link: 227 of 1704 blocks kept, 11.6 of 87.2 MB; the
+        # whole estimate alone is above the bound
+        cfg = ExperimentConfig(approaches=("jldt",), snr_db=(0.0,), seeds=(1,)).validate()
+        assert (cfg.required_blocks, cfg.kept_spec().min_blocks) == (1704, 227)
+        self._peak_within_kept_bytes(cfg)
+
     def test_sweep_drops_each_link_before_the_next(self, monkeypatch):
         # a long link and a tiny model, so a link left over from the first
         # seed would show in the second seed's prepare_link peak
-        cfg = micro_config(n_gap=3000, epochs=1, hidden=(4,), approaches=("jl",), seeds=(1, 2))
-        link_bytes = (cfg.required_blocks + cfg.n_te) * 3 * 4 * 16
+        cfg = micro_config(n_tr_prime=1000, n_gap=3002, epochs=1, hidden=(4,),
+                           batch_size=128, approaches=("jl",), seeds=(1, 2))
+        link_bytes = (cfg.kept_spec().min_blocks + cfg.n_te) * 3 * 4 * 16
         peaks = []
 
         def traced(*args):
@@ -303,7 +370,7 @@ def _require_consumer(name):
     if name == "persistence_nmse":
         cfg = micro_config(l=3, m_h=2, m_v=2, n_tr_prime=1)
         labels = random_tensor(3, n=cfg.n_te)
-        return "estimated", cfg.required_blocks, lambda t: persistence_nmse(labels, t, cfg)
+        return "estimated", cfg.kept_spec().min_blocks, lambda t: persistence_nmse(labels, t, cfg)
     if name == "estimate_trace":
         scheme = PilotScheme.dft(4, 1, 10.0)
         return "true", 1, lambda t: estimate_trace(t, scheme, stream(0, "noise"))
@@ -360,7 +427,7 @@ class TestFairnessAndDeterminism:
         lb, eb = prepare_link(cfg, 10.0, seed=7)
         assert np.array_equal(la.values, lb.values)
         # the noise is shared too: only its scale 1/sqrt(rho) differs
-        truth = _full_truth(cfg, 7).values
+        truth = _kept(cfg, _full_truth(cfg, 7).values)
         ratio = np.sqrt(cfg.scheme(10.0).snr / cfg.scheme(0.0).snr)
         assert np.allclose((ea.values - truth) / ratio, eb.values - truth, rtol=1e-9, atol=1e-12)
 
