@@ -17,7 +17,7 @@ temporal auto-correlation high out to large block shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -151,22 +151,20 @@ class ChannelTensor:
     def n_antennas(self) -> int:
         return self.values.shape[2]
 
-    def validate(self) -> "ChannelTensor":
+    def validate(self, finite: bool = True) -> "ChannelTensor":
+        """Check shape and provenance, and with `finite` that every entry is finite."""
         if self.values.ndim != 3:
             raise ContractError(f"channel values must be 3-D (N, L, M), got shape {self.values.shape}")
         if 0 in self.values.shape:
             raise ContractError(f"channel dimensions must be >= 1, got shape {self.values.shape}")
         if self.provenance not in PROVENANCES:
             raise ContractError(f"unknown provenance {self.provenance!r}")
-        # whole blocks at a time, so the check never makes a tensor-sized bool array
-        step = max(1, _FINITE_CHUNK // (self.n_subcarriers * self.n_antennas))
-        for start in range(0, self.n_blocks, step):
-            if not np.isfinite(self.values[start:start + step]).all():
-                raise ContractError("channel values contain non-finite entries")
+        if finite:
+            require_finite(self.values)
         return self
 
-    def require(self, provenance: str, n_blocks: int) -> "ChannelTensor":
-        """Demand at least `n_blocks` blocks, then validate() and `provenance`.
+    def require(self, provenance: str, n_blocks: int, finite: bool = True) -> "ChannelTensor":
+        """Demand at least `n_blocks` blocks, then validate(finite) and `provenance`.
 
         The length comes first so that a tensor with no blocks at all is
         reported as too short rather than as empty.
@@ -174,11 +172,27 @@ class ChannelTensor:
         if self.values.ndim == 3 and self.n_blocks < n_blocks:
             raise ContractError(f"tensor of {self.n_blocks} blocks too short: needs at "
                                 f"least {n_blocks} blocks")
-        self.validate()
+        self.validate(finite)
         if self.provenance != provenance:
             raise ContractError(f"needs a tensor of provenance {provenance!r}, got "
                                 f"provenance {self.provenance!r}")
         return self
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Values of blocks lo .. hi-1 (0-based), a view."""
+        return self.values[lo:hi]
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Refuse (N, ...) channel values with a non-finite entry.
+
+    Whole blocks at a time, so the check never makes a bool array the size
+    of `values`.
+    """
+    step = max(1, _FINITE_CHUNK // max(1, values[:1].size))
+    for start in range(0, len(values), step):
+        if not np.isfinite(values[start:start + step]).all():
+            raise ContractError("channel values contain non-finite entries")
 
 
 def series_view(values: np.ndarray, domain: str) -> np.ndarray:
@@ -262,8 +276,8 @@ def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int,
                               * steering(theta_p, phi_p)[m]
     with 1-based block index n and subcarrier index l. The tensor holds
     blocks first_block+1 .. first_block+n_blocks, so a link can be made one
-    piece at a time; a piece that starts and ends on a SYNTH_CHUNK boundary
-    (or at the link's end) is bit for bit the same blocks of the whole link.
+    piece at a time: every block's values depend on its own index alone, so
+    any piece is bit for bit the same blocks of the whole link.
     """
     config.validate()
     paths.validate()
@@ -299,9 +313,9 @@ def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int,
 class SynthesizedLink:
     """The true link of `n_blocks` blocks that `paths` make, never held whole.
 
-    ``chunks()`` synthesizes it one SYNTH_CHUNK piece at a time. Each piece
-    starts and ends on a chunk boundary (or at the link's end), so it is bit
-    for bit the same blocks as ``synthesize(config, paths, n_blocks)``.
+    It is read like a ChannelTensor, by require() and read(); read() makes
+    the blocks asked for, which are bit for bit those of
+    ``synthesize(config, paths, n_blocks)``.
     """
 
     config: ChannelConfig
@@ -316,17 +330,22 @@ class SynthesizedLink:
     def n_antennas(self) -> int:
         return self.config.n_antennas
 
-    def chunks(self, needed=None):
-        """Yield (start, stop, true tensor of blocks start+1 .. stop) in order.
+    def require(self, provenance: str, n_blocks: int) -> "SynthesizedLink":
+        """Demand at least `n_blocks` blocks and true channels, as ChannelTensor.require."""
+        if self.n_blocks < n_blocks:
+            raise ContractError(f"link of {self.n_blocks} blocks too short: needs at "
+                                f"least {n_blocks} blocks")
+        if provenance != PROVENANCE_TRUE:
+            raise ContractError(f"needs a tensor of provenance {provenance!r}, got a "
+                                f"synthesized link of provenance {PROVENANCE_TRUE!r}")
+        return self
 
-        With `needed`, a piece for which needed(start, stop) is false is not
-        made: its tensor is None.
-        """
-        for start in range(0, self.n_blocks, SYNTH_CHUNK):
-            stop = min(start + SYNTH_CHUNK, self.n_blocks)
-            made = needed is None or needed(start, stop)
-            yield start, stop, synthesize(self.config, self.paths, stop - start,
-                                          start) if made else None
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """True values of blocks lo .. hi-1 (0-based), made anew."""
+        if not 0 <= lo < hi <= self.n_blocks:
+            raise ContractError(f"blocks {lo} .. {hi - 1} are not blocks of the link of "
+                                f"{self.n_blocks} blocks")
+        return synthesize(self.config, self.paths, hi - lo, lo).values
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +397,34 @@ def _parse_header(line: str) -> dict:
     return {**dims, "provenance": fields["provenance"]}
 
 
-def _record_error(lines: list, N: int, L: int, M: int, parse_error: str) -> str:
-    """Name the first record line that breaks the format.
+def _line_batches(f, count: int):
+    """Yield the lines of `f`, `count` at a time, as str.splitlines would cut them.
 
-    Only runs after the bulk parse has rejected the records (or was skipped
-    because the line count is wrong), so it may go line by line. `lines` are
-    the lines after the header. `parse_error` is the bulk parser's complaint,
-    kept for a record this check accepts but the bulk parser did not.
+    Reading a file breaks lines at newlines only; splitlines also breaks at
+    \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029, and a record
+    holding one of those is two lines of the trace. A batch is short only at
+    the end of the file, and every batch after it is empty.
     """
-    expected = N * L * M
-    for i, line in enumerate(lines[:expected]):
-        where = f"line {i + 3}"
-        want = (i // (L * M) + 1, i // M % L + 1, i % M + 1)
+    held = []
+    while True:
+        while len(held) < count:
+            more = "".join(islice(f, count - len(held))).splitlines()
+            if not more:
+                break
+            held += more
+        yield held[:count]
+        del held[:count]
+
+
+def _record_error(lines: list, n: int, L: int, M: int) -> str | None:
+    """Name the first of block n's record lines that breaks the format, if one does.
+
+    Only runs on a block that the bulk parse or its checks rejected, or that
+    the file ends inside, so it may go line by line.
+    """
+    for i, line in enumerate(lines):
+        where = f"line {3 + n * L * M + i}"
+        want = (n + 1, i // M + 1, i % M + 1)
         tokens = line.split()
         try:
             fields = [float(t) for t in tokens]
@@ -402,10 +437,7 @@ def _record_error(lines: list, N: int, L: int, M: int, parse_error: str) -> str:
                     f"(n,l,m)={want}, found {tuple(tokens[:3])}")
         if not (np.isfinite(fields[3]) and np.isfinite(fields[4])):
             return f"{where}: non-finite channel value in record (n,l,m)={want}"
-    if len(lines) != expected:
-        return (f"line {min(len(lines), expected) + 3}: trace dimension mismatch: header "
-                f"declares {N}x{L}x{M} = {expected} records, found {len(lines)} lines")
-    return f"line 3: unparseable trace records: {parse_error}"
+    return None
 
 
 def import_trace(path) -> ChannelTensor:
@@ -413,31 +445,50 @@ def import_trace(path) -> ChannelTensor:
 
     Records must appear in canonical (n, l, m) order with 1-based indices,
     one per line, with no blank or comment lines; errors name the offending
-    line.
+    line. The file is read one block of L*M records at a time, so memory is
+    the tensor plus one block of text.
     """
     with open(path, errors="replace") as f:
         magic = f.readline().rstrip("\n")
         if magic != _TRACE_MAGIC:
             raise TraceFormatError(f"line 1: expected {_TRACE_MAGIC!r}, got {magic!r}")
         header = _parse_header(f.readline().rstrip("\n"))
-        lines = f.read().splitlines()
-
-    N, L, M = header["N"], header["L"], header["M"]
-    records, parse_error = None, ""
-    # loadtxt skips blank lines (and warns on no lines), so the count is checked first
-    if len(lines) == N * L * M:
-        try:
-            records = np.loadtxt(lines, ndmin=2, comments=None)
-        except ValueError as exc:
-            parse_error = str(exc)
-    if records is None or records.shape != (N * L * M, 5):
-        raise TraceFormatError(_record_error(lines, N, L, M, parse_error))
-    n_idx, l_idx, m_idx = np.meshgrid(np.arange(1, N + 1), np.arange(1, L + 1),
-                                      np.arange(1, M + 1), indexing="ij")
-    want = np.column_stack([n_idx.reshape(-1), l_idx.reshape(-1), m_idx.reshape(-1)])
-    if (records[:, :3] != want).any() or not np.isfinite(records[:, 3:]).all():
-        raise TraceFormatError(_record_error(lines, N, L, M, parse_error))
-
-    # a complex view of the (re, im) columns keeps every bit, the sign of zero included
-    values = np.ascontiguousarray(records[:, 3:5]).view(np.complex128)[:, 0]
-    return ChannelTensor(values.reshape(N, L, M), header["provenance"]).validate()
+        N, L, M = header["N"], header["L"], header["M"]
+        per = L * M
+        values = np.empty((N, L, M), dtype=np.complex128)
+        # (re, im) pairs of each block: copying the parsed columns in keeps
+        # every bit, the sign of zero included
+        parts = values.view(np.float64).reshape(N, per, 2)
+        lm = np.column_stack([np.repeat(np.arange(1, L + 1), M), np.tile(np.arange(1, M + 1), L)])
+        batches = _line_batches(f, per)
+        for n in range(N):
+            lines = next(batches)
+            records, parse_error = None, ""
+            # loadtxt skips blank lines and warns on no data, so a short or
+            # all-blank block goes to the line by line check instead
+            if len(lines) == per and any(map(str.strip, lines)):
+                try:
+                    records = np.loadtxt(lines, ndmin=2, comments=None)
+                except ValueError as exc:
+                    parse_error = str(exc)
+            if (records is None or records.shape != (per, 5) or (records[:, 0] != n + 1).any()
+                    or (records[:, 1:3] != lm).any() or not np.isfinite(records[:, 3:]).all()):
+                error = _record_error(lines, n, L, M)
+                if error is None and len(lines) == per:
+                    error = f"line {3 + n * per}: unparseable trace records: {parse_error}"
+                if error is not None:
+                    raise TraceFormatError(error)
+                found = n * per + len(lines)
+                break
+            parts[n] = records[:, 3:]
+            del lines, records   # before the next block is read
+        else:
+            found = N * per
+            while lines := next(batches):
+                found += len(lines)
+        if found != N * per:
+            raise TraceFormatError(
+                f"line {min(found, N * per) + 3}: trace dimension mismatch: header declares "
+                f"{N}x{L}x{M} = {N * per} records, found {found} lines")
+    # every block's values were checked finite as it was read
+    return ChannelTensor(values, header["provenance"]).validate(finite=False)

@@ -255,7 +255,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_import(args) -> int:
     tensor = import_trace(args.trace)
-    power = float(np.mean(np.abs(tensor.values) ** 2))
+    # sum of |h|^2 by one dot product, with no tensor-sized temporary
+    power = float(np.vdot(tensor.values, tensor.values).real) / tensor.values.size
     print(f"trace ok: N={tensor.n_blocks} L={tensor.n_subcarriers} "
           f"M={tensor.n_antennas} provenance={tensor.provenance} "
           f"mean_element_power={power:.6g}")

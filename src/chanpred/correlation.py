@@ -12,8 +12,9 @@ of those blocks and the max_shift after them, multiplied frequency by
 frequency into (S, S) products. Summing the products and taking one inverse
 FFT gives R(0..max_shift). Memory is a few (F, S, D) and (F, S, S) arrays
 for an FFT length F near max_shift + 48, never a copy of the tensor. A
-synthesized link is read the same way, one SYNTH_CHUNK piece at a time and
-once per domain, so its study never holds the whole link either.
+synthesized link is read the same way: each segment's window of F blocks is
+made when it is reached, once per domain, so its study never holds the
+whole link either.
 """
 
 from __future__ import annotations
@@ -62,46 +63,8 @@ def _fft_length(max_shift: int) -> int:
     return 1 << (max_shift + 47).bit_length()
 
 
-class _ChunkReader:
-    """Blocks lo..hi of a SynthesizedLink, for windows that only move forward.
-
-    It holds the blocks from the last window's start on: the chunks it
-    reached into, the first one cut to a copy of its blocks from there before
-    the next chunk is made. So it holds about one chunk plus one window. A
-    window inside one piece is a view of it; one that crosses pieces is a copy.
-    """
-
-    def __init__(self, link: SynthesizedLink):
-        self._chunks = link.chunks()
-        self._held = []   # (first block, values) of consecutive pieces
-
-    def _end(self) -> int:
-        start, values = self._held[-1]
-        return start + len(values)
-
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        self._held = [(start, v) for start, v in self._held if start + len(v) > lo]
-        if self._held and self._end() < hi and self._held[0][0] < lo:
-            start, v = self._held[0]
-            self._held[0] = (lo, v[lo - start:].copy())
-            del v   # the cut chunk goes before the next one is made
-        while not self._held or self._end() < hi:
-            start, _, chunk = next(self._chunks)
-            self._held.append((start, chunk.values))
-        pieces = [v[max(lo - start, 0):hi - start] for start, v in self._held]
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-
-def _reader(source: ChannelTensor | SynthesizedLink):
-    """read(lo, hi) -> blocks lo..hi: a view of a tensor, or a link made anew."""
-    if isinstance(source, SynthesizedLink):
-        return _ChunkReader(source)
-    values = source.values
-    return lambda lo, hi: values[lo:hi]
-
-
-def _domain_curves(read, domain: str, s: int, max_shift: int, n_avg: int):
-    """Auto and cross curves of `domain`'s s series; read(lo, hi) gives blocks lo..hi."""
+def _domain_curves(source, domain: str, s: int, max_shift: int, n_avg: int):
+    """Auto and cross curves of `domain`'s s series of a tensor or link."""
     # Segments of seg blocks: the segment's FFT (A) against the FFT of the
     # same blocks and the max_shift after them (B). seg + max_shift <= F, so
     # lags 0..max_shift of conj(A) B never wrap round. P sums, per frequency,
@@ -111,7 +74,7 @@ def _domain_curves(read, domain: str, s: int, max_shift: int, n_avg: int):
     p = np.zeros((fft_len, s, s), dtype=complex)
     for start in range(0, n_avg, seg):
         stop = min(start + seg, n_avg)
-        x = series_view(read(start, stop + max_shift), domain)
+        x = series_view(source.read(start, stop + max_shift), domain)
         a = np.fft.fft(x[:stop - start], n=fft_len, axis=0)
         np.conjugate(a, out=a)
         b = np.fft.fft(x, n=fft_len, axis=0)
@@ -142,27 +105,19 @@ def correlation_report(source: ChannelTensor | SynthesizedLink, max_shift: int =
                        n_avg: int = 2000) -> CorrelationReport:
     """Correlation study of a true link in both domains.
 
-    `source` is a true tensor, or a SynthesizedLink that the study makes
-    chunk by chunk, once per domain, so that it never holds the whole link.
+    `source` is a true tensor, or a SynthesizedLink whose segment windows
+    the study makes one at a time, so that it never holds the whole link.
     Auto-correlation magnitudes are averaged over all series of each domain;
     cross-correlation magnitudes over all ordered pairs of distinct series.
     """
     check_window(max_shift, n_avg)
-    n_blocks = n_avg + max_shift
-    if isinstance(source, SynthesizedLink):
-        if source.n_blocks < n_blocks:
-            raise ContractError(f"link of {source.n_blocks} blocks too short: needs at "
-                                f"least {n_blocks} blocks")
-    else:
-        source.require(PROVENANCE_TRUE, n_blocks)
+    source.require(PROVENANCE_TRUE, n_avg + max_shift)
     # subcarrier domain: series l, vectors over m; antenna domain: series m, vectors over l
     domains = ((DOMAIN_SUBCARRIER, source.n_subcarriers), (DOMAIN_ANTENNA, source.n_antennas))
     for domain, s in domains:
         if s < 2:
             raise ContractError(f"{domain} domain has {s} series; its cross-correlation "
                                 f"needs at least 2")
-    # one reader per pass: a link is made again for the antenna pass rather
-    # than held, and each pass's chunks go with it
     (sub_auto, sub_cross), (ant_auto, ant_cross) = [
-        _domain_curves(_reader(source), domain, s, max_shift, n_avg) for domain, s in domains]
+        _domain_curves(source, domain, s, max_shift, n_avg) for domain, s in domains]
     return CorrelationReport(max_shift, n_avg, sub_auto, sub_cross, ant_auto, ant_cross)

@@ -32,6 +32,7 @@ from .channel import (
     DOMAIN_SUBCARRIER,
     PROVENANCE_ESTIMATED,
     PROVENANCE_PREDICTED,
+    require_finite,
     series_view,
 )
 from .errors import ConfigError, ContractError
@@ -126,10 +127,14 @@ def _windows(view: np.ndarray, start: int, rows: int, n0: int):
 def _datasets(est: ChannelTensor, domain: str, index: int | None, spec: DatasetSpec):
     """(train, test) windows of series `index` of `est`'s `domain` view, or of all (None)."""
     spec.validate()
-    est.require(PROVENANCE_ESTIMATED, spec.min_blocks)
+    # only the blocks of the windows cut here are checked finite: a cell
+    # checks its whole estimate once, not once per job
+    est.require(PROVENANCE_ESTIMATED, spec.min_blocks, finite=False)
     cols = _columns(est.values, domain, index)
-    return tuple(WindowedDataset(*_windows(cols, start, rows, spec.n0))
-                 for start, rows in ((0, spec.n_tr), (spec.n_gap, spec.n_te)))
+    phases = ((0, spec.n_tr), (spec.n_gap, spec.n_te))
+    for start, rows in phases:
+        require_finite(cols[start:start + rows + spec.n0])
+    return tuple(WindowedDataset(*_windows(cols, start, rows, spec.n0)) for start, rows in phases)
 
 
 def assemble_predictions(parts, spec: DatasetSpec, shape: tuple) -> ChannelTensor:

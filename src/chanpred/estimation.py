@@ -4,7 +4,8 @@ Per block and subcarrier the UE sends a length-tau pilot; the BS observes
 Y = sqrt(rho) * h * phi^T + Z and recovers the LS estimate
 g = Y conj(phi) / (sqrt(rho) * ||phi||^2) = h + e with per-element error
 variance 1/(rho*tau) for unit-modulus pilots. estimate_trace applies this to
-every (block, subcarrier) cell of a channel tensor at once.
+every (block, subcarrier) cell of a channel tensor, or of a synthesized link
+whose blocks it makes one estimation chunk at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelTensor, PROVENANCE_ESTIMATED, PROVENANCE_TRUE
+from .channel import ChannelTensor, PROVENANCE_ESTIMATED, PROVENANCE_TRUE, SynthesizedLink
 from .errors import ConfigError
 
 _EST_CHUNK = 64  # blocks per chunk; bounds the (chunk, L, M, tau) noise buffer
@@ -80,40 +81,26 @@ def _noise_chunks(rng: np.random.Generator, n_blocks: int, shape: tuple):
             pass
 
 
-def draw_noise(rng: np.random.Generator, n_blocks: int, shape: tuple) -> None:
-    """Draw the pilot noise estimate_trace draws for n_blocks blocks of shape (L, M, tau).
-
-    Nothing is estimated: this only moves `rng` past those blocks, so the
-    next block estimated from it gets the bits it has in the whole link.
-    """
-    for _ in _noise_chunks(rng, n_blocks, shape):
-        pass
-
-
-def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme, rng: np.random.Generator,
-                   out: np.ndarray | None = None, keep=None) -> ChannelTensor:
-    """LS-estimate every (block, subcarrier) cell of a true tensor.
+def estimate_trace(source: ChannelTensor | SynthesizedLink, scheme: PilotScheme,
+                   rng: np.random.Generator, keep=None) -> ChannelTensor:
+    """LS-estimate every (block, subcarrier) cell of a true tensor or link.
 
     Each cell receives Y = sqrt(rho) h phi^T + Z, an (M, tau) matrix with i.i.d.
     unit-variance complex Gaussian Z, and is estimated as
     g = Y conj(phi) / (sqrt(rho) ||phi||^2), vectorized in chunks of blocks.
     The noise comes from `rng` alone, drawn in fixed block order, so results
-    are deterministic for a given rng; a tensor cut on _EST_CHUNK boundaries
-    and estimated piece by piece with one rng gives the same bits as the
-    whole.
+    are deterministic for a given rng.
 
     `keep`, ascending disjoint (lo, hi) ranges of 0-based blocks, limits the
     estimate to those blocks, in order (default: every block). Every
     block's noise is still drawn, so a kept block has the bits of the whole
-    estimate; a chunk with no kept block only draws. The estimates go into
-    `out` if it is given (a C-contiguous complex array of the kept blocks'
-    shape), else into a new array.
+    estimate; a chunk with no kept block only draws, and its true blocks are
+    never read, so a SynthesizedLink never makes them.
     """
-    tensor.require(PROVENANCE_TRUE, 1)
+    source.require(PROVENANCE_TRUE, 1)
     scheme.validate()
 
-    h = tensor.values
-    n_blocks, L, M = h.shape
+    n_blocks, L, M = source.n_blocks, source.n_subcarriers, source.n_antennas
     tau = scheme.tau
     keep = [(0, n_blocks)] if keep is None else keep
     conj_pilot = np.conj(scheme.pilot)
@@ -122,7 +109,7 @@ def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme, rng: np.random.Ge
     # dividing complex noise by sqrt(2) + 0j multiplies each part by this rounded value
     noise_scale = 1.0 / np.sqrt(2)
 
-    g = np.empty((sum(hi - lo for lo, hi in keep), L, M), h.dtype) if out is None else out
+    g = np.empty((sum(hi - lo for lo, hi in keep), L, M), dtype=np.complex128)
     filled = 0
     # every chunk reuses two buffers: the received pilots Y and one part of Z
     y_buf = np.empty((min(_EST_CHUNK, n_blocks), L, M, tau), dtype=np.complex128)
@@ -132,7 +119,7 @@ def estimate_trace(tensor: ChannelTensor, scheme: PilotScheme, rng: np.random.Ge
         if not runs:
             continue
         y = y_buf[:stop - start]
-        np.multiply(root_rho, h[start:stop, :, :, None], out=y)
+        np.multiply(root_rho, source.read(start, stop)[:, :, :, None], out=y)
         y *= scheme.pilot
         for part, z in zip((y.real, y.imag), parts):
             z *= noise_scale

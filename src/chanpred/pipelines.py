@@ -33,6 +33,7 @@ from .channel import (
     PROVENANCE_TRUE,
     SynthesizedLink,
     draw_paths,
+    synthesize,
 )
 from .datasets import (
     DatasetSpec,
@@ -43,7 +44,7 @@ from .datasets import (
     fit_scale,
 )
 from .errors import ConfigError, ContractError
-from .estimation import PilotScheme, draw_noise, estimate_trace
+from .estimation import PilotScheme, estimate_trace
 from .mlp import TrainConfig, init_mlp, predict, train
 from .rng import derive_seed, stream
 
@@ -159,45 +160,19 @@ def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
     training head, blocks 1 .. h (cfg.head_blocks), then the test tail,
     blocks n_gap+1 .. required_blocks; cfg.kept_spec windows it. `labels`
     holds the true channels of the n_te test label blocks, n_gap + n0
-    onwards, the only true blocks `score` reads. The link is made one
-    synthesis chunk at a time: its kept blocks are estimated into `est` with
-    the cell's one pilot-noise stream, its label blocks are copied out, and
-    it is dropped, so no full true tensor ever exists; a chunk with no kept
-    block is not made, only its noise drawn. Every chunk is a whole synthesis
-    chunk of whole estimation chunks (SYNTH_CHUNK is a multiple of the
-    estimation chunk), so every kept block has the bits of estimating the
-    whole link.
+    onwards, the only true blocks `score` reads. Both come from the
+    synthesized link, which makes only the blocks read of it, so no full
+    true tensor ever exists; every block's pilot noise is still drawn from
+    the cell's one stream, so every kept block has the bits of estimating
+    the whole link.
     """
     chan_cfg = cfg.channel.with_seed(seed)
-    link = SynthesizedLink(chan_cfg, draw_paths(chan_cfg), cfg.required_blocks)
-    kept = ((0, cfg.head_blocks), (cfg.n_gap, link.n_blocks))
-
-    def runs(start, stop):
-        """The kept blocks of link blocks start .. stop-1, counted from start."""
-        return [(max(lo, start) - start, min(hi, stop) - start) for lo, hi in kept
-                if max(lo, start) < min(hi, stop)]
-
-    scheme = cfg.scheme(snr_db)
-    noise = stream(seed, "pilot-noise")
-    first = cfg.n_gap + cfg.n0
-    last = first + cfg.n_te
-    shape = (cfg.channel.n_subcarriers, cfg.channel.n_antennas)
-    est = np.empty((cfg.kept_spec().min_blocks, *shape), dtype=np.complex128)
-    labels = np.empty((cfg.n_te, *shape), dtype=np.complex128)
-    filled = 0
-    for start, stop, truth in link.chunks(lambda start, stop: bool(runs(start, stop))):
-        if truth is None:
-            draw_noise(noise, stop - start, (*shape, scheme.tau))
-            continue
-        keep = runs(start, stop)
-        n_kept = sum(hi - lo for lo, hi in keep)
-        estimate_trace(truth, scheme, noise, out=est[filled:filled + n_kept], keep=keep)
-        filled += n_kept
-        lo, hi = max(start, first), min(stop, last)
-        if lo < hi:
-            labels[lo - first:hi - first] = truth.values[lo - start:hi - start]
-        del truth   # before the next chunk is made
-    return ChannelTensor(labels, PROVENANCE_TRUE), ChannelTensor(est, PROVENANCE_ESTIMATED)
+    paths = draw_paths(chan_cfg)
+    labels = synthesize(chan_cfg, paths, cfg.n_te, cfg.n_gap + cfg.n0)
+    link = SynthesizedLink(chan_cfg, paths, cfg.required_blocks)
+    est = estimate_trace(link, cfg.scheme(snr_db), stream(seed, "pilot-noise"),
+                         keep=((0, cfg.head_blocks), (cfg.n_gap, link.n_blocks)))
+    return labels, est
 
 
 def score(pred: ChannelTensor, labels: ChannelTensor) -> float:

@@ -23,6 +23,8 @@ from chanpred import (
     synthesize,
 )
 from chanpred.channel import SPEED_OF_LIGHT, SYNTH_CHUNK, SynthesizedLink
+from chanpred.cli import parse_config
+from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.rng import stream
 from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line, random_tensor
 
@@ -151,58 +153,109 @@ class TestSynthesize:
         cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, seed=22)
         paths = draw_paths(cfg)
         whole = synthesize(cfg, paths, 2 * SYNTH_CHUNK + 5).values
-        # a piece cut on chunk boundaries is the same bits; any other piece
-        # is the same blocks, made by GEMMs of another shape
+        # a piece cut on chunk boundaries or anywhere else is the same bits
         tail = synthesize(cfg, paths, SYNTH_CHUNK + 5, SYNTH_CHUNK).values
         assert np.array_equal(tail, whole[SYNTH_CHUNK:])
         piece = synthesize(cfg, paths, 7, 100).values
-        assert np.allclose(piece, whole[100:107], rtol=0, atol=1e-12)
+        assert np.array_equal(piece, whole[100:107])
         with pytest.raises(ContractError, match="first_block"):
             synthesize(cfg, paths, 7, -1)
+
+
+def _link_formula(cfg, paths, block):
+    """values[block - 1] of the link from the synthesize formula, 1-based `block`."""
+    L, M = cfg.n_subcarriers, cfg.n_antennas
+    out = np.zeros((L, M), dtype=complex)
+    for p in range(paths.n_paths):
+        rot = paths.gains[p] * np.exp(2j * np.pi * paths.dopplers[p] * block * cfg.block_duration)
+        freq = np.exp(-2j * np.pi * np.arange(L) * cfg.subcarrier_spacing * paths.delays[p])
+        steer = steering_vector(paths.azimuths[p], paths.elevations[p], cfg.m_h, cfg.m_v)
+        out += rot * freq[:, None] * steer[None, :]
+    return out
+
+
+class TestRangeInvariance:
+    """synthesize(cfg, paths, n, lo) is blocks lo .. lo+n-1 of the whole link, bit for bit.
+
+    A link is read by making just the blocks asked for, so every reader of
+    one (correlation windows, estimation chunks, test labels) rests on this.
+    """
+
+    OFFSETS = (1, 63, 129, 257)   # odd, inside, at and past chunk edges
+    WHOLE = 257 + 257
+
+    @pytest.fixture(scope="class", params=["desk", "paper"])
+    def link(self, request):
+        cfg = parse_config(preset=request.param).channel
+        paths = draw_paths(cfg)
+        return cfg, paths, synthesize(cfg, paths, self.WHOLE).values
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 63, 64, 65, 255, 256, 257])
+    def test_any_range_is_the_whole_links_blocks(self, link, n):
+        cfg, paths, whole = link
+        for lo in self.OFFSETS:
+            piece = synthesize(cfg, paths, n, lo).values
+            assert np.array_equal(piece.view(np.uint64), whole[lo:lo + n].view(np.uint64))
+
+    def test_blocks_are_counted_from_one(self, link):
+        # a whole link and its pieces shifted alike would still agree; the
+        # formula pins block lo of a piece to the link's 1-based block lo + 1
+        cfg, paths, _ = link
+        for lo in self.OFFSETS:
+            got = synthesize(cfg, paths, 1, lo).values[0]
+            assert np.allclose(got, _link_formula(cfg, paths, lo + 1), rtol=0, atol=1e-10)
 
 
 class TestSynthesizedLink:
     @pytest.mark.parametrize("blocks", [1, SYNTH_CHUNK - 1, SYNTH_CHUNK, 2 * SYNTH_CHUNK + 5])
     def test_chunks_are_the_whole_link(self, blocks):
-        # pieces on chunk boundaries, in order, with the bits of one synthesis
+        # consecutive reads of any length give the bits of one synthesis
         cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=23)
         paths = draw_paths(cfg)
         link = SynthesizedLink(cfg, paths, blocks)
         assert (link.n_subcarriers, link.n_antennas) == (3, 2)
-        chunks = list(link.chunks())
-        starts = list(range(0, blocks, SYNTH_CHUNK))
-        assert [start for start, _, _ in chunks] == starts
-        assert [stop for _, stop, _ in chunks] == [*starts[1:], blocks]
-        assert all(piece.provenance == "true" for _, _, piece in chunks)
+        edges = [*range(0, blocks, 37), blocks]
+        pieces = [link.read(lo, hi) for lo, hi in zip(edges, edges[1:])]
         whole = synthesize(cfg, paths, blocks).values
-        assert np.array_equal(np.concatenate([piece.values for _, _, piece in chunks]), whole)
+        assert np.array_equal(np.concatenate(pieces), whole)
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (5, 4), (0, 11)])
+    def test_read_outside_the_link_rejected(self, lo, hi):
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=23)
+        link = SynthesizedLink(cfg, draw_paths(cfg), 10)
+        with pytest.raises(ContractError, match="not blocks of the link of 10 blocks"):
+            link.read(lo, hi)
+
+    def test_require_checks_length_and_provenance(self):
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=23)
+        link = SynthesizedLink(cfg, draw_paths(cfg), 10)
+        assert link.require("true", 10) is link
+        with pytest.raises(ContractError, match="link of 10 blocks too short"):
+            link.require("true", 11)
+        with pytest.raises(ContractError, match="provenance 'estimated'"):
+            link.require("estimated", 1)
 
     def test_unneeded_pieces_are_not_made(self, monkeypatch):
+        # an estimate of a link makes only the estimation chunks (64 blocks)
+        # that hold kept blocks, with the bits of estimating the whole link
         cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=24)
         paths = draw_paths(cfg)
         blocks = 3 * SYNTH_CHUNK + 5
-        whole = synthesize(cfg, paths, blocks).values
+        scheme = PilotScheme.dft(4, 1, snr_db=5.0)
+        keep = [(3, 10), (300, 310), (770, blocks)]
+        want = estimate_trace(synthesize(cfg, paths, blocks), scheme,
+                              stream(24, "pilot-noise"), keep=keep).values
         made = []
 
         def counted(config, paths, n_blocks, first_block=0):
-            made.append(first_block)
+            made.append((first_block, n_blocks))
             return synthesize(config, paths, n_blocks, first_block)
 
         monkeypatch.setattr("chanpred.channel.synthesize", counted)
-        link = SynthesizedLink(cfg, paths, blocks)
-        asked = []
-
-        def needed(lo, hi):   # every piece but the second
-            asked.append((lo, hi))
-            return lo != SYNTH_CHUNK
-
-        for start, stop, piece in link.chunks(needed):
-            assert (piece is None) == (start == SYNTH_CHUNK)
-            if piece is not None:
-                assert np.array_equal(piece.values, whole[start:stop])
-        assert made == [0, 2 * SYNTH_CHUNK, 3 * SYNTH_CHUNK]
-        c = SYNTH_CHUNK
-        assert asked == [(0, c), (c, 2 * c), (2 * c, 3 * c), (3 * c, blocks)]
+        got = estimate_trace(SynthesizedLink(cfg, paths, blocks), scheme,
+                             stream(24, "pilot-noise"), keep=keep).values
+        assert made == [(0, 64), (256, 64), (768, 5)]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestTensorValidate:
@@ -337,6 +390,104 @@ class TestTraceIO:
         with pytest.raises(ContractError):
             export_trace(tensor, tmp_path / "empty.trace")
         assert not (tmp_path / "empty.trace").exists()
+
+
+class TestStreamedImport:
+    """import_trace reads one block of L*M records at a time.
+
+    Its errors are those of reading the whole file at once and cutting it
+    with str.splitlines, the line named included.
+    """
+
+    # 3 blocks of 2 x 2 records: block n (1-based) is lines 4n - 1 .. 4n + 2
+    SHAPE = (3, 2, 2)
+
+    def _lines(self, tmp_path):
+        n, l, m = np.indices(self.SHAPE)
+        values = (n + 0.5) - 1j * (l + m / 4)
+        path = tmp_path / "t.trace"
+        export_trace(ChannelTensor(values, "true"), path)
+        return path, path.read_text().split("\n")[:-1]
+
+    @staticmethod
+    def _insert(index, text):
+        return lambda lines: lines[:index] + [text] + lines[index:]
+
+    @staticmethod
+    def _replace(index, text):
+        return lambda lines: lines[:index] + [text] + lines[index + 1:]
+
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param(_replace(6, "2 1 2 1.5 -0"),
+                     "line 7: trace dimension mismatch: expected record (n,l,m)=(2, 1, 1), "
+                     "found ('2', '1', '2')", id="block-2-first-line-index"),
+        pytest.param(_replace(6, "2 1 1 1.5 -0 x"),
+                     "line 7: unparseable trace record '2 1 1 1.5 -0 x'",
+                     id="block-2-first-line-token"),
+        pytest.param(_replace(13, "3 2 2 nan -1.25"),
+                     "line 14: non-finite channel value in record (n,l,m)=(3, 2, 2)",
+                     id="last-line-non-finite"),
+        pytest.param(_replace(13, "3 2 2 2.5"),
+                     "line 14: expected 5 fields 'n l m re im', found 4",
+                     id="last-line-short"),
+        pytest.param(lambda lines: lines[:-1],
+                     "line 14: trace dimension mismatch: header declares 3x2x2 = 12 records, "
+                     "found 11 lines", id="line-missing-at-end"),
+        pytest.param(lambda lines: lines + ["3 2 2 2.5 -1.25"],
+                     "line 15: trace dimension mismatch: header declares 3x2x2 = 12 records, "
+                     "found 13 lines", id="line-extra-at-end"),
+        pytest.param(lambda lines: lines + ["x", "y"],
+                     "line 15: trace dimension mismatch: header declares 3x2x2 = 12 records, "
+                     "found 14 lines", id="lines-extra-at-end"),
+        pytest.param(_insert(6, ""),
+                     "line 7: expected 5 fields 'n l m re im', found 0",
+                     id="blank-line-at-block-boundary"),
+        pytest.param(_insert(10, "   "),
+                     "line 11: expected 5 fields 'n l m re im', found 0",
+                     id="whitespace-line-at-block-boundary"),
+        pytest.param(_replace(7, "2 1 2 1.5\x0c -0.25"),
+                     "line 8: expected 5 fields 'n l m re im', found 4", id="form-feed-in-record"),
+        pytest.param(_replace(7, "2 1 2 1.5\u2028 -0.25"),
+                     "line 8: expected 5 fields 'n l m re im', found 4",
+                     id="line-separator-in-record"),
+        pytest.param(_replace(9, "2 2 2 1.5 -1.25\x0b"),   # a record, then a blank line
+                     "line 11: expected 5 fields 'n l m re im', found 0",
+                     id="vertical-tab-ends-block"),
+    ])
+    def test_error_names_the_line_of_a_whole_file_read(self, tmp_path, fault, message):
+        path, lines = self._lines(tmp_path)
+        assert import_trace(path).values.shape == self.SHAPE
+        path.write_text("\n".join(fault(lines)) + "\n")
+        with pytest.raises(TraceFormatError) as err:
+            import_trace(path)
+        assert str(err.value) == message
+
+    def test_records_split_by_any_line_break_are_read(self, tmp_path):
+        # two records on one line, parted by \u2029, are two lines to splitlines
+        path, lines = self._lines(tmp_path)
+        want = import_trace(path).values
+        path.write_text("\n".join(lines[:7] + [lines[7] + "\u2029" + lines[8]] + lines[9:]))
+        assert np.array_equal(import_trace(path).values, want)
+
+    def test_peak_memory_does_not_grow_with_the_file(self, tmp_path):
+        # a 300-block desk trace: 256 records, 12.6 kB of text, per block.
+        # Beside the tensor the reader holds the text reader's buffers
+        # (about 30 kB), one block's lines as str objects (about twice its
+        # text) and their parse; the whole file as lines is over 1000 blocks
+        peaks = {}
+        for blocks in (300, 600):
+            cfg = parse_config(preset="desk").channel
+            path = tmp_path / f"desk{blocks}.trace"
+            export_trace(synthesize(cfg, draw_paths(cfg), blocks), path)
+            block_text = path.stat().st_size / blocks
+            tracemalloc.start()
+            try:
+                tensor = import_trace(path)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1] - tensor.values.nbytes
+            finally:
+                tracemalloc.stop()
+            assert peaks[blocks] < 10 * block_text
+        assert abs(peaks[600] - peaks[300]) < block_text
 
 
 @st.composite

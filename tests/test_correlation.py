@@ -249,7 +249,7 @@ class TestCorrelationReport:
 
 
 class TestSynthesizedLink:
-    """The study of a link made chunk by chunk has the bits of the whole link's."""
+    """The study of a link made window by window has the bits of the whole link's."""
 
     @pytest.mark.parametrize("blocks, max_shift", [
         (255, 16), (256, 16), (257, 16),             # around one chunk edge

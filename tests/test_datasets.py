@@ -160,6 +160,42 @@ class TestBuildSeriesDataset:
                 build_series_dataset(est, series, spec)
 
 
+class TestFiniteWindows:
+    """A builder checks for non-finite values only in the blocks its windows read."""
+
+    # 0-based blocks read: 0 .. 5 (training) and 8 .. 12 (test) of 14
+    SPEC = DatasetSpec(n0=2, n_tr=4, n_te=3, n_gap=8)
+
+    def _with_nan(self, block, l=1):
+        est = _numbered(self.SPEC.min_blocks, l=3, m=2)
+        values = est.values.copy()
+        values[block, l, 0] = np.nan
+        return ChannelTensor(values, "estimated")
+
+    @pytest.mark.parametrize("block", [0, 5, 8, 12])
+    def test_non_finite_in_its_windows_refused(self, block):
+        est = self._with_nan(block)
+        for build in (lambda: build_series_dataset(est, ("subcarrier", 1), self.SPEC),
+                      lambda: build_series_dataset(est, ("antenna", 0), self.SPEC),
+                      lambda: build_jl(est, self.SPEC), lambda: build_jldt(est, self.SPEC)):
+            with pytest.raises(ContractError, match="non-finite"):
+                build()
+
+    @pytest.mark.parametrize("block", [6, 7, 13])
+    def test_blocks_outside_its_windows_not_read(self, block):
+        est = self._with_nan(block)
+        train, test = build_series_dataset(est, ("subcarrier", 1), self.SPEC)
+        assert np.isfinite(train.features).all() and np.isfinite(test.labels).all()
+        build_jldt(est, self.SPEC)
+
+    def test_other_series_not_read(self):
+        est = self._with_nan(3, l=2)
+        build_series_dataset(est, ("subcarrier", 1), self.SPEC)
+        build_series_dataset(est, ("antenna", 1), self.SPEC)
+        with pytest.raises(ContractError, match="non-finite"):
+            build_series_dataset(est, ("subcarrier", 2), self.SPEC)
+
+
 class TestPooledBuilders:
     def test_jl_row_counts_paper_values(self):
         # L=50, N'_tr=20 -> 1000 pooled training rows

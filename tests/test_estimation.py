@@ -15,7 +15,6 @@ from chanpred import (
     estimate_trace,
     synthesize,
 )
-from chanpred.estimation import draw_noise
 from chanpred.rng import stream
 from conftest import ZeroNoise
 
@@ -167,10 +166,11 @@ class TestEstimateTrace:
         rng = Counted()
         estimate_trace(truth, scheme, rng, keep=[(5, 10), (130, 140)])
         assert draws == [64, 64, 64, 64, 22, 22] and len(matmuls) == 2
-        # draw_noise leaves the stream where a whole estimate leaves it
+        # an estimate of a few kept blocks leaves the stream where a whole
+        # estimate leaves it
         rng, skipped = stream(18, "pilot-noise"), stream(18, "pilot-noise")
         estimate_trace(truth, scheme, rng)
-        draw_noise(skipped, 150, (3, 4, 4))
+        estimate_trace(truth, scheme, skipped, keep=[(5, 10), (130, 140)])
         assert rng.standard_normal() == skipped.standard_normal()
 
     def test_wrong_domain_or_provenance(self, truth):

@@ -172,6 +172,24 @@ class TestKeptLayout:
             assert f"{full.n_blocks} blocks" in str(exc.value)
             assert f"{kept.n_blocks} blocks" in str(exc.value)
 
+    @pytest.mark.parametrize("approach", ["sl", "sl_small", "jldt"])
+    def test_non_finite_anywhere_refused(self, approach):
+        # the last kept block and the head past sl_small's rows are in no
+        # window of sl_small; the cell checks the whole estimate all the same
+        cfg = micro_config(approaches=("sl", "sl_small", "jldt"))
+        labels, est = prepare_link(cfg, 10.0, seed=3)
+        spec = cfg.kept_spec(cfg.overhead_blocks("sl_small"))
+        for block in (spec.n_tr + spec.n0, est.n_blocks - 1):
+            values = est.values.copy()
+            values[block, 0, 0] = np.nan
+            bad = ChannelTensor(values, "estimated")
+            if approach == "sl_small":
+                build_series_dataset(bad, ("subcarrier", 0), spec)   # its windows are finite
+            with pytest.raises(ContractError, match="non-finite"):
+                evaluate_cell(labels, bad, cfg, approach, seed=3)
+            with pytest.raises(ContractError, match="non-finite"):
+                persistence_nmse(labels, bad, cfg)
+
     def test_unconfigured_approach_refused(self):
         # sl's rows do not fit the head of a jldt-only cell
         cfg = micro_config(approaches=("jldt",), n_gap=30)
@@ -205,7 +223,7 @@ def _link_case(blocks, n_te, head=None):
 
 
 class TestPrepareLink:
-    """prepare_link builds the link chunk by chunk; the bits are those of the whole."""
+    """prepare_link makes only the link's kept blocks; the bits are those of the whole."""
 
     @pytest.mark.parametrize("blocks, n_te, n_tr_prime, approaches", [
         # link ends around multiples of 64 and 256; a head of 14 blocks (sl's)
@@ -232,18 +250,14 @@ class TestPrepareLink:
         assert np.array_equal(labels.values.view(np.uint64), got_labels.view(np.uint64))
         assert (labels.provenance, est.provenance) == ("true", "estimated")
 
-    def test_synthesis_chunk_is_whole_estimation_chunks(self):
-        # each chunk prepare_link estimates must end on an estimation chunk
-        # boundary, or its noise draws would differ from the whole link's
-        assert SYNTH_CHUNK % _EST_CHUNK == 0
-
     @staticmethod
     def _peak_within_kept_bytes(cfg):
         # paper-like L = 50, M = 64: beside its outputs, the kept estimate and
-        # the labels, prepare_link may hold one synthesis chunk of truth and
-        # estimate_trace's two buffers, Y (complex) and one part of Z (real),
-        # each (64, L, M, tau); the full truth alone is more. The slack
-        # covers lazy imports and the small arrays
+        # the labels, prepare_link may hold one estimation chunk of truth,
+        # synthesize's (64, L, P) mix for it and estimate_trace's two
+        # buffers, Y (complex) and one part of Z (real), each (64, L, M, tau);
+        # the full truth alone is more. The slack covers lazy imports and the
+        # small arrays
         L, M, tau = cfg.channel.n_subcarriers, cfg.channel.n_antennas, cfg.tau
         tracemalloc.start()
         try:
@@ -253,7 +267,7 @@ class TestPrepareLink:
             tracemalloc.stop()
         complex_bytes = 16
         outputs = (cfg.kept_spec().min_blocks + cfg.n_te) * L * M * complex_bytes
-        chunk = SYNTH_CHUNK * L * M * complex_bytes
+        chunk = _EST_CHUNK * L * (M + cfg.channel.n_paths) * complex_bytes
         buffers = 64 * L * M * tau * (complex_bytes + 8)
         assert peak < outputs + chunk + buffers + 2 * 2 ** 20   # 2 MB: lazy imports, small arrays
         assert labels.values.shape == (cfg.n_te, L, M)
