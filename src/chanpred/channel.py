@@ -16,6 +16,8 @@ temporal auto-correlation high out to large block shifts.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass, replace
 from itertools import islice, product
 
@@ -455,10 +457,16 @@ def import_trace(path) -> ChannelTensor:
         header = _parse_header(f.readline().rstrip("\n"))
         N, L, M = header["N"], header["L"], header["M"]
         per = L * M
-        values = np.empty((N, L, M), dtype=np.complex128)
-        # (re, im) pairs of each block: copying the parsed columns in keeps
-        # every bit, the sign of zero included
-        parts = values.view(np.float64).reshape(N, per, 2)
+        # a record line holds at least 9 characters, 'n l m re im'; a file too
+        # short for the records its header declares gets no tensor, and the
+        # walk below names the line where its records break off
+        info = os.fstat(f.fileno())
+        values = parts = None
+        if N * per * 9 <= info.st_size or not stat.S_ISREG(info.st_mode):
+            values = np.empty((N, L, M), dtype=np.complex128)
+            # (re, im) pairs of each block: copying the parsed columns in keeps
+            # every bit, the sign of zero included
+            parts = values.view(np.float64).reshape(N, per, 2)
         lm = np.column_stack([np.repeat(np.arange(1, L + 1), M), np.tile(np.arange(1, M + 1), L)])
         batches = _line_batches(f, per)
         for n in range(N):
@@ -480,7 +488,8 @@ def import_trace(path) -> ChannelTensor:
                     raise TraceFormatError(error)
                 found = n * per + len(lines)
                 break
-            parts[n] = records[:, 3:]
+            if parts is not None:
+                parts[n] = records[:, 3:]
             del lines, records   # before the next block is read
         else:
             found = N * per

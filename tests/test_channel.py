@@ -462,6 +462,24 @@ class TestStreamedImport:
             import_trace(path)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param(lambda lines: lines,
+                     "line 15: trace dimension mismatch: header declares 1000000000000x2x2 = "
+                     "4000000000000 records, found 12 lines", id="records-end"),
+        pytest.param(_replace(6, "2 1 2 1.5 -0"),
+                     "line 7: trace dimension mismatch: expected record (n,l,m)=(2, 1, 1), "
+                     "found ('2', '1', '2')", id="record-breaks-first"),
+    ])
+    def test_header_declaring_more_records_than_the_file_holds(self, tmp_path, fault, message):
+        # 10**12 blocks is more than memory holds; the error is the one of
+        # a header that overstates the records by one block
+        path, lines = self._lines(tmp_path)
+        lines[1] = lines[1].replace("N=3 ", f"N={10 ** 12} ")
+        path.write_text("\n".join(fault(lines)) + "\n")
+        with pytest.raises(TraceFormatError) as err:
+            import_trace(path)
+        assert str(err.value) == message
+
     def test_records_split_by_any_line_break_are_read(self, tmp_path):
         # two records on one line, parted by \u2029, are two lines to splitlines
         path, lines = self._lines(tmp_path)

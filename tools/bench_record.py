@@ -1,8 +1,8 @@
 """Record one checkout's end-to-end benchmark metrics in BENCH_<short-sha>.json.
 
-    python3 tools/bench_record.py [--checkout DIR] [--runs N] [--seed S]
+    python3 tools/bench_record.py [--checkout DIR]
 
-Runs the checkout's `perfbench/run.py --trace 0` N times (at least 3) for
+Runs the checkout's `perfbench/run.py --trace 0` three times at seed 1 for
 each workload its BENCHMARK.json declares, each run a fresh process started
 in the checkout's root at the benchmark's own run length, taking the
 workloads in turn so that a slow spell of the host spreads over all of
@@ -34,7 +34,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
-MIN_RUNS = 3
+RUNS = 3
+SEED = 1
 
 
 def _git(checkout: Path, *args) -> str | None:
@@ -48,16 +49,16 @@ def _shown(path: Path) -> str:
     return "~/" + str(path.relative_to(home)) if path.is_relative_to(home) else str(path)
 
 
-def _run(checkout: Path, workload: str, seed: int) -> dict:
+def _run(checkout: Path, workload: str) -> dict:
     """One `perfbench/run.py --trace 0` run: its final JSON line and its run record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--trace", "0"]
+            "--seed", str(SEED), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
     result = json.loads(lines[-1])
-    with open(checkout / ".bench_out" / f"run-{workload}-seed{seed}-trace0.json") as f:
+    with open(checkout / ".bench_out" / f"run-{workload}-seed{SEED}-trace0.json") as f:
         record = json.load(f)
     env = next((it["env"] for it in record["iterations"] if "env" in it), {})
     return {"result": result, "host": record["host"], "env": env}
@@ -68,13 +69,13 @@ def _summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def record(checkout: Path, workloads: list, runs: int, seed: int) -> dict:
-    """Run every workload `runs` times, in turn, and summarize the runs."""
+def record(checkout: Path, workloads: list) -> dict:
+    """Run every workload RUNS times, in turn, and summarize the runs."""
     done = {w: [] for w in workloads}
-    for i in range(runs):
+    for i in range(RUNS):
         for w in workloads:
-            print(f"run {i + 1}/{runs} {w}", file=sys.stderr, flush=True)
-            done[w].append(_run(checkout, w, seed))
+            print(f"run {i + 1}/{RUNS} {w}", file=sys.stderr, flush=True)
+            done[w].append(_run(checkout, w))
 
     out, where = {}, {}
     for w, outcomes in done.items():
@@ -104,7 +105,7 @@ def record(checkout: Path, workloads: list, runs: int, seed: int) -> dict:
         "blas": {k: (env.get("blas") or {}).get(k) for k in ("name", "version")},
         "blas_threads": host.get("blas_threads"),
         "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
-        "seed": seed,
+        "seed": SEED,
         "workloads": out,
     }
 
@@ -113,16 +114,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, default=REPO,
                         help="root of the checkout to measure (default: this repository)")
-    parser.add_argument("--runs", type=int, default=MIN_RUNS)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.runs < MIN_RUNS:
-        parser.error(f"--runs must be at least {MIN_RUNS}")
     checkout = args.checkout.resolve()
     with open(checkout / "BENCHMARK.json") as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
 
-    rec = record(checkout, workloads, args.runs, args.seed)
+    rec = record(checkout, workloads)
     short = _git(checkout, "rev-parse", "--short", "HEAD") or "unknown"
     path = REPO / f"BENCH_{short}{'-dirty' if rec['dirty'] else ''}.json"
     with open(path, "w") as f:
