@@ -21,7 +21,6 @@ from .datasets import (
     build_series_dataset,
     complex_to_real,
     fit_scale,
-    real_to_complex,
 )
 from .errors import (
     ChanpredError,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import stat
+import warnings
 from dataclasses import dataclass, replace
 from itertools import islice, product
 
@@ -380,6 +381,8 @@ def _parse_header(line: str) -> dict:
         if "=" not in token:
             raise TraceFormatError(f"line 2: malformed header token {token!r}")
         key, value = token.split("=", 1)
+        if key in fields:
+            raise TraceFormatError(f"line 2: trace header repeats field {key!r}")
         fields[key] = value
     for key in ("N", "L", "M", "domain", "provenance"):
         if key not in fields:
@@ -422,14 +425,17 @@ def _record_error(lines: list, n: int, L: int, M: int) -> str | None:
     """Name the first of block n's record lines that breaks the format, if one does.
 
     Only runs on a block that the bulk parse or its checks rejected, or that
-    the file ends inside, so it may go line by line.
+    the file ends inside, so it may go line by line, each line parsed as the
+    block is.
     """
     for i, line in enumerate(lines):
         where = f"line {3 + n * L * M + i}"
         want = (n + 1, i // M + 1, i % M + 1)
         tokens = line.split()
         try:
-            fields = [float(t) for t in tokens]
+            with warnings.catch_warnings():   # loadtxt warns on a blank line
+                warnings.simplefilter("ignore")
+                fields = np.loadtxt([line], ndmin=2, comments=None).ravel()
         except ValueError:
             return f"{where}: unparseable trace record {line!r}"
         if len(fields) != 5:

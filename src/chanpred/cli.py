@@ -231,19 +231,24 @@ def _effective_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _one_entry(args, *flags) -> None:
-    """A command that runs one seed or SNR rejects a flag that lists more."""
-    for flag in flags:
+def _single_seed_config(args, *flags) -> tuple[ExperimentConfig, int]:
+    """Build and echo the config of a command that runs one seed; return it and the seed.
+
+    A --seeds flag, or one of `flags`, that lists more than one entry is
+    refused before the config is built.
+    """
+    for flag in ("seeds", *flags):
         if len(getattr(args, flag) or ()) > 1:
             raise ConfigError(f"--{flag.replace('_', '-')} takes one entry for {args.command}, "
                               f"got {getattr(args, flag)}")
-
-
-def _cmd_generate(args) -> int:
-    _one_entry(args, "seeds")
     cfg = _effective_config(args)
     seed = cfg.seeds[0]
     _echo_config(cfg, [seed])
+    return cfg, seed
+
+
+def _cmd_generate(args) -> int:
+    cfg, seed = _single_seed_config(args)
     chan = cfg.channel.with_seed(seed)
     blocks = cfg.required_blocks if args.blocks is None else args.blocks
     tensor = synthesize(chan, draw_paths(chan), blocks)
@@ -267,10 +272,7 @@ def _cmd_import(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    _one_entry(args, "seeds", "snr_db")
-    cfg = _effective_config(args)
-    seed = cfg.seeds[0]
-    _echo_config(cfg, [seed])
+    cfg, seed = _single_seed_config(args, "snr_db")
     tensor = import_trace(args.trace)
     snr_db = cfg.snr_db[0]
     est = estimate_trace(tensor, cfg.scheme(snr_db), stream(seed, "pilot-noise"))
@@ -280,10 +282,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    _one_entry(args, "seeds")
-    cfg = _effective_config(args)
-    seed = cfg.seeds[0]
-    _echo_config(cfg, [seed])
+    cfg, seed = _single_seed_config(args)
     check_window(args.max_shift, args.n_avg)
     if args.trace:
         source = import_trace(args.trace)

@@ -48,15 +48,6 @@ def complex_to_real(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def real_to_complex(x: np.ndarray) -> np.ndarray:
-    """Inverse of complex_to_real; the last axis must have even length."""
-    x = np.asarray(x)
-    if x.shape[-1] % 2 != 0:
-        raise ContractError(f"last axis must have even length, got {x.shape[-1]}")
-    d = x.shape[-1] // 2
-    return x[..., :d] + 1j * x[..., d:]
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     """Window length and chronological split sizes (per series)."""

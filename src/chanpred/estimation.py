@@ -62,25 +62,6 @@ class PilotScheme:
         return cls(dft_pilot(tau, k), db_to_linear(snr_db)).validate()
 
 
-def _noise_chunks(rng: np.random.Generator, n_blocks: int, shape: tuple):
-    """The one order of the pilot-noise draws of n_blocks blocks.
-
-    Yields (start, stop, parts) per estimation chunk of _EST_CHUNK blocks;
-    `parts` draws Z of blocks start+1 .. stop into one reused real buffer of
-    (stop - start, *shape), its real parts first, then its imaginary parts,
-    each as it is reached. What a consumer leaves undrawn is drawn before
-    the next chunk, so every block's noise is drawn whatever is read of it.
-    """
-    z_buf = np.empty((min(_EST_CHUNK, n_blocks), *shape))
-    for start in range(0, n_blocks, _EST_CHUNK):
-        stop = min(start + _EST_CHUNK, n_blocks)
-        z = z_buf[:stop - start]
-        parts = (rng.standard_normal(out=z) for _ in range(2))
-        yield start, stop, parts
-        for _ in parts:
-            pass
-
-
 def estimate_trace(source: ChannelTensor | SynthesizedLink, scheme: PilotScheme,
                    rng: np.random.Generator, keep=None) -> ChannelTensor:
     """LS-estimate every (block, subcarrier) cell of a true tensor or link.
@@ -111,17 +92,23 @@ def estimate_trace(source: ChannelTensor | SynthesizedLink, scheme: PilotScheme,
 
     g = np.empty((sum(hi - lo for lo, hi in keep), L, M), dtype=np.complex128)
     filled = 0
-    # every chunk reuses two buffers: the received pilots Y and one part of Z
+    # two reused buffers, the received pilots Y and one part of Z; the noise is
+    # drawn chunk by chunk, real parts then imaginary parts, kept or not
     y_buf = np.empty((min(_EST_CHUNK, n_blocks), L, M, tau), dtype=np.complex128)
-    for start, stop, parts in _noise_chunks(rng, n_blocks, (L, M, tau)):
+    z_buf = np.empty(y_buf.shape)
+    for start in range(0, n_blocks, _EST_CHUNK):
+        stop = min(start + _EST_CHUNK, n_blocks)
+        y, z = y_buf[:stop - start], z_buf[:stop - start]
         runs = [(max(lo, start), min(hi, stop)) for lo, hi in keep
                 if max(lo, start) < min(hi, stop)]
         if not runs:
+            rng.standard_normal(out=z)
+            rng.standard_normal(out=z)
             continue
-        y = y_buf[:stop - start]
         np.multiply(root_rho, source.read(start, stop)[:, :, :, None], out=y)
         y *= scheme.pilot
-        for part, z in zip((y.real, y.imag), parts):
+        for part in (y.real, y.imag):
+            rng.standard_normal(out=z)
             z *= noise_scale
             part += z
         for lo, hi in runs:

@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"pilot_column must be in [0, tau), got {self.pilot_column}")
         if not self.snr_db:
             raise ConfigError("snr_db list must be non-empty")
+        if self.n_tr_prime < 1:   # before the spec, which would name the derived n_tr
+            raise ConfigError(f"n_tr_prime must be >= 1, got {self.n_tr_prime}")
         self.dataset_spec().validate()   # n_tr >= n_tr_prime, so the jl spec holds too
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden layer sizes must be >= 1, got {self.hidden}")

@@ -334,6 +334,20 @@ class TestTraceIO:
         with pytest.raises(TraceFormatError, match="missing field"):
             import_trace(path)
 
+    def test_repeated_header_field_is_named(self, tmp_path):
+        # the later N would otherwise win silently and fail as a count mismatch
+        path = tmp_path / "x.trace"
+        path.write_text("chanpred-trace v1\n"
+                        "N=1 L=1 M=1 domain=subcarrier provenance=true N=2\n"
+                        "1 1 1 0.5 0.5\n")
+        with pytest.raises(TraceFormatError) as err:
+            import_trace(path)
+        assert str(err.value) == "line 2: trace header repeats field 'N'"
+        path.write_text("chanpred-trace v1\n"
+                        "N=1 L=1 M=1 domain=subcarrier provenance=true note=a\n"
+                        "1 1 1 0.5 0.5\n")
+        assert import_trace(path).values.shape == (1, 1, 1)   # an unknown field is accepted
+
     def test_signed_zeros_survive_import(self, tmp_path):
         path = tmp_path / "zeros.trace"
         path.write_text("chanpred-trace v1\n"
@@ -424,6 +438,13 @@ class TestStreamedImport:
         pytest.param(_replace(6, "2 1 1 1.5 -0 x"),
                      "line 7: unparseable trace record '2 1 1 1.5 -0 x'",
                      id="block-2-first-line-token"),
+        # float() reads both of these; the block's own parser refuses them
+        pytest.param(_replace(8, "2 2 1 1_0 0.5"),
+                     "line 9: unparseable trace record '2 2 1 1_0 0.5'",
+                     id="digit-underscore"),
+        pytest.param(_replace(8, "2 2 1 \uff11 0.5"),
+                     "line 9: unparseable trace record '2 2 1 \uff11 0.5'",
+                     id="fullwidth-digit"),
         pytest.param(_replace(13, "3 2 2 nan -1.25"),
                      "line 14: non-finite channel value in record (n,l,m)=(3, 2, 2)",
                      id="last-line-non-finite"),

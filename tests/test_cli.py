@@ -88,6 +88,12 @@ class TestParseConfig:
         assert cfg.n_tr == 5 * cfg.channel.n_subcarriers == 80
         assert config_to_dict(cfg)["n_tr"] == 80
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_non_positive_n_tr_prime_named(self, value):
+        # by its own name, not as the derived n_tr = n_tr_prime * L
+        with pytest.raises(ConfigError, match=rf"^n_tr_prime must be >= 1, got {value}$"):
+            config_from_dict({"preset": "desk", "n_tr_prime": value})
+
     @pytest.mark.parametrize("key, value", [
         ("n_tr_prime", 10.9),   # non-integral number in an integer field
         ("m_h", 4.7),

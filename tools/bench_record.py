@@ -14,7 +14,8 @@ uncommitted changes). It holds, per workload and metric (wall_s, setup_s,
 peak_rss_mb), the median and quartiles over the runs and each run's value,
 the operations failed and attempted over all runs, and where the runs
 happened: host, nproc, numpy's BLAS name and version, the BLAS thread count
-the benchmark pins, commit, checkout path and MALLOC_MMAP_THRESHOLD_ if set.
+the benchmark pins, commit, checkout path and MALLOC_MMAP_THRESHOLD_ if set,
+and the checkout's `src/chanpred/*.py` line total as `src_lines`.
 
 perfbench is only started, never imported or changed. The default checkout
 is the repository holding this tool; `--checkout` measures another one, such
@@ -106,6 +107,9 @@ def record(checkout: Path, workloads: list) -> dict:
         "blas_threads": host.get("blas_threads"),
         "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
         "seed": SEED,
+        # the measured checkout's library size, as `wc -l src/chanpred/*.py` counts it
+        "src_lines": sum(p.read_bytes().count(b"\n")
+                         for p in (checkout / "src" / "chanpred").glob("*.py")),
         "workloads": out,
     }
 
