@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import stat
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice, product
 
 import numpy as np
@@ -60,7 +60,6 @@ class ChannelConfig:
     block_duration: float = 20e-3    # coherence block, s
     n_paths: int = 31
     delay_spread: float = 100e-9     # RMS delay spread, s
-    seed: int = 1
     doppler_grid_blocks: int = 2000  # reference window defining the tone grid
     doppler_offset: float = 0.0      # mean Doppler, Hz (snapped to the grid)
 
@@ -96,9 +95,6 @@ class ChannelConfig:
                 f"doppler_offset {self.doppler_offset} Hz exceeds the maximum "
                 f"Doppler shift {self.max_doppler:.4g} Hz at this speed")
         return self
-
-    def with_seed(self, seed: int) -> "ChannelConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -233,8 +229,8 @@ def _tone_ladder(n_paths: int) -> np.ndarray:
     return ladder
 
 
-def draw_paths(config: ChannelConfig) -> PathSet:
-    """Draw a multipath realization for `config` from its "paths" stream.
+def draw_paths(config: ChannelConfig, seed: int) -> PathSet:
+    """Draw a multipath realization for `config` from the run seed's "paths" stream.
 
     Delays are exponential with mean ``delay_spread``; per-path powers follow
     exp(-tau/delay_spread), normalized to sum to exactly 1, with uniformly
@@ -245,7 +241,7 @@ def draw_paths(config: ChannelConfig) -> PathSet:
     |nu| <= speed*carrier_freq/c.
     """
     config.validate()
-    rng = stream(config.seed, "paths")
+    rng = stream(seed, "paths")
     P = config.n_paths
 
     if config.delay_spread > 0:

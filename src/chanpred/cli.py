@@ -51,8 +51,10 @@ _CHANNEL_KEYS = {
     "delay_spread_s": "delay_spread",
     "doppler_grid_blocks": "doppler_grid_blocks",
     "doppler_offset_hz": "doppler_offset",
-    "channel_seed": "seed",
 }
+# echoed as a config key, so that hashes and CSV headers keep their bytes; a
+# run's channel follows its seed in 'seeds', the argument of draw_paths
+_CHANNEL_SEED = 1
 _EXPERIMENT_KEYS = ("tau", "pilot_column", "snr_db", "n0", "n_tr", "n_tr_prime",
                     "n_gap", "n_te", "hidden", "batch_size", "learning_rate",
                     "epochs", "seeds", "approaches")
@@ -77,7 +79,7 @@ PRESETS = {
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
+    out = {"channel_seed": _CHANNEL_SEED}
     for key, attr in _CHANNEL_KEYS.items():
         out[key] = getattr(cfg.channel, attr)
     for key in _EXPERIMENT_KEYS:
@@ -114,7 +116,7 @@ def _cast(key: str, value, default):
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    known = set(_CHANNEL_KEYS) | set(_EXPERIMENT_KEYS) | {"preset"}
+    known = set(_CHANNEL_KEYS) | set(_EXPERIMENT_KEYS) | {"channel_seed", "preset"}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -128,9 +130,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     chan_defaults = _defaults(ChannelConfig)
     channel = ChannelConfig(**{attr: _cast(key, merged[key], chan_defaults[attr])
                                for key, attr in _CHANNEL_KEYS.items() if key in merged})
-    if channel.seed != chan_defaults["seed"]:
-        raise ConfigError(f"channel_seed must be {chan_defaults['seed']}: each run's channel "
-                          f"follows its seed in 'seeds' (got channel_seed={channel.seed})")
+    channel_seed = _cast("channel_seed", merged.get("channel_seed", _CHANNEL_SEED), _CHANNEL_SEED)
+    if channel_seed != _CHANNEL_SEED:
+        raise ConfigError(f"channel_seed must be {_CHANNEL_SEED}: each run's channel "
+                          f"follows its seed in 'seeds' (got channel_seed={channel_seed})")
     exp_defaults = _defaults(ExperimentConfig)
     cfg = ExperimentConfig(channel=channel, **{key: _cast(key, merged[key], exp_defaults[key])
                                                for key in _EXPERIMENT_KEYS
@@ -249,9 +252,8 @@ def _single_seed_config(args, *flags) -> tuple[ExperimentConfig, int]:
 
 def _cmd_generate(args) -> int:
     cfg, seed = _single_seed_config(args)
-    chan = cfg.channel.with_seed(seed)
     blocks = cfg.required_blocks if args.blocks is None else args.blocks
-    tensor = synthesize(chan, draw_paths(chan), blocks)
+    tensor = synthesize(cfg.channel, draw_paths(cfg.channel, seed), blocks)
     export_trace(tensor, args.out)
     print(f"wrote trace: {args.out} (N={tensor.n_blocks} L={tensor.n_subcarriers} "
           f"M={tensor.n_antennas})")
@@ -287,11 +289,15 @@ def _cmd_correlate(args) -> int:
     if args.trace:
         source = import_trace(args.trace)
     else:
-        chan = cfg.channel.with_seed(seed)
-        source = SynthesizedLink(chan, draw_paths(chan), args.n_avg + args.max_shift)
-    report = correlation_report(source, max_shift=args.max_shift, n_avg=args.n_avg)
-    _write_csv(args.out, cfg, ("shift", "domain", "auto_mag", "cross_mag"),
-               report.rows())
+        source = SynthesizedLink(cfg.channel, draw_paths(cfg.channel, seed),
+                                 args.n_avg + args.max_shift)
+    report = correlation_report(source, args.max_shift, args.n_avg)
+    rows = [(shift, domain, float(auto[shift]), float(cross[shift]))
+            for domain, auto, cross in (
+                ("subcarrier", report.subcarrier_auto, report.subcarrier_cross),
+                ("antenna", report.antenna_auto, report.antenna_cross))
+            for shift in range(args.max_shift + 1)]
+    _write_csv(args.out, cfg, ("shift", "domain", "auto_mag", "cross_mag"), rows)
     print(f"wrote correlation study: {args.out}")
     return EXIT_OK
 
@@ -308,8 +314,10 @@ def _cmd_sweep(args) -> int:
         print(f"persistence snr={snr:6.1f} dB  nmse={10*np.log10(value):8.2f} dB")
     print(f"runtime: {report.runtime_seconds:.1f} s")
     if args.out:
-        header, rows = report.csv_rows()
-        _write_csv(args.out, cfg, header, rows)
+        rows = [(e.approach, e.snr_db, e.nmse_db, e.seed_count, e.overhead_blocks)
+                for e in report.entries]
+        _write_csv(args.out, cfg,
+                   ("approach", "snr_db", "nmse_db", "seed_count", "overhead_blocks"), rows)
         print(f"wrote report: {args.out}")
     if args.loss_out:
         rows = []

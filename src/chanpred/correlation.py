@@ -45,17 +45,6 @@ class CorrelationReport:
     antenna_auto: np.ndarray
     antenna_cross: np.ndarray
 
-    def rows(self):
-        """(shift, domain, auto_mag, cross_mag) rows for CSV emission."""
-        out = []
-        for domain, auto, cross in (
-            ("subcarrier", self.subcarrier_auto, self.subcarrier_cross),
-            ("antenna", self.antenna_auto, self.antenna_cross),
-        ):
-            for shift in range(self.max_shift + 1):
-                out.append((shift, domain, float(auto[shift]), float(cross[shift])))
-        return out
-
 
 def _fft_length(max_shift: int) -> int:
     # smallest power of two >= max_shift + 48: each segment then averages at
@@ -101,8 +90,8 @@ def check_window(max_shift: int, n_avg: int) -> None:
         raise ContractError(f"n_avg must be >= 1, got {n_avg}")
 
 
-def correlation_report(source: ChannelTensor | SynthesizedLink, max_shift: int = 16,
-                       n_avg: int = 2000) -> CorrelationReport:
+def correlation_report(source: ChannelTensor | SynthesizedLink, max_shift: int,
+                       n_avg: int) -> CorrelationReport:
     """Correlation study of a true link in both domains.
 
     `source` is a true tensor, or a SynthesizedLink whose segment windows

@@ -52,10 +52,10 @@ def complex_to_real(v: np.ndarray) -> np.ndarray:
 class DatasetSpec:
     """Window length and chronological split sizes (per series)."""
 
-    n0: int = 3        # input order: past blocks per feature row
-    n_tr: int = 1000   # training rows per series
-    n_te: int = 200    # test rows per series
-    n_gap: int = 1500  # offset separating training from test windows
+    n0: int     # input order: past blocks per feature row
+    n_tr: int   # training rows per series
+    n_te: int   # test rows per series
+    n_gap: int  # offset separating training from test windows
 
     def validate(self) -> "DatasetSpec":
         if self.n0 < 1:

@@ -24,7 +24,7 @@ def db_to_linear(snr_db: float) -> float:
     return float(10.0 ** (snr_db / 10.0))
 
 
-def dft_pilot(tau: int, k: int = 1) -> np.ndarray:
+def dft_pilot(tau: int, k: int) -> np.ndarray:
     """Column k of the tau-point DFT matrix: entry t = exp(-j*2*pi*t*k/tau).
 
     Unit modulus entries; distinct columns are mutually orthogonal.
@@ -58,7 +58,7 @@ class PilotScheme:
         return self
 
     @classmethod
-    def dft(cls, tau: int, k: int = 1, snr_db: float = 10.0) -> "PilotScheme":
+    def dft(cls, tau: int, k: int, snr_db: float) -> "PilotScheme":
         return cls(dft_pilot(tau, k), db_to_linear(snr_db)).validate()
 
 

@@ -63,18 +63,15 @@ class MlpModel:
         return self.params.size
 
 
-def init_mlp(dims, rng: np.random.Generator | int) -> MlpModel:
-    """Initialize an MLP with the given layer dims.
+def init_mlp(dims, rng: np.random.Generator) -> MlpModel:
+    """Initialize an MLP with the given layer dims, drawing its weights from `rng`.
 
     Hidden weights are uniform(+-sqrt(6/fan_in)) (ReLU-appropriate), the output
-    layer uniform(+-sqrt(6/(fan_in+fan_out))), biases zero. An int `rng` is
-    the seed of the "mlp-init" stream.
+    layer uniform(+-sqrt(6/(fan_in+fan_out))), biases zero.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or min(dims) < 1:
         raise ConfigError(f"need at least two dims, each >= 1, got {dims}")
-    if isinstance(rng, (int, np.integer)):
-        rng = stream(int(rng), "mlp-init")
 
     model = MlpModel(dims, np.zeros(_n_parameters(dims)))
     last = len(dims) - 2
@@ -232,8 +229,8 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
+    learning_rate: float
     t: int = 0
-    learning_rate: float = 1e-3
     _scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -241,9 +238,8 @@ class AdamState:
         self._scratch = (np.empty(size), np.empty(size))
 
     @classmethod
-    def for_model(cls, model: MlpModel, learning_rate: float = 1e-3) -> "AdamState":
-        return cls(np.zeros_like(model.params), np.zeros_like(model.params),
-                   learning_rate=learning_rate)
+    def for_model(cls, model: MlpModel, learning_rate: float) -> "AdamState":
+        return cls(np.zeros_like(model.params), np.zeros_like(model.params), learning_rate)
 
 
 def adam_step(model: MlpModel, grad, state: AdamState):
@@ -287,10 +283,10 @@ def adam_step(model: MlpModel, grad, state: AdamState):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 128
-    epochs: int = 1000
-    learning_rate: float = 1e-3
-    shuffle_seed: int = 0
+    batch_size: int
+    epochs: int
+    learning_rate: float
+    shuffle_seed: int
 
     def validate(self) -> "TrainConfig":
         if self.batch_size < 1 or self.epochs < 1 or not 0 <= self.learning_rate < np.inf:

@@ -168,10 +168,9 @@ def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
     the cell's one stream, so every kept block has the bits of estimating
     the whole link.
     """
-    chan_cfg = cfg.channel.with_seed(seed)
-    paths = draw_paths(chan_cfg)
-    labels = synthesize(chan_cfg, paths, cfg.n_te, cfg.n_gap + cfg.n0)
-    link = SynthesizedLink(chan_cfg, paths, cfg.required_blocks)
+    paths = draw_paths(cfg.channel, seed)
+    labels = synthesize(cfg.channel, paths, cfg.n_te, cfg.n_gap + cfg.n0)
+    link = SynthesizedLink(cfg.channel, paths, cfg.required_blocks)
     est = estimate_trace(link, cfg.scheme(snr_db), stream(seed, "pilot-noise"),
                          keep=((0, cfg.head_blocks), (cfg.n_gap, link.n_blocks)))
     return labels, est
@@ -299,13 +298,6 @@ class NmseReport:
             if e.approach == approach and e.snr_db == snr_db:
                 return e
         raise KeyError((approach, snr_db))
-
-    def csv_rows(self):
-        """Rows for the fixed nmse.csv schema."""
-        header = ("approach", "snr_db", "nmse_db", "seed_count", "overhead_blocks")
-        rows = [(e.approach, e.snr_db, e.nmse_db, e.seed_count, e.overhead_blocks)
-                for e in self.entries]
-        return header, rows
 
 
 def snr_sweep(cfg: ExperimentConfig, collect_models: bool = False) -> NmseReport:

@@ -10,15 +10,15 @@ from chanpred.rng import stream
 def default_trace():
     """Default-config trace long enough for the shift-16 correlation study."""
     cfg = ChannelConfig()
-    return synthesize(cfg, draw_paths(cfg), 2016)
+    return synthesize(cfg, draw_paths(cfg, 1), 2016)
 
 
 @pytest.fixture(scope="session")
 def micro_tensor_pair():
     """Small (true, estimated) pair for dataset/pipeline plumbing tests."""
-    cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, n_paths=7, seed=5,
+    cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, n_paths=7,
                         speed=20.0 / 3.6, doppler_grid_blocks=16)
-    truth = synthesize(cfg, draw_paths(cfg), 40)
+    truth = synthesize(cfg, draw_paths(cfg, 5), 40)
     scheme = PilotScheme.dft(4, 1, snr_db=10.0)
     est = estimate_trace(truth, scheme, stream(5, "pilot-noise"))
     return truth, est

@@ -95,7 +95,7 @@ def _grad_check_case(seed):
     """Criterion 2's random model (dims <= 8, zero biases) and 3-sample batch."""
     rng = stream(seed, "accept-grad")
     dims = [int(rng.integers(1, 9)) for _ in range(int(rng.integers(2, 5)))]
-    model = init_mlp(dims, seed)
+    model = init_mlp(dims, stream(seed, "mlp-init"))
     x = rng.standard_normal((3, dims[0]))
     y = rng.standard_normal((3, dims[-1]))
     return model, x, y
@@ -208,7 +208,7 @@ def test_criterion_4_correlation_regimes():
     # > 0.9, antenna cross < 0.3, both autos > 0.9; under 1 minute
     started = time.perf_counter()
     cfg = ChannelConfig()
-    tensor = synthesize(cfg, draw_paths(cfg), 2016)
+    tensor = synthesize(cfg, draw_paths(cfg, 1), 2016)
     rep = correlation_report(tensor, max_shift=16, n_avg=2000)
     elapsed = time.perf_counter() - started
     checks = {

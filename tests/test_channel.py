@@ -31,40 +31,40 @@ from conftest import FINITE_DOUBLES, LINE_CORRUPTIONS, corrupt_line, random_tens
 
 class TestDrawPaths:
     def test_single_static_path(self):
-        cfg = ChannelConfig(n_paths=1, delay_spread=0.0, seed=3)
-        paths = draw_paths(cfg)
+        cfg = ChannelConfig(n_paths=1, delay_spread=0.0)
+        paths = draw_paths(cfg, 3)
         assert paths.n_paths == 1
         assert paths.delays[0] == 0.0
         assert np.isclose(np.abs(paths.gains[0]) ** 2, 1.0)
 
     def test_static_ue_has_zero_doppler(self):
-        cfg = ChannelConfig(speed=0.0, seed=4)
-        paths = draw_paths(cfg)
+        cfg = ChannelConfig(speed=0.0)
+        paths = draw_paths(cfg, 4)
         assert np.all(paths.dopplers == 0.0)
 
     def test_doppler_bound(self):
         # oracle: nu_max = v * f_c / c = 2.3442 Hz at 1 km/h, 2.53 GHz
-        cfg = ChannelConfig(seed=0)
+        cfg = ChannelConfig()
         bound = cfg.speed * cfg.carrier_freq / SPEED_OF_LIGHT
         assert np.isclose(bound, 2.3442, atol=5e-4)
         for seed in range(10):
-            paths = draw_paths(cfg.with_seed(seed))
+            paths = draw_paths(cfg, seed)
             assert np.max(np.abs(paths.dopplers)) <= bound + 1e-12
 
     def test_power_normalized_exactly(self):
         for seed in range(5):
-            paths = draw_paths(ChannelConfig(seed=seed))
+            paths = draw_paths(ChannelConfig(), seed)
             assert np.isclose(np.sum(np.abs(paths.gains) ** 2), 1.0, rtol=1e-12)
 
     def test_powers_follow_delay_profile(self):
-        cfg = ChannelConfig(seed=11)
-        paths = draw_paths(cfg)
+        cfg = ChannelConfig()
+        paths = draw_paths(cfg, 11)
         expected = np.exp(-paths.delays / cfg.delay_spread)
         expected /= expected.sum()
         assert np.allclose(np.abs(paths.gains) ** 2, expected, rtol=1e-9)
 
     def test_angle_ranges(self):
-        paths = draw_paths(ChannelConfig(seed=12))
+        paths = draw_paths(ChannelConfig(), 12)
         assert np.all((paths.azimuths >= -np.pi) & (paths.azimuths < np.pi))
         assert np.all((paths.elevations >= -np.pi / 2) & (paths.elevations < np.pi / 2))
 
@@ -96,8 +96,8 @@ class TestSteeringVector:
 class TestSynthesize:
     def test_static_single_path_is_constant_rank_one(self):
         cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=4, n_paths=1,
-                            delay_spread=0.0, speed=0.0, seed=6)
-        t = synthesize(cfg, draw_paths(cfg), 10)
+                            delay_spread=0.0, speed=0.0)
+        t = synthesize(cfg, draw_paths(cfg, 6), 10)
         assert np.allclose(t.values, t.values[0, 0][None, None, :])
 
     def test_power_within_5pct_of_m(self, default_trace):
@@ -124,11 +124,10 @@ class TestSynthesize:
     def test_frequency_coherence_monotone_on_average(self):
         # averaged over 20 seeds, cross-subcarrier correlation magnitude must
         # not increase with subcarrier distance
-        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=20, seed=0)
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=20)
         curves = []
         for seed in range(20):
-            c = cfg.with_seed(seed)
-            t = synthesize(c, draw_paths(c), 400)
+            t = synthesize(cfg, draw_paths(cfg, seed), 400)
             v = t.values
             g = np.einsum("nlm,nkm->lk", np.conj(v), v)
             d = np.real(np.diag(g))
@@ -139,9 +138,9 @@ class TestSynthesize:
         assert np.all(np.diff(avg) <= 5e-3)
 
     def test_seeded_determinism(self):
-        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=5, seed=21)
-        a = synthesize(cfg, draw_paths(cfg), 30)
-        b = synthesize(cfg, draw_paths(cfg), 30)
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=5)
+        a = synthesize(cfg, draw_paths(cfg, 21), 30)
+        b = synthesize(cfg, draw_paths(cfg, 21), 30)
         assert np.array_equal(a.values, b.values)
 
     def test_all_finite_and_flags(self, default_trace):
@@ -150,8 +149,8 @@ class TestSynthesize:
 
 
     def test_first_block_continues_the_link(self):
-        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, seed=22)
-        paths = draw_paths(cfg)
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3)
+        paths = draw_paths(cfg, 22)
         whole = synthesize(cfg, paths, 2 * SYNTH_CHUNK + 5).values
         # a piece cut on chunk boundaries or anywhere else is the same bits
         tail = synthesize(cfg, paths, SYNTH_CHUNK + 5, SYNTH_CHUNK).values
@@ -187,7 +186,7 @@ class TestRangeInvariance:
     @pytest.fixture(scope="class", params=["desk", "paper"])
     def link(self, request):
         cfg = parse_config(preset=request.param).channel
-        paths = draw_paths(cfg)
+        paths = draw_paths(cfg, 1)
         return cfg, paths, synthesize(cfg, paths, self.WHOLE).values
 
     @pytest.mark.parametrize("n", [1, 2, 13, 63, 64, 65, 255, 256, 257])
@@ -210,8 +209,8 @@ class TestSynthesizedLink:
     @pytest.mark.parametrize("blocks", [1, SYNTH_CHUNK - 1, SYNTH_CHUNK, 2 * SYNTH_CHUNK + 5])
     def test_chunks_are_the_whole_link(self, blocks):
         # consecutive reads of any length give the bits of one synthesis
-        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=23)
-        paths = draw_paths(cfg)
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3)
+        paths = draw_paths(cfg, 23)
         link = SynthesizedLink(cfg, paths, blocks)
         assert (link.n_subcarriers, link.n_antennas) == (3, 2)
         edges = [*range(0, blocks, 37), blocks]
@@ -221,14 +220,14 @@ class TestSynthesizedLink:
 
     @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (5, 4), (0, 11)])
     def test_read_outside_the_link_rejected(self, lo, hi):
-        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=23)
-        link = SynthesizedLink(cfg, draw_paths(cfg), 10)
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3)
+        link = SynthesizedLink(cfg, draw_paths(cfg, 23), 10)
         with pytest.raises(ContractError, match="not blocks of the link of 10 blocks"):
             link.read(lo, hi)
 
     def test_require_checks_length_and_provenance(self):
-        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=23)
-        link = SynthesizedLink(cfg, draw_paths(cfg), 10)
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3)
+        link = SynthesizedLink(cfg, draw_paths(cfg, 23), 10)
         assert link.require("true", 10) is link
         with pytest.raises(ContractError, match="link of 10 blocks too short"):
             link.require("true", 11)
@@ -238,8 +237,8 @@ class TestSynthesizedLink:
     def test_unneeded_pieces_are_not_made(self, monkeypatch):
         # an estimate of a link makes only the estimation chunks (64 blocks)
         # that hold kept blocks, with the bits of estimating the whole link
-        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=24)
-        paths = draw_paths(cfg)
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3)
+        paths = draw_paths(cfg, 24)
         blocks = 3 * SYNTH_CHUNK + 5
         scheme = PilotScheme.dft(4, 1, snr_db=5.0)
         keep = [(3, 10), (300, 310), (770, blocks)]
@@ -286,8 +285,8 @@ class TestTensorValidate:
 
 class TestTraceIO:
     def test_round_trip_bit_identical(self, tmp_path):
-        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3, seed=8)
-        t = synthesize(cfg, draw_paths(cfg), 7)
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3)
+        t = synthesize(cfg, draw_paths(cfg, 8), 7)
         path = tmp_path / "a.trace"
         export_trace(t, path)
         t2 = import_trace(path)
@@ -305,8 +304,8 @@ class TestTraceIO:
         assert t.values[3, 1, 1] == 0.125 - 0.125j
 
     def test_missing_subcarrier_record_is_dimension_mismatch(self, tmp_path):
-        cfg = ChannelConfig(m_h=1, m_v=1, n_subcarriers=2, seed=9)
-        t = synthesize(cfg, draw_paths(cfg), 3)
+        cfg = ChannelConfig(m_h=1, m_v=1, n_subcarriers=2)
+        t = synthesize(cfg, draw_paths(cfg, 9), 3)
         path = tmp_path / "bad.trace"
         export_trace(t, path)
         lines = path.read_text().splitlines()
@@ -517,7 +516,7 @@ class TestStreamedImport:
         for blocks in (300, 600):
             cfg = parse_config(preset="desk").channel
             path = tmp_path / f"desk{blocks}.trace"
-            export_trace(synthesize(cfg, draw_paths(cfg), blocks), path)
+            export_trace(synthesize(cfg, draw_paths(cfg, 1), blocks), path)
             block_text = path.stat().st_size / blocks
             tracemalloc.start()
             try:

@@ -142,8 +142,18 @@ class TestParseConfig:
         cfg = config_from_dict({**MICRO, "channel_seed": 1})
         assert cfg == config_from_dict(MICRO)
         assert '"channel_seed":1' in canonical_json(cfg)
-        with pytest.raises(ConfigError, match="channel_seed.*seeds"):
+        with pytest.raises(ConfigError, match=r"^channel_seed must be 1: each run's channel "
+                           r"follows its seed in 'seeds' \(got channel_seed=5\)$"):
             config_from_dict({**MICRO, "channel_seed": 5})
+
+    @pytest.mark.parametrize("preset, digest", [("paper", "7cf8f54dec2b"),
+                                                ("desk", "665855d922ce")])
+    def test_preset_config_hash_pinned(self, preset, digest):
+        # the hash names the run behind every CSV; a change to the canonical
+        # keys or their values moves it and must be declared
+        cfg = parse_config(preset=preset)
+        assert len(config_to_dict(cfg)) == 26
+        assert config_hash(cfg) == digest
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -203,9 +213,10 @@ class TestSubcommands:
         body1 = Path(out1).read_text()
         assert body1 == Path(out2).read_text()
         rows = [l for l in body1.splitlines() if not l.startswith("#")]
-        # header + (max_shift+1) rows per domain
-        assert len(rows) == 1 + 2 * 4
+        # header + (max_shift+1) rows per domain: subcarrier shifts 0..3, then antenna
         assert rows[0] == "shift,domain,auto_mag,cross_mag"
+        assert [tuple(r.split(",")[:2]) for r in rows[1:]] == (
+            [(str(k), "subcarrier") for k in range(4)] + [(str(k), "antenna") for k in range(4)])
 
     def test_correlate_single_series_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "one_antenna.json"

@@ -25,8 +25,8 @@ from chanpred.rng import stream
 
 
 def _pair(seed=5, n=40, l=3, m_h=2, m_v=2):
-    cfg = ChannelConfig(m_h=m_h, m_v=m_v, n_subcarriers=l, n_paths=7, seed=seed)
-    truth = synthesize(cfg, draw_paths(cfg), n)
+    cfg = ChannelConfig(m_h=m_h, m_v=m_v, n_subcarriers=l, n_paths=7)
+    truth = synthesize(cfg, draw_paths(cfg, seed), n)
     est = estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=10.0),
                          stream(seed, "pilot-noise"))
     return truth, est
@@ -118,8 +118,8 @@ class TestBuildSeriesDataset:
 
     def test_paper_scale_widths(self):
         # n0=3, M=64 -> feature width 384, label width 128
-        cfg = ChannelConfig(m_h=8, m_v=8, n_subcarriers=2, seed=3)
-        truth = synthesize(cfg, draw_paths(cfg), 12)
+        cfg = ChannelConfig(m_h=8, m_v=8, n_subcarriers=2)
+        truth = synthesize(cfg, draw_paths(cfg, 3), 12)
         est = estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=10.0), stream(0, "n"))
         ds, _ = build_series_dataset(est, ("subcarrier", 0),
                                      DatasetSpec(n0=3, n_tr=4, n_te=1, n_gap=7))
@@ -200,8 +200,8 @@ class TestFiniteWindows:
 class TestPooledBuilders:
     def test_jl_row_counts_paper_values(self):
         # L=50, N'_tr=20 -> 1000 pooled training rows
-        cfg = ChannelConfig(m_h=1, m_v=2, n_subcarriers=50, seed=7)
-        truth = synthesize(cfg, draw_paths(cfg), 48)
+        cfg = ChannelConfig(m_h=1, m_v=2, n_subcarriers=50)
+        truth = synthesize(cfg, draw_paths(cfg, 7), 48)
         est = estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=10.0), stream(7, "n"))
         train, test = build_jl(est, DatasetSpec(n0=3, n_tr=20, n_te=2, n_gap=42))
         assert train.n_rows == 1000
@@ -235,8 +235,8 @@ class TestPooledBuilders:
 
     def test_jldt_shapes_paper_values(self):
         # M=64, N'_tr=20, n0=3, L=50 -> 1280 rows of width 300
-        cfg = ChannelConfig(m_h=8, m_v=8, n_subcarriers=50, seed=9)
-        truth = synthesize(cfg, draw_paths(cfg), 48)
+        cfg = ChannelConfig(m_h=8, m_v=8, n_subcarriers=50)
+        truth = synthesize(cfg, draw_paths(cfg, 9), 48)
         est = estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=10.0), stream(9, "n"))
         train, test = build_jldt(est, DatasetSpec(n0=3, n_tr=20, n_te=2, n_gap=42))
         assert train.features.shape == (1280, 300)

@@ -96,8 +96,8 @@ class TestLsEstimate:
 
 @pytest.fixture(scope="module")
 def truth():
-    cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=4, seed=13)
-    return synthesize(cfg, draw_paths(cfg), 50)
+    cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=4)
+    return synthesize(cfg, draw_paths(cfg, 13), 50)
 
 
 class TestEstimateTrace:
@@ -114,8 +114,8 @@ class TestEstimateTrace:
         assert np.array_equal(a.values, b.values)
 
     def test_per_subcarrier_nmse_matches_analytic(self):
-        cfg = ChannelConfig(m_h=4, m_v=4, n_subcarriers=10, seed=15)
-        truth = synthesize(cfg, draw_paths(cfg), 200)
+        cfg = ChannelConfig(m_h=4, m_v=4, n_subcarriers=10)
+        truth = synthesize(cfg, draw_paths(cfg, 15), 200)
         scheme = PilotScheme.dft(4, 1, snr_db=10.0)
         est = estimate_trace(truth, scheme, stream(15, "pilot-noise"))
         for l in range(0, 10, 3):
@@ -135,8 +135,8 @@ class TestEstimateTrace:
 
     def test_kept_blocks_have_the_bits_of_the_whole(self):
         # runs of 64-block chunks 0 (two of them) and 2; chunk 1 keeps none
-        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, seed=17)
-        truth = synthesize(cfg, draw_paths(cfg), 150)
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3)
+        truth = synthesize(cfg, draw_paths(cfg, 17), 150)
         scheme = PilotScheme.dft(4, 1, snr_db=5.0)
         whole = estimate_trace(truth, scheme, stream(17, "pilot-noise")).values
         keep = [(0, 3), (40, 64), (130, 131), (140, 150)]
@@ -148,8 +148,8 @@ class TestEstimateTrace:
     def test_unkept_chunks_only_draw(self, monkeypatch):
         # every chunk draws its real, then its imaginary parts; only the two
         # chunks with kept blocks compute, one matmul per run of kept blocks
-        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3, seed=18)
-        truth = synthesize(cfg, draw_paths(cfg), 150)
+        cfg = ChannelConfig(m_h=2, m_v=2, n_subcarriers=3)
+        truth = synthesize(cfg, draw_paths(cfg, 18), 150)
         scheme = PilotScheme.dft(4, 1, snr_db=5.0)
         draws, matmuls = [], []
 

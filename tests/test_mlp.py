@@ -49,21 +49,22 @@ def _model(weights, biases):
 class TestInit:
     def test_parameter_count_paper_dims(self):
         # 384*512+512 + 512*512+512 + 512*128+128 = 525,440
-        model = init_mlp((384, 512, 512, 128), 0)
+        model = init_mlp((384, 512, 512, 128), stream(0, "mlp-init"))
         assert model.n_parameters() == 525_440
 
     def test_same_seed_identical(self):
-        a, b = init_mlp((5, 7, 3), 42), init_mlp((5, 7, 3), 42)
+        a = init_mlp((5, 7, 3), stream(42, "mlp-init"))
+        b = init_mlp((5, 7, 3), stream(42, "mlp-init"))
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
     def test_biases_zero(self):
-        model = init_mlp((4, 6, 2), 1)
+        model = init_mlp((4, 6, 2), stream(1, "mlp-init"))
         for b in model.biases:
             assert np.all(b == 0.0)
 
     def test_init_ranges(self):
-        model = init_mlp((100, 200, 50), 2)
+        model = init_mlp((100, 200, 50), stream(2, "mlp-init"))
         hidden_lim = np.sqrt(6.0 / 100)
         out_lim = np.sqrt(6.0 / (200 + 50))
         assert np.max(np.abs(model.weights[0])) <= hidden_lim
@@ -71,9 +72,9 @@ class TestInit:
 
     def test_bad_dims(self):
         with pytest.raises(ConfigError):
-            init_mlp((4,), 0)
+            init_mlp((4,), stream(0, "mlp-init"))
         with pytest.raises(ConfigError):
-            init_mlp((4, 0, 2), 0)
+            init_mlp((4, 0, 2), stream(0, "mlp-init"))
 
 
 class TestLayout:
@@ -99,7 +100,7 @@ class TestLayout:
 
     def test_layers_cannot_be_rebound(self):
         # rebinding a layer would detach it from params
-        model = init_mlp((3, 4, 2), 0)
+        model = init_mlp((3, 4, 2), stream(0, "mlp-init"))
         with pytest.raises(TypeError):
             model.weights[0] = np.zeros((4, 3))
 
@@ -112,7 +113,7 @@ class TestLayout:
 
 class TestForward:
     def test_zero_parameters_give_zero(self):
-        model = init_mlp((3, 4, 2), 0)
+        model = init_mlp((3, 4, 2), stream(0, "mlp-init"))
         model.biases[1][:] = 1.0
         model.params[:] = 0.0
         assert all(not p.any() for p in model.weights + model.biases)
@@ -133,7 +134,7 @@ class TestForward:
         assert abs(out[0] - (-0.43)) < 1e-12
 
     def test_dimension_mismatch(self):
-        model = init_mlp((3, 2), 0)
+        model = init_mlp((3, 2), stream(0, "mlp-init"))
         with pytest.raises(ContractError):
             predict(model, np.ones(4)[None])[0]
 
@@ -160,7 +161,7 @@ class TestLoss:
 
 class TestBackward:
     def test_zero_error_gives_zero_gradients(self):
-        model = init_mlp((3, 4, 2), 7)
+        model = init_mlp((3, 4, 2), stream(7, "mlp-init"))
         x = stream(1, "x").standard_normal((5, 3))
         y = predict(model, x)
         grad, loss = backward(model, (x, y))
@@ -171,7 +172,7 @@ class TestBackward:
     def test_matches_finite_differences(self, seed):
         rng = stream(seed, "gradcheck")
         dims = [int(rng.integers(1, 9)) for _ in range(int(rng.integers(2, 5)))]
-        model = init_mlp(dims, seed)
+        model = init_mlp(dims, stream(seed, "mlp-init"))
         x = rng.standard_normal((4, dims[0]))
         y = rng.standard_normal((4, dims[-1]))
         grad, _ = backward(model, (x, y))
@@ -192,7 +193,7 @@ class TestBackward:
         rng = stream(3, "lin")
         x = rng.standard_normal((12, 5))
         y = rng.standard_normal((12, 2))
-        model = init_mlp((5, 2), 3)
+        model = init_mlp((5, 2), stream(3, "mlp-init"))
         grad, _ = backward(model, (x, y))
         err = predict(model, x) - y
         assert np.allclose(grad[:10].reshape(2, 5), 2.0 * err.T @ x / 12, atol=1e-12)
@@ -208,34 +209,34 @@ class TestBackward:
     def test_loss_is_loss_mse_of_predict(self, seed, dims):
         # the loss backward trains on is the one loss_mse reports, bit for bit
         rng = stream(seed, "loss-agree")
-        model = init_mlp(dims, seed)
+        model = init_mlp(dims, stream(seed, "mlp-init"))
         x = rng.standard_normal((7, dims[0]))
         y = rng.standard_normal((7, dims[-1]))
         assert backward(model, (x, y))[1] == loss_mse(predict(model, x), y)
 
     def test_labels_of_wrong_width_rejected(self):
         # (5, 1) labels would broadcast against a 2-output model's (5, 2) output
-        model = init_mlp((3, 4, 2), 0)
+        model = init_mlp((3, 4, 2), stream(0, "mlp-init"))
         x = stream(0, "x").standard_normal((5, 3))
         with pytest.raises(ContractError, match=r"labels must be \(5, 2\).*\(5, 1\)"):
             backward(model, (x, np.zeros((5, 1))))
 
     def test_features_of_wrong_width_rejected(self):
-        model = init_mlp((3, 4, 2), 0)
+        model = init_mlp((3, 4, 2), stream(0, "mlp-init"))
         with pytest.raises(ContractError, match=r"features must be \(rows, 3\).*\(5, 4\)"):
             backward(model, (np.zeros((5, 4)), np.zeros((5, 2))))
 
     @pytest.mark.parametrize("dims, rows", [((3, 5, 2), 5), ((3, 4, 2), 4)],
                              ids=["other-dims", "fewer-rows"])
     def test_mismatched_workspace_rejected(self, dims, rows):
-        model = init_mlp((3, 4, 2), 0)
+        model = init_mlp((3, 4, 2), stream(0, "mlp-init"))
         batch = (np.zeros((5, 3)), np.zeros((5, 2)))
         with pytest.raises(ContractError, match=r"cannot hold a batch of 5 rows"):
             backward(model, batch, mlp._Workspace(dims, rows))
 
     def test_gradients_live_in_the_workspace(self):
         # the next call with the same workspace overwrites the returned gradient
-        model = init_mlp((3, 4, 2), 0)
+        model = init_mlp((3, 4, 2), stream(0, "mlp-init"))
         rng = stream(2, "work")
         first, second = [(rng.standard_normal((5, 3)), rng.standard_normal((5, 2))) for _ in "ab"]
         work = mlp._Workspace(model.dims, 8)
@@ -270,9 +271,9 @@ class TestAdam:
                              ids=["short", "long", "one-entry", "2-d", "column"])
     def test_gradient_of_wrong_shape_rejected(self, shape):
         # one entry would broadcast into every parameter
-        model = init_mlp((3, 4, 2), 0)
+        model = init_mlp((3, 4, 2), stream(0, "mlp-init"))
         before = model.params.copy()
-        state = AdamState.for_model(model)
+        state = AdamState.for_model(model, 1e-3)
         with pytest.raises(ContractError, match=rf"gradient shape {re.escape(str(shape))} "
                                                 r"is not the params' \(26,\)"):
             adam_step(model, np.ones(shape), state)
@@ -282,8 +283,8 @@ class TestAdam:
     def test_moments_of_another_model_rejected(self):
         # a state built for (3, 5, 2) moments stepped with a (3, 4, 2) model
         # is refused before the step counter or anything else moves
-        model = init_mlp((3, 4, 2), 0)
-        state = AdamState.for_model(init_mlp((3, 5, 2), 0))
+        model = init_mlp((3, 4, 2), stream(0, "mlp-init"))
+        state = AdamState.for_model(init_mlp((3, 5, 2), stream(0, "mlp-init")), 1e-3)
         state.m[:], state.v[:] = 0.25, 0.5
         params, m, v = model.params.copy(), state.m.copy(), state.v.copy()
         with pytest.raises(ContractError, match=r"ADAM moments of shapes \(32,\) and \(32,\) "
@@ -304,9 +305,9 @@ class TestAdam:
         assert update == pytest.approx(1e-3, rel=1e-7)
 
     def test_zero_gradient_leaves_parameters(self):
-        model = init_mlp((3, 4, 2), 0)
+        model = init_mlp((3, 4, 2), stream(0, "mlp-init"))
         before = model.params.copy()
-        state = AdamState.for_model(model)
+        state = AdamState.for_model(model, 1e-3)
         adam_step(model, np.zeros_like(model.params), state)
         assert np.array_equal(model.params, before)
 
@@ -393,7 +394,7 @@ class TestBitIdentity:
     @example(dims=[5, 2], seed=0)
     @example(dims=[3, 1, 1, 2], seed=1)
     def test_adam_matches_plain_expression(self, dims, seed):
-        model = init_mlp(dims, seed)
+        model = init_mlp(dims, stream(seed, "mlp-init"))
         ref, ref_moments = _reference_state(model)
         state = AdamState.for_model(model, learning_rate=1e-2)
         rng = stream(seed, "adam-bits")
@@ -410,7 +411,7 @@ class TestBitIdentity:
     @example(dims=[5, 2], seed=0, rows=3)
     @example(dims=[3, 1, 1, 2], seed=1, rows=4)
     def test_forward_and_backward_match_plain_expression(self, dims, seed, rows):
-        model = init_mlp(dims, seed)
+        model = init_mlp(dims, stream(seed, "mlp-init"))
         rng = stream(seed, "forward-bits")
         for b in model.biases:
             b[:] = rng.standard_normal(b.shape)
@@ -428,7 +429,7 @@ class TestBitIdentity:
     def test_adam_across_block_boundary(self):
         # 4.7 blocks: full blocks, then a short last one that holds the end of
         # the weight and the whole bias
-        model = init_mlp([300, 512], 4)
+        model = init_mlp([300, 512], stream(4, "mlp-init"))
         boundary = model.weights[0].size
         assert boundary // _ADAM_BLOCK == model.params.size // _ADAM_BLOCK
         assert boundary % _ADAM_BLOCK and model.params.size % _ADAM_BLOCK
@@ -444,7 +445,7 @@ class TestBitIdentity:
     def test_adam_past_unit_bias_correction(self):
         # 1 - b1^t rounds to 1.0 from step 356 on, where adam_step skips the division
         assert 1.0 - ADAM_BETA1 ** 355 < 1.0 == 1.0 - ADAM_BETA1 ** 356
-        model = init_mlp([3, 4, 2], 6)
+        model = init_mlp([3, 4, 2], stream(6, "mlp-init"))
         ref, ref_moments = _reference_state(model)
         state = AdamState.for_model(model, learning_rate=1e-2)
         rng = stream(6, "adam-late")
@@ -461,9 +462,9 @@ class TestBitIdentity:
         rng = stream(rows, "train-bits")
         x = rng.standard_normal((rows, dims[0]))
         y = rng.standard_normal((rows, dims[-1]))
-        model, history = train(init_mlp(dims, 1), (x, y), cfg)
+        model, history = train(init_mlp(dims, stream(1, "mlp-init")), (x, y), cfg)
 
-        ref = init_mlp(dims, 1)
+        ref = init_mlp(dims, stream(1, "mlp-init"))
         params = _parameters(ref.weights, ref.biases)
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         ref_history, t = [], 0
@@ -486,16 +487,17 @@ class TestBitIdentity:
         grads = {}
         for d in dims:
             rng = stream(len(d), "scratch")
-            grads[d] = [_random_grads(init_mlp(d, 0), rng, t) for t in range(10)]
+            grads[d] = [_random_grads(init_mlp(d, stream(0, "mlp-init")), rng, t)
+                        for t in range(10)]
         alone = {}
         for d in dims:
-            model = init_mlp(d, 0)
-            state = AdamState.for_model(model)
+            model = init_mlp(d, stream(0, "mlp-init"))
+            state = AdamState.for_model(model, 1e-3)
             for grad, _ in grads[d]:
                 adam_step(model, grad, state)
             alone[d] = model.params.copy()
-        models = {d: init_mlp(d, 0) for d in dims}
-        states = {d: AdamState.for_model(models[d]) for d in dims}
+        models = {d: init_mlp(d, stream(0, "mlp-init")) for d in dims}
+        states = {d: AdamState.for_model(models[d], 1e-3) for d in dims}
         for step in range(10):
             for d in dims:
                 adam_step(models[d], grads[d][step][0], states[d])
@@ -514,7 +516,7 @@ class TestPredictBlocks:
     def test_blocks_match_one_forward_pass(self, rows):
         # a short tail block (2B + 1 split as B, B, 1) would take OpenBLAS's
         # small-matrix path and change bits; the last block takes the remainder
-        model = init_mlp(_DESK_DIMS, 4)
+        model = init_mlp(_DESK_DIMS, stream(4, "mlp-init"))
         rng = stream(rows, "predict-blocks")
         for b in model.biases:
             b[:] = rng.standard_normal(b.shape)
@@ -527,7 +529,7 @@ class TestPredictBlocks:
         # beyond the result, each hidden layer holds one activation of the
         # largest block: 5B + 3 rows go as four blocks of B and one of B + 3
         rows = 5 * _B + 3
-        model = init_mlp(_DESK_DIMS, 0)
+        model = init_mlp(_DESK_DIMS, stream(0, "mlp-init"))
         x = stream(0, "predict-memory").standard_normal((rows, _DESK_DIMS[0]))
         tracemalloc.start()
         try:
@@ -549,7 +551,7 @@ class TestTrain:
 
     def test_zero_learning_rate_is_identity(self):
         x, y = self._toy()
-        model = init_mlp((4, 8, 2), 1)
+        model = init_mlp((4, 8, 2), stream(1, "mlp-init"))
         before = model.params.copy()
         model, _ = train(model, (x, y), TrainConfig(8, 5, 0.0, 3))
         assert np.array_equal(model.params, before)
@@ -558,7 +560,7 @@ class TestTrain:
     def test_learning_rate_must_be_finite_and_non_negative(self, learning_rate):
         # a NaN or infinite rate would train every parameter to NaN
         x, y = self._toy(rows=8)
-        model = init_mlp((4, 8, 2), 1)
+        model = init_mlp((4, 8, 2), stream(1, "mlp-init"))
         before = model.params.copy()
         with pytest.raises(ConfigError, match="invalid training config"):
             train(model, (x, y), TrainConfig(8, 1, learning_rate, 0))
@@ -568,7 +570,7 @@ class TestTrain:
         x, y = self._toy()
         runs = []
         for _ in range(2):
-            model = init_mlp((4, 8, 2), 1)
+            model = init_mlp((4, 8, 2), stream(1, "mlp-init"))
             model, hist = train(model, (x, y), TrainConfig(8, 10, 1e-3, 3))
             runs.append((hist, model.params.copy()))
         assert runs[0][0] == runs[1][0]
@@ -579,24 +581,26 @@ class TestTrain:
         x, y = self._toy(rows=50, seed=2)
         w, res, *_ = np.linalg.lstsq(x, y, rcond=None)
         assert np.allclose(x @ w, y, atol=1e-10)
-        model = init_mlp((4, 2), 2)
+        model = init_mlp((4, 2), stream(2, "mlp-init"))
         model, hist = train(model, (x, y), TrainConfig(50, 500, 0.05, 1))
         assert hist[-1] < 1e-6
 
     def test_history_length_and_finite(self):
         x, y = self._toy()
-        model, hist = train(init_mlp((4, 4, 2), 3), (x, y), TrainConfig(8, 12, 1e-3, 5))
+        model, hist = train(init_mlp((4, 4, 2), stream(3, "mlp-init")), (x, y),
+                            TrainConfig(8, 12, 1e-3, 5))
         assert len(hist) == 12
         assert np.all(np.isfinite(hist))
 
     def test_batch_larger_than_dataset_allowed(self):
         x, y = self._toy(rows=5)
-        model, hist = train(init_mlp((4, 2), 4), (x, y), TrainConfig(64, 3, 1e-3, 1))
+        model, hist = train(init_mlp((4, 2), stream(4, "mlp-init")), (x, y),
+                            TrainConfig(64, 3, 1e-3, 1))
         assert len(hist) == 3
 
     def test_labels_of_wrong_width_rejected_before_training(self):
         x, _ = self._toy(rows=5)
-        model = init_mlp((4, 8, 2), 1)
+        model = init_mlp((4, 8, 2), stream(1, "mlp-init"))
         before = model.params.copy()
         with pytest.raises(ContractError, match=r"labels must be \(5, 2\)"):
             train(model, (x, np.zeros((5, 1))), TrainConfig(2, 3, 1e-3, 0))
@@ -604,14 +608,14 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
-            train(init_mlp((4, 2), 0), (np.zeros((0, 4)), np.zeros((0, 2))),
+            train(init_mlp((4, 2), stream(0, "mlp-init")), (np.zeros((0, 4)), np.zeros((0, 2))),
                   TrainConfig(4, 2, 1e-3, 0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         x, y = self._toy()
         with pytest.raises(TrainingDivergedError):
-            train(init_mlp((4, 8, 2), 5), (1e150 * x, 1e150 * y),
+            train(init_mlp((4, 8, 2), stream(5, "mlp-init")), (1e150 * x, 1e150 * y),
                   TrainConfig(8, 10, 1e300, 0))
 
     def test_steady_state_step_allocates_less_than_one_activation(self, monkeypatch):
@@ -636,7 +640,8 @@ class TestTrain:
         monkeypatch.setattr(mlp, "adam_step", traced)
         tracemalloc.start()
         try:
-            train(init_mlp(dims, 0), (x, y), TrainConfig(batch_size, 3, 1e-3, 0))
+            train(init_mlp(dims, stream(0, "mlp-init")), (x, y),
+                  TrainConfig(batch_size, 3, 1e-3, 0))
         finally:
             tracemalloc.stop()
         assert len(transients) == 3 * 4
@@ -653,7 +658,7 @@ class TestTrain:
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
-        model = init_mlp((6, 9, 4), 11)
+        model = init_mlp((6, 9, 4), stream(11, "mlp-init"))
         model.weights[0][0, 0] = np.pi
         path = tmp_path / "model.txt"
         save_model(model, path)
@@ -662,7 +667,7 @@ class TestCheckpoint:
         assert np.array_equal(loaded.params, model.params)
 
     def test_non_finite_model_not_saved(self, tmp_path):
-        model = init_mlp((2, 3, 1), 1)
+        model = init_mlp((2, 3, 1), stream(1, "mlp-init"))
         model.params[4] = np.inf
         with pytest.raises(ContractError, match="non-finite"):
             save_model(model, tmp_path / "model.txt")
@@ -676,7 +681,7 @@ class TestCheckpoint:
 
     def test_activation_other_than_relu_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
-        save_model(init_mlp((2, 3, 1), 1), path)
+        save_model(init_mlp((2, 3, 1), stream(1, "mlp-init")), path)
         lines = path.read_text().splitlines()
         assert lines[2] == "activation relu"
         lines[2] = "activation tanh"
@@ -738,7 +743,7 @@ class TestCheckpointProperty:
     def test_corrupted_line_is_named(self, dims, corruption, index):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "model.txt")
-            save_model(init_mlp(dims, index), path)
+            save_model(init_mlp(dims, stream(index, "mlp-init")), path)
             path.write_bytes(corrupt_line(path.read_bytes(), corruption, index))
             with pytest.raises(TraceFormatError, match=r"line \d+"):
                 load_model(path)

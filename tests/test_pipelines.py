@@ -123,8 +123,7 @@ class TestJobTags:
 
 def _full_truth(cfg, seed):
     """The whole true tensor of a cell's link, which prepare_link never holds."""
-    chan = cfg.channel.with_seed(seed)
-    return synthesize(chan, draw_paths(chan), cfg.required_blocks)
+    return synthesize(cfg.channel, draw_paths(cfg.channel, seed), cfg.required_blocks)
 
 
 def _kept(cfg, values):

@@ -6,16 +6,23 @@ Runs the checkout's `perfbench/run.py --trace 0` three times at seed 1 for
 each workload its BENCHMARK.json declares, each run a fresh process started
 in the checkout's root at the benchmark's own run length, taking the
 workloads in turn so that a slow spell of the host spreads over all of
-them.
+them. Each of those runs is made twice, one right after the other: once in
+this process's environment, as the benchmark runs it, and once with
+MALLOC_MMAP_THRESHOLD_=131072 added. glibc's dynamic mmap threshold moves
+`peak_rss_mb` by about 19 MB with the heap layout alone (the checkout path
+is enough to shift it), and a pinned threshold takes that out.
 
 The record goes to BENCH_<short-sha>.json at the root of the repository
 holding this tool (BENCH_<short-sha>-dirty.json if the checkout has
 uncommitted changes). It holds, per workload and metric (wall_s, setup_s,
 peak_rss_mb), the median and quartiles over the runs and each run's value,
-the operations failed and attempted over all runs, and where the runs
+and the operations failed and attempted over all runs: under `workloads`
+for the runs in this process's environment (MALLOC_MMAP_THRESHOLD_, if
+set there, is `malloc_mmap_threshold`), and under `pinned_mmap_threshold`
+for the runs with the threshold added. It also holds where the runs
 happened: host, nproc, numpy's BLAS name and version, the BLAS thread count
-the benchmark pins, commit, checkout path and MALLOC_MMAP_THRESHOLD_ if set,
-and the checkout's `src/chanpred/*.py` line total as `src_lines`.
+the benchmark pins, commit and checkout path, and the checkout's
+`src/chanpred/*.py` line total as `src_lines`.
 
 perfbench is only started, never imported or changed. The default checkout
 is the repository holding this tool; `--checkout` measures another one, such
@@ -37,6 +44,7 @@ REPO = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 RUNS = 3
 SEED = 1
+PINNED = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 
 
 def _git(checkout: Path, *args) -> str | None:
@@ -50,11 +58,12 @@ def _shown(path: Path) -> str:
     return "~/" + str(path.relative_to(home)) if path.is_relative_to(home) else str(path)
 
 
-def _run(checkout: Path, workload: str) -> dict:
+def _run(checkout: Path, workload: str, extra_env: dict) -> dict:
     """One `perfbench/run.py --trace 0` run: its final JSON line and its run record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(SEED), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=checkout, env={**os.environ, **extra_env},
+                          capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
@@ -70,18 +79,11 @@ def _summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def record(checkout: Path, workloads: list) -> dict:
-    """Run every workload RUNS times, in turn, and summarize the runs."""
-    done = {w: [] for w in workloads}
-    for i in range(RUNS):
-        for w in workloads:
-            print(f"run {i + 1}/{RUNS} {w}", file=sys.stderr, flush=True)
-            done[w].append(_run(checkout, w))
-
-    out, where = {}, {}
+def _summarize(done: dict) -> dict:
+    """Per workload: runs, failures and each metric's summary over the runs."""
+    out = {}
     for w, outcomes in done.items():
         ok = [o for o in outcomes if "result" in o]
-        where = where or next(({"host": o["host"], "env": o["env"]} for o in ok), {})
         entry = {
             "runs": len(outcomes),
             "failed_runs": [o["error"] for o in outcomes if "error" in o],
@@ -93,8 +95,21 @@ def record(checkout: Path, workloads: list) -> dict:
             if len(values) >= 2:
                 entry[name] = {**_summary(values), "unit": ok[0]["result"]["metrics"][name]["unit"]}
         out[w] = entry
+    return out
 
-    host, env = where.get("host", {}), where.get("env", {})
+
+def record(checkout: Path, workloads: list) -> dict:
+    """Run every workload RUNS times in each environment, in turn, and summarize the runs."""
+    envs = {"plain": {}, "pinned": PINNED}
+    done = {mode: {w: [] for w in workloads} for mode in envs}
+    for i in range(RUNS):
+        for w in workloads:
+            for mode, extra_env in envs.items():
+                print(f"run {i + 1}/{RUNS} {w} {mode}", file=sys.stderr, flush=True)
+                done[mode][w].append(_run(checkout, w, extra_env))
+
+    ok = [o for runs in done["plain"].values() for o in runs if "result" in o]
+    host, env = (ok[0]["host"], ok[0]["env"]) if ok else ({}, {})
     return {
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "dirty": _git(checkout, "status", "--porcelain", "--untracked-files=no") not in ("", None),
@@ -110,7 +125,8 @@ def record(checkout: Path, workloads: list) -> dict:
         # the measured checkout's library size, as `wc -l src/chanpred/*.py` counts it
         "src_lines": sum(p.read_bytes().count(b"\n")
                          for p in (checkout / "src" / "chanpred").glob("*.py")),
-        "workloads": out,
+        "workloads": _summarize(done["plain"]),
+        "pinned_mmap_threshold": {**PINNED, "workloads": _summarize(done["pinned"])},
     }
 
 
