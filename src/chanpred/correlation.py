@@ -38,8 +38,6 @@ from .errors import ContractError
 class CorrelationReport:
     """Averaged normalized correlation magnitudes per shift, both domains."""
 
-    max_shift: int
-    n_avg: int
     subcarrier_auto: np.ndarray   # (max_shift+1,)
     subcarrier_cross: np.ndarray
     antenna_auto: np.ndarray
@@ -109,4 +107,4 @@ def correlation_report(source: ChannelTensor | SynthesizedLink, max_shift: int,
                                 f"needs at least 2")
     (sub_auto, sub_cross), (ant_auto, ant_cross) = [
         _domain_curves(source, domain, s, max_shift, n_avg) for domain, s in domains]
-    return CorrelationReport(max_shift, n_avg, sub_auto, sub_cross, ant_auto, ant_cross)
+    return CorrelationReport(sub_auto, sub_cross, ant_auto, ant_cross)
