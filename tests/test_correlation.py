@@ -240,6 +240,13 @@ class TestCorrelationReport:
         with pytest.raises(ContractError, match="n_avg"):
             correlation_report(small_trace, max_shift=2, n_avg=n_avg)
 
+    def test_rows_layout(self, small_trace):
+        # the correlate CSV has one row per shift 0..max_shift in each domain,
+        # read from these curves: one value per shift, shift 0 first
+        rep = correlation_report(small_trace, max_shift=3, n_avg=50)
+        for curve in ("subcarrier_auto", "subcarrier_cross", "antenna_auto", "antenna_cross"):
+            assert getattr(rep, curve).shape == (4,)
+
 
 class TestSynthesizedLink:
     """The study of a link made window by window has the bits of the whole link's."""
