@@ -10,10 +10,11 @@ training block, feature or label, before the first test block. Complex
 vectors are split into (all real parts, then all imaginary parts) per window,
 oldest window first.
 
-Every builder returns (train, test). One routine cuts the windows of every
-selected column of a domain's (N, S, D) series view; pooled rows are
-series-major, time-minor. Rows carry no tags: assemble_predictions puts
-predicted test rows back by that same order.
+Every builder returns (train, test): a WindowedDataset, and LazyWindows,
+which cuts test rows only when predict asks for a block. One routine cuts
+the windows of every selected column of a domain's (N, S, D) series view;
+pooled rows are series-major, time-minor. Rows carry no tags:
+assemble_predictions puts predicted test rows back by that same order.
 
 Datasets hold estimated channels only, labels included (the true channel is
 never measurable); the scorer reads the truth at each row's label block.
@@ -115,6 +116,42 @@ def _windows(view: np.ndarray, start: int, rows: int, n0: int):
     return feats.reshape(n_series * rows, -1), labels.reshape(n_series * rows, -1)
 
 
+@dataclass(frozen=True)
+class LazyWindows:
+    """Test windows, cut on demand in _windows' order: `rows` per series of
+    each series of an (N, S, D) view, from block `start` on. cut(lo, hi)
+    writes rows lo..hi, which may span series, into one block; a slice gives
+    their features over `scale`, the job's fitted scale, for predict to walk.
+    """
+
+    view: np.ndarray
+    start: int
+    rows: int
+    n0: int
+    scale: float = 1.0
+
+    def __len__(self) -> int:
+        return self.view.shape[1] * self.rows
+
+    n_rows = property(__len__)
+
+    def cut(self, lo: int, hi: int) -> WindowedDataset:
+        if not 0 <= lo < hi <= self.n_rows:
+            raise ContractError(f"rows {lo}..{hi} are not a non-empty cut of {self.n_rows} rows")
+        d = self.view.shape[2]
+        out = WindowedDataset(np.empty((hi - lo, 2 * self.n0 * d)), np.empty((hi - lo, 2 * d)))
+        for s in range(lo // self.rows, (hi - 1) // self.rows + 1):
+            a, b = max(lo, s * self.rows), min(hi, (s + 1) * self.rows)   # rows a..b of series s
+            out.features[a - lo:b - lo], out.labels[a - lo:b - lo] = _windows(
+                self.view[:, s:s + 1], self.start + a - s * self.rows, b - a, self.n0)
+        return out
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        features = self.cut(*rows.indices(self.n_rows)[:2]).features
+        features /= self.scale
+        return features
+
+
 def _datasets(est: ChannelTensor, domain: str, index: int | None, spec: DatasetSpec):
     """(train, test) windows of series `index` of `est`'s `domain` view, or of all (None)."""
     spec.validate()
@@ -122,10 +159,10 @@ def _datasets(est: ChannelTensor, domain: str, index: int | None, spec: DatasetS
     # checks its whole estimate once, not once per job
     est.require(PROVENANCE_ESTIMATED, spec.min_blocks, finite=False)
     cols = _columns(est.values, domain, index)
-    phases = ((0, spec.n_tr), (spec.n_gap, spec.n_te))
-    for start, rows in phases:
+    for start, rows in ((0, spec.n_tr), (spec.n_gap, spec.n_te)):
         require_finite(cols[start:start + rows + spec.n0])
-    return tuple(WindowedDataset(*_windows(cols, start, rows, spec.n0)) for start, rows in phases)
+    return (WindowedDataset(*_windows(cols, 0, spec.n_tr, spec.n0)),
+            LazyWindows(cols, spec.n_gap, spec.n_te, spec.n0))
 
 
 def assemble_predictions(parts, spec: DatasetSpec, shape: tuple) -> ChannelTensor:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelTensor, PROVENANCE_ESTIMATED, PROVENANCE_TRUE, SynthesizedLink
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 
 _EST_CHUNK = 64  # blocks per chunk; bounds the (chunk, L, M, tau) noise buffer
 
@@ -84,6 +84,10 @@ def estimate_trace(source: ChannelTensor | SynthesizedLink, scheme: PilotScheme,
     n_blocks, L, M = source.n_blocks, source.n_subcarriers, source.n_antennas
     tau = scheme.tau
     keep = [(0, n_blocks)] if keep is None else keep
+    for prev, (lo, hi) in zip([0] + [hi for _, hi in keep], keep):
+        if not prev <= lo < hi <= n_blocks:
+            raise ContractError(f"keep range ({lo}, {hi}) is not ascending, disjoint, non-empty "
+                                f"and inside [0, {n_blocks})")
     conj_pilot = np.conj(scheme.pilot)
     energy = float(np.sum(np.abs(scheme.pilot) ** 2))
     root_rho = np.sqrt(scheme.snr)

@@ -121,26 +121,26 @@ _PREDICT_ROWS = 1024
 def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Batched forward pass; rows are samples.
 
-    Rows go through in blocks of _PREDICT_ROWS. Each hidden layer writes
-    into one buffer that every block reuses, and the output layer into the
-    block's rows of the result, so beyond the result only one block's
-    activations are held. The last block takes the remainder: no GEMM sees
-    fewer than _PREDICT_ROWS rows, and fewer than 2 * _PREDICT_ROWS rows
-    are one call. A short tail block would take OpenBLAS's small-matrix
-    path and change bits; this way the result equals one forward pass over
-    all rows bit for bit.
+    Rows go through in blocks of _PREDICT_ROWS, each sliced out of `features`
+    (an array, or LazyWindows, which cuts it then) and converted alone. Each
+    hidden layer writes into one buffer that every block reuses, and the
+    output layer into the block's rows of the result, so beyond the result
+    only one block's activations are held. The last block takes the
+    remainder: no GEMM sees fewer than _PREDICT_ROWS rows, and fewer than
+    2 * _PREDICT_ROWS rows are one call. A short tail block would take
+    OpenBLAS's small-matrix path and change bits; this way the result equals
+    one forward pass over all rows bit for bit.
     """
-    features = np.asarray(features, dtype=np.float64)
-    _check_batch(model, features)
-    n = features.shape[0]
+    n = len(features)
     n_blocks = max(n // _PREDICT_ROWS, 1)
     bounds = [*range(0, n_blocks * _PREDICT_ROWS, _PREDICT_ROWS), n]
     largest = n - bounds[-2]
     hidden = [np.empty((largest, d)) for d in model.dims[1:-1]]
     result = np.empty((n, model.dims[-1]))
     for start, stop in zip(bounds, bounds[1:]):
-        outs = [h[:stop - start] for h in hidden] + [result[start:stop]]
-        _forward(model, features[start:stop], outs)
+        block = np.asarray(features[start:stop], dtype=np.float64)
+        _check_batch(model, block)
+        _forward(model, block, [h[:stop - start] for h in hidden] + [result[start:stop]])
     return result
 
 

@@ -19,7 +19,7 @@ n_tr_prime blocks for the other three.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -235,8 +235,8 @@ def evaluate_cell(labels: ChannelTensor, est: ChannelTensor, cfg: ExperimentConf
     jldt windows the antenna domain, the others the subcarrier domain. jl and
     jldt pool every series into one model, job 0; sl and sl_small train job l
     on subcarrier l alone. Job k's tag k names its init stream, its shuffle
-    seed and its entry in the histories and models. A job scales its own
-    windows and predictions in place.
+    seed and its entry in the histories and models. A job scales its training
+    windows and predictions in place, and its test rows as predict cuts them.
     """
     if approach not in cfg.approaches:   # the kept head may be too short for another
         raise ConfigError(f"approach {approach!r} is not one of the configured "
@@ -252,17 +252,16 @@ def evaluate_cell(labels: ChannelTensor, est: ChannelTensor, cfg: ExperimentConf
             train_ds, test_ds = (build_jldt if approach == "jldt" else build_jl)(est, spec)
         else:
             train_ds, test_ds = build_series_dataset(est, (domain, k), spec)
-        test_x = test_ds.features
-        del test_ds   # and its labels: score reads the truth, never those
         scale = fit_scale(train_ds)
-        for a in (train_ds.features, train_ds.labels, test_x):
+        for a in (train_ds.features, train_ds.labels):
             a /= scale
         dims = (train_ds.features.shape[1], *cfg.hidden, train_ds.labels.shape[1])
         model, history = train(init_mlp(dims, stream(seed, "mlp-init", k)),
                                (train_ds.features, train_ds.labels),
                                TrainConfig(cfg.batch_size, cfg.epochs, cfg.learning_rate,
                                            derive_seed(seed, "shuffle", k)))
-        rows = predict(model, test_x)
+        del train_ds   # before predict cuts the test rows, one block at a time
+        rows = predict(model, replace(test_ds, scale=scale))
         rows *= scale
         parts.append((domain, None if pooled else k, rows))
         result.histories[k] = history

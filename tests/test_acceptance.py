@@ -285,6 +285,7 @@ def test_criterion_8_no_leakage_and_determinism(tmp_path):
             spec = DatasetSpec(cfg.n0, n_tr, cfg.n_te, cfg.n_gap)
             for builder in (build_jl, build_jldt):
                 train, test = builder(est, spec)
+                test = test.cut(0, test.n_rows)
                 seen = np.concatenate([train.features.ravel(), train.labels.ravel()])
                 leak_ok = leak_ok and (
                     seen.max() < test.features.min()

@@ -1,5 +1,7 @@
 """Window arithmetic, real/imag packing, pooling, and normalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,10 @@ from chanpred import (
     series_view,
     synthesize,
 )
-from chanpred.datasets import assemble_predictions
+from chanpred import datasets, mlp
+from chanpred.datasets import LazyWindows, assemble_predictions
 from chanpred.estimation import PilotScheme, estimate_trace
+from chanpred.mlp import init_mlp
 from chanpred.rng import stream
 
 
@@ -43,6 +47,11 @@ def _numbered(n_blocks, l=1, m=1):
     n + (100 l + m)j: the real part names the block, the imaginary part the cell."""
     cells = 100 * np.arange(l)[:, None] + np.arange(m)
     return ChannelTensor(np.arange(1, n_blocks + 1)[:, None, None] + 1j * cells, "estimated")
+
+
+def _whole(ds):
+    """Every row of a builder's dataset: the test phase's LazyWindows cut at once."""
+    return ds.cut(0, ds.n_rows) if isinstance(ds, LazyWindows) else ds
 
 
 def _read(ds, n0):
@@ -108,6 +117,7 @@ class TestBuildSeriesDataset:
         datasets = build_series_dataset(est, ("subcarrier", 0), spec)
         for ds, start, rows in zip(datasets, (0, spec.n_gap), (spec.n_tr, spec.n_te)):
             assert ds.n_rows == rows
+            ds = _whole(ds)
             for r in range(ds.n_rows):
                 end = start + spec.n0 + r   # 1-based window end, from the row's position
                 window = ds.features[r].reshape(spec.n0, -1)
@@ -132,7 +142,7 @@ class TestBuildSeriesDataset:
         spec = DatasetSpec(n0=3, n_tr=1000, n_te=200, n_gap=1500)
         _, ds = build_series_dataset(_numbered(1704), ("subcarrier", 0), spec)
         assert ds.n_rows == 200
-        feats, labels, _ = _read(ds, spec.n0)
+        feats, labels, _ = _read(_whole(ds), spec.n0)
         assert np.array_equal(feats[[0, -1]], [[1501, 1502, 1503], [1700, 1701, 1702]])
         assert np.array_equal(labels, np.arange(1504, 1704))
 
@@ -186,7 +196,7 @@ class TestFiniteWindows:
     def test_blocks_outside_its_windows_not_read(self, block):
         est = self._with_nan(block)
         train, test = build_series_dataset(est, ("subcarrier", 1), self.SPEC)
-        assert np.isfinite(train.features).all() and np.isfinite(test.labels).all()
+        assert np.isfinite(train.features).all() and np.isfinite(_whole(test).labels).all()
         build_jldt(est, self.SPEC)
 
     def test_other_series_not_read(self):
@@ -241,7 +251,7 @@ class TestPooledBuilders:
         train, test = build_jldt(est, DatasetSpec(n0=3, n_tr=20, n_te=2, n_gap=42))
         assert train.features.shape == (1280, 300)
         assert train.labels.shape == (1280, 100)
-        assert test.labels.shape == (128, 100)
+        assert _whole(test).labels.shape == (128, 100)
 
     def test_jldt_single_antenna_is_stacked_scalars(self):
         truth, est = _pair(l=4, m_h=1, m_v=1)
@@ -264,7 +274,7 @@ class TestPooledBuilders:
         spec = DatasetSpec(n0=3, n_tr=8, n_te=4, n_gap=12)
         train, test = build_jl(_numbered(40, l=3, m=2), spec)
         train_feats, train_labels, _ = _read(train, spec.n0)
-        test_feats, _, _ = _read(test, spec.n0)
+        test_feats, _, _ = _read(_whole(test), spec.n0)
         max_train_touched = max(train_feats.max(), train_labels.max())
         assert max_train_touched == spec.n_tr + spec.n0
         assert test_feats.min() == spec.n_gap + 1
@@ -331,11 +341,60 @@ class TestWindowsProperty:
                 cases += [(build_series_dataset(est, (domain, s), spec)[p], [s])
                           for s in range(n_series)]
                 for ds, ids in cases:
+                    ds = _whole(ds)
                     # exact equality with the per-row loop pins the row order too
                     feats, labels = _naive_rows(est.values, domain, ids, spec, phase)
                     assert ds.features.flags["C_CONTIGUOUS"]
                     assert np.array_equal(ds.features, feats)
                     assert np.array_equal(ds.labels, labels)
+
+
+class TestLazyWindows:
+    # 7 test rows per series: blocks of 5 rows straddle every series boundary
+    SPEC = DatasetSpec(n0=3, n_tr=4, n_te=7, n_gap=9)
+    BUILDERS = [(build_jl, "subcarrier"), (build_jldt, "antenna")]
+
+    def _test_rows(self, builder):
+        _, est = _pair(n=self.SPEC.min_blocks)   # 3 subcarriers, 4 antennas
+        return est, builder(est, self.SPEC)[1]
+
+    @pytest.mark.parametrize("builder, domain", BUILDERS)
+    @pytest.mark.parametrize("block", [1, 3, 5, 8, 13, 28])
+    def test_cuts_equal_whole_phase_rows(self, builder, domain, block):
+        est, test = self._test_rows(builder)
+        feats, labels = datasets._windows(series_view(est.values, domain), self.SPEC.n_gap,
+                                          self.SPEC.n_te, self.SPEC.n0)
+        assert test.n_rows == len(feats)
+        for lo in range(0, test.n_rows, block):
+            cut = test.cut(lo, min(lo + block, test.n_rows))
+            assert np.array_equal(cut.features, feats[lo:lo + block])
+            assert np.array_equal(cut.labels, labels[lo:lo + block])
+
+    @pytest.mark.parametrize("builder, domain", BUILDERS)
+    def test_predict_on_cut_rows_equals_predict_on_matrix(self, monkeypatch, builder, domain):
+        monkeypatch.setattr(mlp, "_PREDICT_ROWS", 5)
+        _, test = self._test_rows(builder)
+        cuts, cut = [], LazyWindows.cut
+
+        def spy(ds, lo, hi):
+            cuts.append((lo, hi))
+            return cut(ds, lo, hi)
+
+        monkeypatch.setattr(LazyWindows, "cut", spy)
+        whole = cut(test, 0, test.n_rows).features / 1.7
+        model = init_mlp((whole.shape[1], 8, 2 * whole.shape[1] // 6), stream(3, "mlp-init"))
+        rows = mlp.predict(model, dataclasses.replace(test, scale=1.7))
+        assert np.array_equal(rows, mlp.predict(model, whole))
+        # 21 jl rows (3 series of 7) or 28 jldt rows (4 series); the last block
+        # takes the remainder
+        bounds = {21: [0, 5, 10, 15, 21], 28: [0, 5, 10, 15, 20, 28]}[test.n_rows]
+        assert cuts == list(zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("lo, hi", [(3, 3), (4, 2), (-1, 2), (0, 22)])
+    def test_empty_or_outside_cut_rejected(self, lo, hi):
+        _, test = self._test_rows(build_jl)
+        with pytest.raises(ContractError, match=f"rows {lo}..{hi} are not a non-empty cut of 21"):
+            test.cut(lo, hi)
 
 
 def _perfect_part(est, domain, series, spec):
@@ -344,7 +403,7 @@ def _perfect_part(est, domain, series, spec):
         _, test = (build_jl if domain == "subcarrier" else build_jldt)(est, spec)
     else:
         _, test = build_series_dataset(est, (domain, series), spec)
-    return domain, series, test.labels
+    return domain, series, _whole(test).labels
 
 
 class TestAssemblePredictions:

@@ -1,5 +1,7 @@
 """LS pilot estimation (estimate_trace) against its analytic oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,21 @@ class TestEstimateTrace:
         estimate_trace(truth, scheme, rng)
         estimate_trace(truth, scheme, skipped, keep=[(5, 10), (130, 140)])
         assert rng.standard_normal() == skipped.standard_normal()
+
+    @pytest.mark.parametrize("keep, bad", [
+        pytest.param([(0, 50)], "(0, 50)", id="past-the-end"),
+        pytest.param([(-2, 4)], "(-2, 4)", id="negative"),
+        pytest.param([(0, 6), (4, 9)], "(4, 9)", id="overlapping"),
+        pytest.param([(5, 8), (0, 3)], "(0, 3)", id="descending"),
+        pytest.param([(0, 3), (3, 3)], "(3, 3)", id="empty"),
+    ])
+    def test_keep_outside_ascending_disjoint_ranges_refused(self, keep, bad):
+        # such a keep once returned blocks of uninitialized memory that passed validation
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=2)
+        truth = synthesize(cfg, draw_paths(cfg, 3), 10)
+        with pytest.raises(ContractError, match=re.escape(f"keep range {bad} is not ascending, "
+                                                          "disjoint, non-empty and inside [0, 10)")):
+            estimate_trace(truth, PilotScheme.dft(4, 1, snr_db=5.0), stream(3, "n"), keep=keep)
 
     def test_wrong_domain_or_provenance(self, truth):
         scheme = PilotScheme.dft(4, 1, snr_db=10.0)

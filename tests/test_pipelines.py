@@ -121,6 +121,28 @@ class TestJobTags:
             assert history == cell.histories[k]
 
 
+class TestJobMemory:
+    def test_jldt_job_never_holds_the_test_features(self):
+        # paper dims: the 64 * 200 test windows of width 2 * n0 * L hold 30.7 MB
+        # of features, more than the job holds at its peak (its predicted rows
+        # and the assembled tensor, 10.2 MB each); predict cuts them in blocks
+        cfg = ExperimentConfig(n_te=200, hidden=(4,), epochs=1, snr_db=(0.0,), seeds=(1,),
+                               approaches=("jldt",)).validate()
+        L, M = cfg.channel.n_subcarriers, cfg.channel.n_antennas
+        est = random_tensor(1, cfg.kept_spec().min_blocks, L, M, "estimated")
+        labels = random_tensor(2, cfg.n_te, L, M)
+        test_features = M * cfg.n_te * 2 * cfg.n0 * L * 8
+        tracemalloc.start()
+        try:
+            cell = evaluate_cell(labels, est, cfg, "jldt", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(cell.nmse)
+        assert test_features == 30_720_000
+        assert peak < test_features
+
+
 def _full_truth(cfg, seed):
     """The whole true tensor of a cell's link, which prepare_link never holds."""
     return synthesize(cfg.channel, draw_paths(cfg.channel, seed), cfg.required_blocks)
@@ -206,7 +228,7 @@ class TestJldtReconstruction:
         # windows cut from the truth itself: each test label is the true channel
         # of its row, so predicting the labels must rebuild the truth exactly
         _, test_ds = build_jldt(ChannelTensor(truth.values, "estimated"), spec)
-        part = ("antenna", None, test_ds.labels)
+        part = ("antenna", None, test_ds.cut(0, test_ds.n_rows).labels)
         rebuilt = assemble_predictions([part], spec, truth.values.shape[1:])
         label_blocks = spec.n_gap + spec.n0 + np.arange(spec.n_te)
         assert np.array_equal(rebuilt.values, truth.values[label_blocks])

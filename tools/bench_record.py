@@ -1,32 +1,37 @@
-"""Record one checkout's end-to-end benchmark metrics in BENCH_<short-sha>.json.
+"""Record checkouts' end-to-end benchmark metrics, one BENCH_<short-sha>.json each.
 
-    python3 tools/bench_record.py [--checkout DIR]
+    python3 tools/bench_record.py [--checkout DIR [DIR ...]]
 
-Runs the checkout's `perfbench/run.py --trace 0` three times at seed 1 for
-each workload its BENCHMARK.json declares, each run a fresh process started
-in the checkout's root at the benchmark's own run length, taking the
-workloads in turn so that a slow spell of the host spreads over all of
-them. Each of those runs is made twice, one right after the other: once in
-this process's environment, as the benchmark runs it, and once with
-MALLOC_MMAP_THRESHOLD_=131072 added. glibc's dynamic mmap threshold moves
+Runs each checkout's `perfbench/run.py --trace 0` three times at seed 1 for
+each workload the first checkout's BENCHMARK.json declares, each run a
+fresh process started in the checkout's root at the benchmark's own run
+length, taking the workloads in turn so that a slow spell of the host
+spreads over all of them. Each of those runs is made twice: once in this
+process's environment, as the benchmark runs it, and once with
+MALLOC_MMAP_THRESHOLD_=131072 added. Given several checkouts, such as a
+parent and a change, the tool alternates them run by run: each run of one
+is followed at once by the same run of the others, and the checkout that
+goes first rotates from one repeat to the next, so drift of the host falls
+on all of them alike. glibc's dynamic mmap threshold moves
 `peak_rss_mb` by about 19 MB with the heap layout alone (the checkout path
 is enough to shift it), and a pinned threshold takes that out.
 
-The record goes to BENCH_<short-sha>.json at the root of the repository
-holding this tool (BENCH_<short-sha>-dirty.json if the checkout has
-uncommitted changes). It holds, per workload and metric (wall_s, setup_s,
+Each checkout's record goes to BENCH_<short-sha>.json at the root of the
+repository holding this tool (BENCH_<short-sha>-dirty.json if the checkout
+has uncommitted changes). It holds, per workload and metric (wall_s, setup_s,
 peak_rss_mb), the median and quartiles over the runs and each run's value,
 and the operations failed and attempted over all runs: under `workloads`
 for the runs in this process's environment (MALLOC_MMAP_THRESHOLD_, if
 set there, is `malloc_mmap_threshold`), and under `pinned_mmap_threshold`
 for the runs with the threshold added. It also holds where the runs
 happened: host, nproc, numpy's BLAS name and version, the BLAS thread count
-the benchmark pins, commit and checkout path, and the checkout's
-`src/chanpred/*.py` line total as `src_lines`.
+the benchmark pins, commit and checkout path, the checkout's
+`src/chanpred/*.py` line total as `src_lines`, and the commits of the
+checkouts its runs alternated with as `interleaved_with`.
 
 perfbench is only started, never imported or changed. The default checkout
-is the repository holding this tool; `--checkout` measures another one, such
-as a clone of a parent commit, with the same recorder.
+is the repository holding this tool; `--checkout` measures others, such as
+clones of a parent commit and of a change, with the same recorder.
 """
 
 from __future__ import annotations
@@ -50,6 +55,10 @@ PINNED = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 def _git(checkout: Path, *args) -> str | None:
     proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _dirty(checkout: Path) -> bool:
+    return _git(checkout, "status", "--porcelain", "--untracked-files=no") not in ("", None)
 
 
 def _shown(path: Path) -> str:
@@ -98,21 +107,29 @@ def _summarize(done: dict) -> dict:
     return out
 
 
-def record(checkout: Path, workloads: list) -> dict:
-    """Run every workload RUNS times in each environment, in turn, and summarize the runs."""
+def record(checkouts: list, workloads: list) -> list:
+    """Run every workload RUNS times in each environment and checkout, the
+    checkouts alternating run by run, and summarize each checkout's runs."""
     envs = {"plain": {}, "pinned": PINNED}
-    done = {mode: {w: [] for w in workloads} for mode in envs}
+    done = {c: {mode: {w: [] for w in workloads} for mode in envs} for c in checkouts}
     for i in range(RUNS):
+        first = i % len(checkouts)
         for w in workloads:
             for mode, extra_env in envs.items():
-                print(f"run {i + 1}/{RUNS} {w} {mode}", file=sys.stderr, flush=True)
-                done[mode][w].append(_run(checkout, w, extra_env))
+                for c in checkouts[first:] + checkouts[:first]:
+                    print(f"run {i + 1}/{RUNS} {w} {mode} {_shown(c)}", file=sys.stderr, flush=True)
+                    done[c][mode][w].append(_run(c, w, extra_env))
+    commits = {c: _git(c, "rev-parse", "HEAD") for c in checkouts}
+    return [_record(c, done[c], [commits[o] for o in checkouts if o != c]) for c in checkouts]
 
+
+def _record(checkout: Path, done: dict, interleaved_with: list) -> dict:
+    """One checkout's record from its runs in each environment."""
     ok = [o for runs in done["plain"].values() for o in runs if "result" in o]
     host, env = (ok[0]["host"], ok[0]["env"]) if ok else ({}, {})
     return {
         "commit": _git(checkout, "rev-parse", "HEAD"),
-        "dirty": _git(checkout, "status", "--porcelain", "--untracked-files=no") not in ("", None),
+        "dirty": _dirty(checkout),
         "checkout": _shown(checkout),
         "host": platform.node(),
         "nproc": len(os.sched_getaffinity(0)),
@@ -127,25 +144,29 @@ def record(checkout: Path, workloads: list) -> dict:
                          for p in (checkout / "src" / "chanpred").glob("*.py")),
         "workloads": _summarize(done["plain"]),
         "pinned_mmap_threshold": {**PINNED, "workloads": _summarize(done["pinned"])},
+        "interleaved_with": interleaved_with,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--checkout", type=Path, default=REPO,
-                        help="root of the checkout to measure (default: this repository)")
+    parser.add_argument("--checkout", type=Path, nargs="+", default=[REPO],
+                        help="roots of the checkouts to measure, alternated run by run "
+                             "(default: this repository)")
     args = parser.parse_args(argv)
-    checkout = args.checkout.resolve()
-    with open(checkout / "BENCHMARK.json") as f:
+    checkouts = [c.resolve() for c in args.checkout]
+    paths = [REPO / (f"BENCH_{_git(c, 'rev-parse', '--short', 'HEAD') or 'unknown'}"
+                     f"{'-dirty' if _dirty(c) else ''}.json") for c in checkouts]
+    if len(set(paths)) < len(paths):
+        parser.error(f"two checkouts would write the same record: {[p.name for p in paths]}")
+    with open(checkouts[0] / "BENCHMARK.json") as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
 
-    rec = record(checkout, workloads)
-    short = _git(checkout, "rev-parse", "--short", "HEAD") or "unknown"
-    path = REPO / f"BENCH_{short}{'-dirty' if rec['dirty'] else ''}.json"
-    with open(path, "w") as f:
-        json.dump(rec, f, indent=1)
-        f.write("\n")
-    print(path)
+    for path, rec in zip(paths, record(checkouts, workloads)):
+        with open(path, "w") as f:
+            json.dump(rec, f, indent=1)
+            f.write("\n")
+        print(path)
     return 0
 
 
