@@ -21,8 +21,8 @@ from chanpred import (
     series_view,
     synthesize,
 )
-from chanpred import datasets, mlp
-from chanpred.datasets import LazyWindows, assemble_predictions
+from chanpred import mlp
+from chanpred.datasets import LazyWindows, _windows, assemble_predictions
 from chanpred.estimation import PilotScheme, estimate_trace
 from chanpred.mlp import init_mlp
 from chanpred.rng import stream
@@ -362,16 +362,16 @@ class TestLazyWindows:
     @pytest.mark.parametrize("block", [1, 3, 5, 8, 13, 28])
     def test_cuts_equal_whole_phase_rows(self, builder, domain, block):
         est, test = self._test_rows(builder)
-        feats, labels = datasets._windows(series_view(est.values, domain), self.SPEC.n_gap,
-                                          self.SPEC.n_te, self.SPEC.n0)
+        feats, labels = _windows(series_view(est.values, domain), self.SPEC.n_gap,
+                                 self.SPEC.n_te, self.SPEC.n0)
         assert test.n_rows == len(feats)
         for lo in range(0, test.n_rows, block):
             cut = test.cut(lo, min(lo + block, test.n_rows))
             assert np.array_equal(cut.features, feats[lo:lo + block])
             assert np.array_equal(cut.labels, labels[lo:lo + block])
 
-    @pytest.mark.parametrize("builder, domain", BUILDERS)
-    def test_predict_on_cut_rows_equals_predict_on_matrix(self, monkeypatch, builder, domain):
+    @pytest.mark.parametrize("builder", [build_jl, build_jldt])
+    def test_predict_on_cut_rows_equals_predict_on_matrix(self, monkeypatch, builder):
         monkeypatch.setattr(mlp, "_PREDICT_ROWS", 5)
         _, test = self._test_rows(builder)
         cuts, cut = [], LazyWindows.cut
