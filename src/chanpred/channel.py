@@ -179,7 +179,15 @@ class ChannelTensor:
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         """Values of blocks lo .. hi-1 (0-based), a view."""
+        _require_blocks(lo, hi, self.n_blocks)
         return self.values[lo:hi]
+
+
+def _require_blocks(lo: int, hi: int, n_blocks: int) -> None:
+    """Refuse a read of blocks lo .. hi-1 that is empty or not inside [0, n_blocks)."""
+    if not 0 <= lo < hi <= n_blocks:
+        raise ContractError(f"blocks {lo} .. {hi - 1} are not blocks of a source of "
+                            f"{n_blocks} blocks")
 
 
 def require_finite(values: np.ndarray) -> None:
@@ -310,16 +318,18 @@ def synthesize(config: ChannelConfig, paths: PathSet, n_blocks: int,
 
 @dataclass(frozen=True)
 class SynthesizedLink:
-    """The true link of `n_blocks` blocks that `paths` make, never held whole.
+    """`n_blocks` blocks of the true link that `paths` make, from block
+    `first_block` on (0-based), never held whole.
 
     It is read like a ChannelTensor, by require() and read(); read() makes
     the blocks asked for, which are bit for bit those of
-    ``synthesize(config, paths, n_blocks)``.
+    ``synthesize(config, paths, n_blocks, first_block)``.
     """
 
     config: ChannelConfig
     paths: PathSet
     n_blocks: int
+    first_block: int = 0
 
     @property
     def n_subcarriers(self) -> int:
@@ -340,11 +350,9 @@ class SynthesizedLink:
         return self
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        """True values of blocks lo .. hi-1 (0-based), made anew."""
-        if not 0 <= lo < hi <= self.n_blocks:
-            raise ContractError(f"blocks {lo} .. {hi - 1} are not blocks of the link of "
-                                f"{self.n_blocks} blocks")
-        return synthesize(self.config, self.paths, hi - lo, lo).values
+        """True values of blocks lo .. hi-1 (0-based, from first_block), made anew."""
+        _require_blocks(lo, hi, self.n_blocks)
+        return synthesize(self.config, self.paths, hi - lo, self.first_block + lo).values
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ def _columns(values: np.ndarray, domain: str, index: int | None) -> np.ndarray:
     return view if index is None else view[:, index:index + 1]
 
 
+def _features(view: np.ndarray, start: int, rows: int, n0: int) -> np.ndarray:
+    """The features of _windows alone, cutting no labels."""
+    past = sliding_window_view(view[start:start + rows + n0 - 1], n0, axis=0)  # (rows, S, D, n0)
+    feats = complex_to_real(past.transpose(1, 0, 3, 2))                       # (S, rows, n0, 2D)
+    return feats.reshape(view.shape[1] * rows, -1)
+
+
 def _windows(view: np.ndarray, start: int, rows: int, n0: int):
     """Features and labels of `rows` windows of every series of an (N, S, D) view.
 
@@ -109,19 +116,17 @@ def _windows(view: np.ndarray, start: int, rows: int, n0: int):
     features and block start+r+n0 as label. Rows are series-major,
     time-minor, and both arrays are C-contiguous.
     """
-    n_series = view.shape[1]
-    past = sliding_window_view(view[start:start + rows + n0 - 1], n0, axis=0)  # (rows, S, D, n0)
-    feats = complex_to_real(past.transpose(1, 0, 3, 2))                       # (S, rows, n0, 2D)
     labels = complex_to_real(view[start + n0:start + n0 + rows].transpose(1, 0, 2))
-    return feats.reshape(n_series * rows, -1), labels.reshape(n_series * rows, -1)
+    return _features(view, start, rows, n0), labels.reshape(view.shape[1] * rows, -1)
 
 
 @dataclass(frozen=True)
 class LazyWindows:
     """Test windows, cut on demand in _windows' order: `rows` per series of
     each series of an (N, S, D) view, from block `start` on. cut(lo, hi)
-    writes rows lo..hi, which may span series, into one block; a slice gives
-    their features over `scale`, the job's fitted scale, for predict to walk.
+    writes rows lo..hi, which may span series, into one block; a slice of
+    step 1 cuts just their features, over `scale`, the job's fitted scale,
+    for predict to walk.
     """
 
     view: np.ndarray
@@ -135,19 +140,33 @@ class LazyWindows:
 
     n_rows = property(__len__)
 
-    def cut(self, lo: int, hi: int) -> WindowedDataset:
+    def _spans(self, lo: int, hi: int) -> list:
+        """(rows of the cut, series view, first block, row count) of each series in lo..hi."""
         if not 0 <= lo < hi <= self.n_rows:
             raise ContractError(f"rows {lo}..{hi} are not a non-empty cut of {self.n_rows} rows")
-        d = self.view.shape[2]
-        out = WindowedDataset(np.empty((hi - lo, 2 * self.n0 * d)), np.empty((hi - lo, 2 * d)))
+        spans = []
         for s in range(lo // self.rows, (hi - 1) // self.rows + 1):
             a, b = max(lo, s * self.rows), min(hi, (s + 1) * self.rows)   # rows a..b of series s
-            out.features[a - lo:b - lo], out.labels[a - lo:b - lo] = _windows(
-                self.view[:, s:s + 1], self.start + a - s * self.rows, b - a, self.n0)
+            spans.append((slice(a - lo, b - lo), self.view[:, s:s + 1],
+                          self.start + a - s * self.rows, b - a))
+        return spans
+
+    def cut(self, lo: int, hi: int) -> WindowedDataset:
+        d = self.view.shape[2]
+        spans = self._spans(lo, hi)
+        out = WindowedDataset(np.empty((hi - lo, 2 * self.n0 * d)), np.empty((hi - lo, 2 * d)))
+        for rows, series, start, n in spans:
+            out.features[rows], out.labels[rows] = _windows(series, start, n, self.n0)
         return out
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        features = self.cut(*rows.indices(self.n_rows)[:2]).features
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise ContractError(f"test windows are read by a slice of step 1, not {rows!r}")
+        lo, hi = rows.indices(self.n_rows)[:2]
+        spans = self._spans(lo, hi)
+        features = np.empty((hi - lo, 2 * self.n0 * self.view.shape[2]))
+        for cut, series, start, n in spans:
+            features[cut] = _features(series, start, n, self.n0)
         features /= self.scale
         return features
 
@@ -165,23 +184,26 @@ def _datasets(est: ChannelTensor, domain: str, index: int | None, spec: DatasetS
             LazyWindows(cols, spec.n_gap, spec.n_te, spec.n0))
 
 
-def assemble_predictions(parts, spec: DatasetSpec, shape: tuple) -> ChannelTensor:
-    """Put predicted test rows back into an (n_te, L, M) subcarrier tensor.
+def assemble_predictions(parts, shape: tuple, lo: int = 0, hi: int | None = None) -> ChannelTensor:
+    """Put blocks lo..hi of predicted test rows back into a subcarrier tensor.
 
-    `parts` holds (domain, series, real rows) per job, `series` as the
-    builders take it. The rows are label rows in _windows' order, so they go
-    back by position, their real and imaginary halves straight into the real
-    and imaginary parts. An entry that no job predicts stays NaN and fails
-    validation.
+    `shape` is the (n_te, L, M) of the whole prediction, of which the result
+    holds blocks lo..hi (all n_te by default). `parts` holds (domain, series,
+    real rows) per job, `series` as the builders take it. The rows are label
+    rows in _windows' order, so they go back by position, their real and
+    imaginary halves straight into the real and imaginary parts. An entry
+    that no job predicts stays NaN and fails validation.
     """
-    values = np.full((spec.n_te, *shape), np.nan, dtype=np.complex128)
+    n_te = shape[0]
+    hi = n_te if hi is None else hi
+    values = np.full((hi - lo, *shape[1:]), np.nan, dtype=np.complex128)
     for domain, series, rows in parts:
         target = _columns(values, domain, series)   # a view: writes reach `values`
-        n_te, n_cols, dim = target.shape
+        _, n_cols, dim = target.shape
         if rows.shape != (n_cols * n_te, 2 * dim):
             raise ContractError(f"{domain} series {'all' if series is None else series}: "
                                 f"predicted rows {rows.shape} != ({n_cols * n_te}, {2 * dim})")
-        rows = rows.reshape(n_cols, n_te, 2 * dim).swapaxes(0, 1)
+        rows = rows.reshape(n_cols, n_te, 2 * dim)[:, lo:hi].swapaxes(0, 1)
         target.real[...] = rows[..., :dim]
         target.imag[...] = rows[..., dim:]
     return ChannelTensor(values, PROVENANCE_PREDICTED).validate()

@@ -114,8 +114,9 @@ def _check_batch(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) ->
 # Rows per predict block. OpenBLAS 0.3.31 computes a GEMM call of few rows on
 # a small-matrix path that rounds differently: rows of a call of up to 12
 # rows (paper jldt widths) or 37 rows (desk widths) differ by up to 7e-15 from
-# the same rows in a large call. Blocks of 512-2048 rows match one call.
-_PREDICT_ROWS = 1024
+# the same rows in a large call. Blocks of 512-2048 rows match one call; the
+# smallest keeps the per-block buffers of predict smallest.
+_PREDICT_ROWS = 512
 
 
 def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ Four approach labels are understood throughout:
 At a fixed (SNR, seed) every approach consumes the identical estimated tensor;
 NMSE is always scored in the subcarrier domain against the true channel at the
 predicted block, averaged over subcarriers and test blocks. Those label
-blocks are the only true channels a cell keeps. The per-series
-time overhead of collecting training data is n_tr blocks for ``sl`` and
-n_tr_prime blocks for the other three.
+blocks are the only true channels a cell reads, a chunk at a time. The
+per-series time overhead of collecting training data is n_tr blocks for
+``sl`` and n_tr_prime blocks for the other three.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .channel import (
     PROVENANCE_TRUE,
     SynthesizedLink,
     draw_paths,
-    synthesize,
 )
 from .datasets import (
     DatasetSpec,
@@ -156,44 +155,57 @@ def nmse(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
-    """Deterministic (labels, estimated) tensor pair for one (SNR, seed) cell.
+    """Deterministic (labels, estimated) pair for one (SNR, seed) cell.
 
     `est` holds the LS estimates of the blocks a cell's windows read: the
     training head, blocks 1 .. h (cfg.head_blocks), then the test tail,
     blocks n_gap+1 .. required_blocks; cfg.kept_spec windows it. `labels`
-    holds the true channels of the n_te test label blocks, n_gap + n0
-    onwards, the only true blocks `score` reads. Both come from the
-    synthesized link, which makes only the blocks read of it, so no full
-    true tensor ever exists; every block's pilot noise is still drawn from
-    the cell's one stream, so every kept block has the bits of estimating
-    the whole link.
+    is the synthesized link of the n_te test label blocks, n_gap + n0
+    onwards, the only true blocks `score` reads; it makes them as they are
+    read, so no true tensor is held. Every block's pilot noise is still
+    drawn from the cell's one stream, so every kept block has the bits of
+    estimating the whole link.
     """
     paths = draw_paths(cfg.channel, seed)
-    labels = synthesize(cfg.channel, paths, cfg.n_te, cfg.n_gap + cfg.n0)
     link = SynthesizedLink(cfg.channel, paths, cfg.required_blocks)
     est = estimate_trace(link, cfg.scheme(snr_db), stream(seed, "pilot-noise"),
                          keep=((0, cfg.head_blocks), (cfg.n_gap, link.n_blocks)))
-    return labels, est
+    return SynthesizedLink(cfg.channel, paths, cfg.n_te, cfg.n_gap + cfg.n0), est
 
 
-def score(pred: ChannelTensor, labels: ChannelTensor) -> float:
-    """NMSE of an (n_te, L, M) prediction against the true (n_te, L, M) label blocks.
+_SCORE_BLOCKS = 64   # test blocks scored at a time
 
-    The only reader of the true channels. Rows are the length-M subcarrier
-    vectors in (subcarrier, block) order: nmse of the (L * n_te, M) rows,
-    bit for bit. The squared norms go into (L, n_te) arrays one subcarrier
-    at a time, so no tensor-sized copy is made.
+
+def score(pred, labels: ChannelTensor | SynthesizedLink) -> float:
+    """NMSE of an (n_te, L, M) prediction against the true label blocks.
+
+    The only reader of the true channels, a ChannelTensor or SynthesizedLink.
+    `pred` is a ChannelTensor or evaluate_cell's parts, (domain, series, rows)
+    per job. Rows are the length-M subcarrier vectors in (subcarrier, block)
+    order: nmse of the (L * n_te, M) rows, bit for bit. Each _SCORE_BLOCKS
+    test blocks read the truth and put the parts back for those blocks
+    alone, and the squared norms go into (L, n_te) arrays one subcarrier at
+    a time, so no tensor-sized copy is made.
     """
-    labels.require(PROVENANCE_TRUE, pred.values.shape[0])
-    if pred.values.shape != labels.values.shape:
-        raise ContractError(f"prediction shape {pred.values.shape} != label shape "
-                            f"{labels.values.shape}")
-    n_te, n_sub = pred.values.shape[:2]
-    err = np.empty((n_sub, n_te))
+    n_te = pred.n_blocks if isinstance(pred, ChannelTensor) else labels.n_blocks
+    labels.require(PROVENANCE_TRUE, n_te)
+    shape = (labels.n_blocks, labels.n_subcarriers, labels.n_antennas)
+    if isinstance(pred, ChannelTensor):
+        if pred.values.shape != shape:
+            raise ContractError(f"prediction shape {pred.values.shape} != label shape {shape}")
+        read = pred.read
+    else:
+        def read(lo, hi):
+            return assemble_predictions(pred, shape, lo, hi).values
+    err = np.empty((shape[1], n_te))
     power = np.empty_like(err)
-    for l in range(n_sub):
-        err[l] = _squared_norms(pred.values[:, l] - labels.values[:, l])
-        power[l] = _squared_norms(labels.values[:, l])
+    for lo in range(0, n_te, _SCORE_BLOCKS):
+        hi = min(lo + _SCORE_BLOCKS, n_te)
+        p, t = read(lo, hi), labels.read(lo, hi)
+        for l in range(shape[1]):
+            err[l, lo:hi] = _squared_norms(p[:, l] - t[:, l])
+            power[l, lo:hi] = _squared_norms(t[:, l])
+        del p, t   # before the next chunk is made
     return _mean_ratio(err, power)
 
 
@@ -206,7 +218,7 @@ def _require_kept(est: ChannelTensor, spec: DatasetSpec) -> None:
                             f"of {spec.n_te + spec.n0 + 1}")
 
 
-def persistence_nmse(labels: ChannelTensor, est: ChannelTensor,
+def persistence_nmse(labels: ChannelTensor | SynthesizedLink, est: ChannelTensor,
                      cfg: ExperimentConfig) -> float:
     """Sanity floor: predict h_(n+1) by the newest estimate g_n."""
     spec = cfg.kept_spec()
@@ -228,8 +240,9 @@ class CellResult:
     models: dict = field(default_factory=dict)      # job index -> MlpModel (opt-in)
 
 
-def evaluate_cell(labels: ChannelTensor, est: ChannelTensor, cfg: ExperimentConfig,
-                  approach: str, seed: int, collect_models: bool = False) -> CellResult:
+def evaluate_cell(labels: ChannelTensor | SynthesizedLink, est: ChannelTensor,
+                  cfg: ExperimentConfig, approach: str, seed: int,
+                  collect_models: bool = False) -> CellResult:
     """Train and score one approach on a link from prepare_link.
 
     jldt windows the antenna domain, the others the subcarrier domain. jl and
@@ -237,6 +250,7 @@ def evaluate_cell(labels: ChannelTensor, est: ChannelTensor, cfg: ExperimentConf
     on subcarrier l alone. Job k's tag k names its init stream, its shuffle
     seed and its entry in the histories and models. A job scales its training
     windows and predictions in place, and its test rows as predict cuts them.
+    The jobs' predicted rows are scored as they are, never put back whole.
     """
     if approach not in cfg.approaches:   # the kept head may be too short for another
         raise ConfigError(f"approach {approach!r} is not one of the configured "
@@ -260,16 +274,15 @@ def evaluate_cell(labels: ChannelTensor, est: ChannelTensor, cfg: ExperimentConf
                                (train_ds.features, train_ds.labels),
                                TrainConfig(cfg.batch_size, cfg.epochs, cfg.learning_rate,
                                            derive_seed(seed, "shuffle", k)))
-        del train_ds   # before predict cuts the test rows, one block at a time
+        del train_ds, a   # no training window (a: the labels) is held while predict runs
         rows = predict(model, replace(test_ds, scale=scale))
         rows *= scale
         parts.append((domain, None if pooled else k, rows))
         result.histories[k] = history
         if collect_models:
             result.models[k] = model
-    # assembled after the loop, so no job trains beside the (n_te, L, M) tensor
-    result.nmse = score(assemble_predictions(parts, spec, est.values.shape[1:]),
-                        labels)
+        del model   # so the last job's model is not held while scoring
+    result.nmse = score(parts, labels)
     return result
 
 

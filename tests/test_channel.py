@@ -218,12 +218,30 @@ class TestSynthesizedLink:
         whole = synthesize(cfg, paths, blocks).values
         assert np.array_equal(np.concatenate(pieces), whole)
 
-    @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (5, 4), (0, 11)])
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (5, 4), (0, 11), (5, 100), (12, 15)])
     def test_read_outside_the_link_rejected(self, lo, hi):
+        # a tensor of as many blocks refuses the same reads in the same words
         cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3)
         link = SynthesizedLink(cfg, draw_paths(cfg, 23), 10)
-        with pytest.raises(ContractError, match="not blocks of the link of 10 blocks"):
-            link.read(lo, hi)
+        messages = []
+        for source in (link, synthesize(cfg, link.paths, 10)):
+            with pytest.raises(ContractError, match="not blocks of a source of 10 blocks") as exc:
+                source.read(lo, hi)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == f"blocks {lo} .. {hi - 1} are not blocks of a " \
+                                             f"source of 10 blocks"
+
+    @pytest.mark.parametrize("first_block", [1, 37, SYNTH_CHUNK - 3])
+    def test_first_block_offsets_every_read(self, first_block):
+        cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3)
+        paths = draw_paths(cfg, 23)
+        link = SynthesizedLink(cfg, paths, 20, first_block)
+        whole = synthesize(cfg, paths, first_block + 20).values
+        for lo, hi in ((0, 20), (0, 1), (7, 19), (19, 20)):
+            want = whole[first_block + lo:first_block + hi]
+            assert np.array_equal(link.read(lo, hi).view(np.uint64), want.view(np.uint64))
+        with pytest.raises(ContractError, match="not blocks of a source of 20 blocks"):
+            link.read(0, 21)
 
     def test_require_checks_length_and_provenance(self):
         cfg = ChannelConfig(m_h=2, m_v=1, n_subcarriers=3)

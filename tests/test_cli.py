@@ -199,9 +199,10 @@ class TestSubcommands:
             kept = np.concatenate([got.values[:head], got.values[cfg.n_gap:]])
             assert np.array_equal(kept.view(np.uint64), want.values.view(np.uint64))
             truth = import_trace(trace)
-            assert truth.provenance == labels.provenance
+            assert truth.provenance == "true"
             first = cfg.n_gap + cfg.n0
-            assert np.array_equal(truth.values[first:first + cfg.n_te], labels.values)
+            assert np.array_equal(truth.values[first:first + cfg.n_te],
+                                  labels.require("true", cfg.n_te).read(0, cfg.n_te))
 
     def test_correlate_row_count_and_determinism(self, tmp_path, micro_cfg_file):
         out1 = str(tmp_path / "corr1.csv")

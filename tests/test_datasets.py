@@ -374,14 +374,18 @@ class TestLazyWindows:
     def test_predict_on_cut_rows_equals_predict_on_matrix(self, monkeypatch, builder):
         monkeypatch.setattr(mlp, "_PREDICT_ROWS", 5)
         _, test = self._test_rows(builder)
-        cuts, cut = [], LazyWindows.cut
+        whole = test.cut(0, test.n_rows).features / 1.7
+        cuts, getitem = [], LazyWindows.__getitem__
 
-        def spy(ds, lo, hi):
-            cuts.append((lo, hi))
-            return cut(ds, lo, hi)
+        def spy(ds, rows):
+            cuts.append((rows.start, rows.stop))
+            return getitem(ds, rows)
 
-        monkeypatch.setattr(LazyWindows, "cut", spy)
-        whole = cut(test, 0, test.n_rows).features / 1.7
+        def no_labels(*args):
+            raise AssertionError("predict cut test labels")
+
+        monkeypatch.setattr(LazyWindows, "__getitem__", spy)
+        monkeypatch.setattr("chanpred.datasets._windows", no_labels)
         model = init_mlp((whole.shape[1], 8, 2 * whole.shape[1] // 6), stream(3, "mlp-init"))
         rows = mlp.predict(model, dataclasses.replace(test, scale=1.7))
         assert np.array_equal(rows, mlp.predict(model, whole))
@@ -396,6 +400,15 @@ class TestLazyWindows:
         with pytest.raises(ContractError, match=f"rows {lo}..{hi} are not a non-empty cut of 21"):
             test.cut(lo, hi)
 
+    @pytest.mark.parametrize("rows", [slice(0, 6, 2), slice(6, 0, -1), 3])
+    def test_index_other_than_unit_step_slice_rejected(self, rows):
+        # predict reads consecutive rows; a step or an index is refused, not
+        # read as the consecutive rows lo..hi
+        _, test = self._test_rows(build_jl)
+        assert np.array_equal(test[0:6], test[0:6:1])
+        with pytest.raises(ContractError, match="slice of step 1"):
+            test[rows]
+
 
 def _perfect_part(est, domain, series, spec):
     """(domain, series, real rows) of one job whose predictions are its test labels."""
@@ -409,6 +422,9 @@ def _perfect_part(est, domain, series, spec):
 class TestAssemblePredictions:
     SPEC = DatasetSpec(n0=2, n_tr=3, n_te=4, n_gap=6)
 
+    def _shape(self, est):
+        return (self.SPEC.n_te, *est.values.shape[1:])
+
     def _label_blocks(self, est):
         return est.values[self.SPEC.n_gap + self.SPEC.n0 + np.arange(self.SPEC.n_te)]
 
@@ -417,7 +433,7 @@ class TestAssemblePredictions:
         for parts in ([_perfect_part(est, "subcarrier", l, self.SPEC) for l in range(3)],
                       [_perfect_part(est, "subcarrier", None, self.SPEC)],
                       [_perfect_part(est, "antenna", None, self.SPEC)]):
-            rebuilt = assemble_predictions(parts, self.SPEC, est.values.shape[1:])
+            rebuilt = assemble_predictions(parts, self._shape(est))
             assert rebuilt.provenance == "predicted"
             assert np.array_equal(rebuilt.values, self._label_blocks(est))
 
@@ -430,14 +446,14 @@ class TestAssemblePredictions:
                  _perfect_part(negated, "subcarrier", 1, self.SPEC)]
         expected = self._label_blocks(est)
         expected[:, 1] *= -1
-        rebuilt = assemble_predictions(parts, self.SPEC, est.values.shape[1:])
+        rebuilt = assemble_predictions(parts, self._shape(est))
         assert np.array_equal(rebuilt.values, expected)
 
     def test_unpredicted_column_rejected(self):
         est = _numbered(self.SPEC.min_blocks, l=3, m=2)
         parts = [_perfect_part(est, "subcarrier", l, self.SPEC) for l in (0, 2)]
         with pytest.raises(ContractError, match="non-finite"):
-            assemble_predictions(parts, self.SPEC, est.values.shape[1:])
+            assemble_predictions(parts, self._shape(est))
 
     @pytest.mark.parametrize("domain, series, name", [
         ("subcarrier", 1, "subcarrier series 1"), ("antenna", None, "antenna series all")])
@@ -449,4 +465,4 @@ class TestAssemblePredictions:
         rows = {"row": rows[:-1], "column": rows[:, :-2],
                 "reshaped": rows.reshape(2 * rows.shape[0], -1)}[cut]
         with pytest.raises(ContractError, match=name):
-            assemble_predictions([(domain, series, rows)], self.SPEC, est.values.shape[1:])
+            assemble_predictions([(domain, series, rows)], self._shape(est))

@@ -512,18 +512,28 @@ _DESK_DIMS = (96, 512, 512, 32)
 class TestPredictBlocks:
     """predict walks row blocks and still equals one unblocked forward pass."""
 
+    @staticmethod
+    def _match_one_forward_pass(dims, rows):
+        model = init_mlp(dims, stream(4, "mlp-init"))
+        rng = stream(rows, "predict-blocks")
+        for b in model.biases:
+            b[:] = rng.standard_normal(b.shape)
+        x = rng.standard_normal((rows, dims[0]))
+        x_kept = x.copy()
+        assert np.array_equal(predict(model, x), mlp._forward(model, x))
+        assert np.array_equal(x, x_kept)
+
     @pytest.mark.parametrize("rows", [2 * _B - 1, 2 * _B, 2 * _B + 1, 3 * _B + 1, 5 * _B + 3])
     def test_blocks_match_one_forward_pass(self, rows):
         # a short tail block (2B + 1 split as B, B, 1) would take OpenBLAS's
         # small-matrix path and change bits; the last block takes the remainder
-        model = init_mlp(_DESK_DIMS, stream(4, "mlp-init"))
-        rng = stream(rows, "predict-blocks")
-        for b in model.biases:
-            b[:] = rng.standard_normal(b.shape)
-        x = rng.standard_normal((rows, _DESK_DIMS[0]))
-        x_kept = x.copy()
-        assert np.array_equal(predict(model, x), mlp._forward(model, x))
-        assert np.array_equal(x, x_kept)
+        self._match_one_forward_pass(_DESK_DIMS, rows)
+
+    @pytest.mark.parametrize("dims", [(300, 512, 512, 100), (384, 512, 512, 128)],
+                             ids=["paper-jldt", "paper-sl"])
+    @pytest.mark.parametrize("rows", [_B, 2 * _B + 1, 5 * _B + 3])
+    def test_paper_dims_match_one_forward_pass(self, dims, rows):
+        self._match_one_forward_pass(dims, rows)
 
     def test_peak_memory_is_the_result_and_one_block(self):
         # beyond the result, each hidden layer holds one activation of the

@@ -19,11 +19,19 @@ from chanpred import (
     prepare_link,
     snr_sweep,
 )
-from chanpred.channel import PROVENANCES, SYNTH_CHUNK, draw_paths, synthesize
+from chanpred.channel import (
+    PROVENANCES,
+    SYNTH_CHUNK,
+    SynthesizedLink,
+    draw_paths,
+    series_view,
+    synthesize,
+)
 from chanpred.cli import config_from_dict
 from chanpred.correlation import correlation_report
 from chanpred.datasets import (
     DatasetSpec,
+    complex_to_real,
     build_jl,
     build_jldt,
     build_series_dataset,
@@ -122,25 +130,45 @@ class TestJobTags:
 
 
 class TestJobMemory:
-    def test_jldt_job_never_holds_the_test_features(self):
-        # paper dims: the 64 * 200 test windows of width 2 * n0 * L hold 30.7 MB
-        # of features, more than the job holds at its peak (its predicted rows
-        # and the assembled tensor, 10.2 MB each); predict cuts them in blocks
-        cfg = ExperimentConfig(n_te=200, hidden=(4,), epochs=1, snr_db=(0.0,), seeds=(1,),
-                               approaches=("jldt",)).validate()
-        L, M = cfg.channel.n_subcarriers, cfg.channel.n_antennas
-        est = random_tensor(1, cfg.kept_spec().min_blocks, L, M, "estimated")
-        labels = random_tensor(2, cfg.n_te, L, M)
-        test_features = M * cfg.n_te * 2 * cfg.n0 * L * 8
+    # paper dims, a tiny model: L = 50, M = 64, n_te = 200
+    CFG = ExperimentConfig(n_te=200, hidden=(4,), epochs=1, snr_db=(0.0,), seeds=(1,),
+                           approaches=("jldt",)).validate()
+    L, M = CFG.channel.n_subcarriers, CFG.channel.n_antennas
+
+    def _peak(self):
+        """tracemalloc peak of a jldt evaluate_cell on random tensors made before tracing."""
+        est = random_tensor(1, self.CFG.kept_spec().min_blocks, self.L, self.M, "estimated")
+        labels = random_tensor(2, self.CFG.n_te, self.L, self.M)
         tracemalloc.start()
         try:
-            cell = evaluate_cell(labels, est, cfg, "jldt", seed=1)
+            cell = evaluate_cell(labels, est, self.CFG, "jldt", seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.isfinite(cell.nmse)
+        return peak
+
+    def test_jldt_job_never_holds_the_test_features(self):
+        # the 64 * 200 test windows of width 2 * n0 * L hold 30.7 MB of
+        # features, more than the job holds at its peak (its predicted rows,
+        # 10.2 MB, and one chunk of them put back for scoring); predict cuts
+        # them in blocks
+        test_features = self.M * self.CFG.n_te * 2 * self.CFG.n0 * self.L * 8
         assert test_features == 30_720_000
-        assert peak < test_features
+        assert self._peak() < test_features
+
+    def test_jldt_job_never_holds_a_prediction_tensor(self):
+        # score puts the predicted rows back one chunk of test blocks at a
+        # time: an (n_te, L, M) tensor of them, 10.2 MB, would go past the bound
+        rows = self.M * self.CFG.n_te * 2 * self.L * 8
+        tensor = self.CFG.n_te * self.L * self.M * 16
+        assert (rows, tensor) == (10_240_000, 10_240_000)
+        assert self._peak() < rows + tensor // 2
+
+
+def _label_values(labels):
+    """Every block of a cell's labels, read at once."""
+    return labels.read(0, labels.n_blocks)
 
 
 def _full_truth(cfg, seed):
@@ -229,10 +257,11 @@ class TestJldtReconstruction:
         # of its row, so predicting the labels must rebuild the truth exactly
         _, test_ds = build_jldt(ChannelTensor(truth.values, "estimated"), spec)
         part = ("antenna", None, test_ds.cut(0, test_ds.n_rows).labels)
-        rebuilt = assemble_predictions([part], spec, truth.values.shape[1:])
+        rebuilt = assemble_predictions([part], (spec.n_te, *truth.values.shape[1:]))
         label_blocks = spec.n_gap + spec.n0 + np.arange(spec.n_te)
         assert np.array_equal(rebuilt.values, truth.values[label_blocks])
-        assert np.array_equal(rebuilt.values, labels.values)
+        assert np.array_equal(rebuilt.values, _label_values(labels))
+        assert score([part], labels) == 0.0
         assert rebuilt.provenance == "predicted"
 
 
@@ -268,17 +297,18 @@ class TestPrepareLink:
                               _kept(cfg, want.values).view(np.uint64))
         first = cfg.n_gap + cfg.n0
         got_labels = truth.values[first:first + cfg.n_te]
-        assert np.array_equal(labels.values.view(np.uint64), got_labels.view(np.uint64))
-        assert (labels.provenance, est.provenance) == ("true", "estimated")
+        assert np.array_equal(_label_values(labels).view(np.uint64), got_labels.view(np.uint64))
+        assert labels.require("true", cfg.n_te).n_blocks == cfg.n_te
+        assert est.provenance == "estimated"
 
     @staticmethod
     def _peak_within_kept_bytes(cfg):
-        # paper-like L = 50, M = 64: beside its outputs, the kept estimate and
-        # the labels, prepare_link may hold one estimation chunk of truth,
-        # synthesize's (64, L, P) mix for it and estimate_trace's two
-        # buffers, Y (complex) and one part of Z (real), each (64, L, M, tau);
-        # the full truth alone is more. The slack covers lazy imports and the
-        # small arrays
+        # paper-like L = 50, M = 64: beside its output, the kept estimate (the
+        # labels are a link that makes blocks as they are read), prepare_link
+        # may hold one estimation chunk of truth, synthesize's (64, L, P) mix
+        # for it and estimate_trace's two buffers, Y (complex) and one part of
+        # Z (real), each (64, L, M, tau); the full truth alone is more. The
+        # slack covers lazy imports and the small arrays
         L, M, tau = cfg.channel.n_subcarriers, cfg.channel.n_antennas, cfg.tau
         tracemalloc.start()
         try:
@@ -287,12 +317,12 @@ class TestPrepareLink:
         finally:
             tracemalloc.stop()
         complex_bytes = 16
-        outputs = (cfg.kept_spec().min_blocks + cfg.n_te) * L * M * complex_bytes
+        outputs = cfg.kept_spec().min_blocks * L * M * complex_bytes
         chunk = _EST_CHUNK * L * (M + cfg.channel.n_paths) * complex_bytes
         buffers = 64 * L * M * tau * (complex_bytes + 8)
         assert peak < outputs + chunk + buffers + 2 * 2 ** 20   # 2 MB: lazy imports, small arrays
-        assert labels.values.shape == (cfg.n_te, L, M)
-        assert est.values.nbytes + labels.values.nbytes == outputs
+        assert (labels.n_blocks, labels.n_subcarriers, labels.n_antennas) == (cfg.n_te, L, M)
+        assert est.values.nbytes == outputs
 
     def test_peak_memory_holds_no_full_truth(self):
         # four synthesis chunks, three of them whole; a head of 53 blocks (sl's)
@@ -337,9 +367,10 @@ class TestPrepareLink:
 class TestScore:
     def _perfect(self, seed):
         cfg = micro_config()
-        labels, est = prepare_link(cfg, 10.0, seed=seed)
+        link, est = prepare_link(cfg, 10.0, seed=seed)
+        labels = ChannelTensor(_label_values(link), "true")
         pred = ChannelTensor(labels.values.copy(), "predicted")
-        assert score(pred, labels) == 0.0
+        assert score(pred, labels) == score(pred, link) == 0.0
         return pred, labels, est
 
     def test_estimate_is_not_truth(self):
@@ -375,6 +406,46 @@ class TestScore:
         label = truth.values[spec.n_gap + spec.n0 + np.arange(n_te)]
         rows = [v.transpose(1, 0, 2).reshape(-1, m) for v in (pred.values, label)]
         assert score(pred, ChannelTensor(label, "true")) == nmse(*rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_te=st.integers(1, 200), l=st.integers(1, 4), m=st.integers(1, 5),
+           domain=st.sampled_from([None, "subcarrier", "antenna"]), link=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(n_te=1, l=1, m=3, domain=None, link=True, seed=0)
+    @example(n_te=63, l=3, m=1, domain="antenna", link=True, seed=1)
+    @example(n_te=64, l=2, m=2, domain="subcarrier", link=False, seed=2)
+    @example(n_te=65, l=1, m=1, domain="antenna", link=True, seed=3)
+    @example(n_te=129, l=4, m=3, domain=None, link=False, seed=4)
+    @example(n_te=200, l=3, m=4, domain="antenna", link=True, seed=5)
+    def test_chunks_of_parts_equal_nmse_of_transposed_rows(self, n_te, l, m, domain, link,
+                                                             seed):
+        # the jobs' parts, per series (domain None: one per subcarrier) or one
+        # pooled, scored chunk by chunk against a tensor or a link
+        pred = random_tensor(seed + 1, n=n_te, l=l, m=m, provenance="predicted")
+        if link:
+            cfg = ChannelConfig(m_h=m, m_v=1, n_subcarriers=l, n_paths=3)
+            labels = SynthesizedLink(cfg, draw_paths(cfg, seed), n_te, first_block=seed % 70)
+        else:
+            labels = random_tensor(seed, n=n_te, l=l, m=m)
+        series = [("subcarrier", k) for k in range(l)] if domain is None else [(domain, None)]
+        parts = []
+        for d, k in series:
+            view = series_view(pred.values, d)[:, slice(None) if k is None else slice(k, k + 1)]
+            parts.append((d, k, complex_to_real(view.swapaxes(0, 1)).reshape(-1, 2 * view.shape[2])))
+        rows = [v.transpose(1, 0, 2).reshape(-1, m) for v in (pred.values, _label_values(labels))]
+        assert score(parts, labels) == score(pred, labels) == nmse(*rows)
+
+    @pytest.mark.parametrize("block", [0, 63, 64, 130, 199])
+    def test_unpredicted_entry_in_any_chunk_refused(self, block):
+        labels = random_tensor(0, n=200, l=3, m=2)
+        rows = complex_to_real(labels.values.swapaxes(0, 1)).reshape(3, 200, 4)
+        parts = [("subcarrier", k, rows[k]) for k in range(3)]
+        assert score(parts, labels) == 0.0
+        with pytest.raises(ContractError, match="non-finite"):
+            score(parts[:2], labels)          # subcarrier 2 predicted by no job
+        rows[1, block, 3] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            score(parts, labels)
 
     def test_peak_memory_below_one_prediction(self):
         # paper-like (n_te, L, M): the norms go subcarrier by subcarrier, so
@@ -432,7 +503,7 @@ class TestScaleInvariance:
     def test_global_rescaling_leaves_nmse(self):
         cfg = micro_config()
         labels, est = prepare_link(cfg, 10.0, seed=5)
-        scaled_labels = dataclasses.replace(labels, values=4.0 * labels.values)
+        scaled_labels = ChannelTensor(4.0 * _label_values(labels), "true")
         scaled_est = dataclasses.replace(est, values=4.0 * est.values)
         for approach in ("sl", "jl", "jldt"):
             a = evaluate_cell(labels, est, cfg, approach, seed=5)
@@ -445,7 +516,7 @@ class TestFairnessAndDeterminism:
         cfg = micro_config()
         l1, e1 = prepare_link(cfg, 10.0, seed=6)
         l2, e2 = prepare_link(cfg, 10.0, seed=6)
-        assert np.array_equal(l1.values, l2.values)
+        assert np.array_equal(_label_values(l1), _label_values(l2))
         assert np.array_equal(e1.values, e2.values)
 
     def test_report_determinism(self):
@@ -460,7 +531,7 @@ class TestFairnessAndDeterminism:
         cfg = micro_config(snr_db=(0.0, 10.0))
         la, ea = prepare_link(cfg, 0.0, seed=7)
         lb, eb = prepare_link(cfg, 10.0, seed=7)
-        assert np.array_equal(la.values, lb.values)
+        assert np.array_equal(_label_values(la), _label_values(lb))
         # the noise is shared too: only its scale 1/sqrt(rho) differs
         truth = _kept(cfg, _full_truth(cfg, 7).values)
         ratio = np.sqrt(cfg.scheme(10.0).snr / cfg.scheme(0.0).snr)
