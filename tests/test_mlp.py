@@ -523,15 +523,16 @@ class TestPredictBlocks:
         assert np.array_equal(predict(model, x), mlp._forward(model, x))
         assert np.array_equal(x, x_kept)
 
-    @pytest.mark.parametrize("rows", [2 * _B - 1, 2 * _B, 2 * _B + 1, 3 * _B + 1, 5 * _B + 3])
+    @pytest.mark.parametrize("rows", [4 * _B - 1, 4 * _B, 4 * _B + 1, 6 * _B + 1, 10 * _B + 3])
     def test_blocks_match_one_forward_pass(self, rows):
-        # a short tail block (2B + 1 split as B, B, 1) would take OpenBLAS's
-        # small-matrix path and change bits; the last block takes the remainder
+        # a short tail block (4B + 1 split as B, B, B, B, 1) would take
+        # OpenBLAS's small-matrix path and change bits; the last block takes
+        # the remainder
         self._match_one_forward_pass(_DESK_DIMS, rows)
 
     @pytest.mark.parametrize("dims", [(300, 512, 512, 100), (384, 512, 512, 128)],
                              ids=["paper-jldt", "paper-sl"])
-    @pytest.mark.parametrize("rows", [_B, 2 * _B + 1, 5 * _B + 3])
+    @pytest.mark.parametrize("rows", [_B, 2 * _B - 1, 2 * _B + 1, 5 * _B + 3])
     def test_paper_dims_match_one_forward_pass(self, dims, rows):
         self._match_one_forward_pass(dims, rows)
 

@@ -31,10 +31,10 @@ from chanpred.cli import config_from_dict
 from chanpred.correlation import correlation_report
 from chanpred.datasets import (
     DatasetSpec,
-    complex_to_real,
     build_jl,
     build_jldt,
     build_series_dataset,
+    complex_to_real,
     fit_scale,
 )
 from chanpred.estimation import _EST_CHUNK, PilotScheme, estimate_trace
