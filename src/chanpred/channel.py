@@ -473,7 +473,12 @@ def import_trace(path) -> ChannelTensor:
         info = os.fstat(f.fileno())
         values = parts = None
         if N * per * 9 <= info.st_size or not stat.S_ISREG(info.st_mode):
-            values = np.empty((N, L, M), dtype=np.complex128)
+            try:   # a pipe's header is not checked against a size
+                values = np.empty((N, L, M), dtype=np.complex128)
+            except (MemoryError, ValueError) as exc:
+                raise TraceFormatError(f"line 2: trace header declares {N}x{L}x{M} = "
+                                       f"{N * per} records, more than memory holds: "
+                                       f"{exc}") from exc
             # (re, im) pairs of each block: copying the parsed columns in keeps
             # every bit, the sign of zero included
             parts = values.view(np.float64).reshape(N, per, 2)

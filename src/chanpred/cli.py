@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -306,6 +307,12 @@ def _cmd_sweep(args) -> int:
     """`sweep` runs the configured approaches; `run` the one given by --approach."""
     cfg = _effective_config(args)
     _echo_config(cfg, cfg.seeds)
+    # refuse what open and makedirs would refuse below, before hours of training
+    for path in (args.out, args.loss_out):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if getattr(args, "save_models", None):
+        os.makedirs(args.save_models, exist_ok=True)
     report = snr_sweep(cfg, collect_models=bool(getattr(args, "save_models", None)))
     for entry in report.entries:
         print(f"{entry.approach:9s} snr={entry.snr_db:6.1f} dB  "
@@ -329,7 +336,6 @@ def _cmd_sweep(args) -> int:
                    ("approach", "snr_db", "seed", "series", "epoch", "loss"), rows)
         print(f"wrote loss history: {args.loss_out}")
     if getattr(args, "save_models", None):
-        os.makedirs(args.save_models, exist_ok=True)
         for cell in report.cells:
             for series, model in cell.models.items():
                 name = f"{cell.approach}_snr{cell.snr_db!r}_seed{cell.seed}_series{series}.txt"

@@ -11,10 +11,11 @@ vectors are split into (all real parts, then all imaginary parts) per window,
 oldest window first.
 
 Every builder returns (train, test): a WindowedDataset, and LazyWindows,
-which cuts test rows only when predict asks for a block. One routine cuts
-the windows of every selected column of a domain's (N, S, D) series view;
-pooled rows are series-major, time-minor. Rows carry no tags:
-assemble_predictions puts predicted test rows back by that same order.
+which cuts test features only when predict asks for a block. One routine,
+_windows, cuts the windows of every selected column of a domain's (N, S, D)
+series view; a label is the one-block window after its features. Pooled
+rows are series-major, time-minor. Rows carry no tags: assemble_predictions
+puts predicted test rows back by that same order.
 
 Datasets hold estimated channels only, labels included (the true channel is
 never measurable); the scorer reads the truth at each row's label block.
@@ -102,31 +103,25 @@ def _columns(values: np.ndarray, domain: str, index: int | None) -> np.ndarray:
     return view if index is None else view[:, index:index + 1]
 
 
-def _features(view: np.ndarray, start: int, rows: int, n0: int) -> np.ndarray:
-    """The features of _windows alone, cutting no labels."""
-    past = sliding_window_view(view[start:start + rows + n0 - 1], n0, axis=0)  # (rows, S, D, n0)
-    feats = complex_to_real(past.transpose(1, 0, 3, 2))                       # (S, rows, n0, 2D)
-    return feats.reshape(view.shape[1] * rows, -1)
+def _windows(view: np.ndarray, start: int, rows: int, n0: int) -> np.ndarray:
+    """The n0-block windows of `rows` window starts of every series of an (N, S, D) view.
 
-
-def _windows(view: np.ndarray, start: int, rows: int, n0: int):
-    """Features and labels of `rows` windows of every series of an (N, S, D) view.
-
-    Row r of series s holds blocks start+r .. start+r+n0-1 (0-based) as
-    features and block start+r+n0 as label. Rows are series-major,
-    time-minor, and both arrays are C-contiguous.
+    Row r of series s holds blocks start+r .. start+r+n0-1 (0-based), oldest
+    first. Rows are series-major, time-minor, and C-contiguous. A feature
+    row's label is the one-block window n0 blocks later, so the labels of
+    _windows(view, start, rows, n0) are _windows(view, start + n0, rows, 1).
     """
-    labels = complex_to_real(view[start + n0:start + n0 + rows].transpose(1, 0, 2))
-    return _features(view, start, rows, n0), labels.reshape(view.shape[1] * rows, -1)
+    past = sliding_window_view(view[start:start + rows + n0 - 1], n0, axis=0)  # (rows, S, D, n0)
+    windows = complex_to_real(past.transpose(1, 0, 3, 2))                      # (S, rows, n0, 2D)
+    return windows.reshape(view.shape[1] * rows, -1)
 
 
 @dataclass(frozen=True)
 class LazyWindows:
-    """Test windows, cut on demand in _windows' order: `rows` per series of
-    each series of an (N, S, D) view, from block `start` on. cut(lo, hi)
-    writes rows lo..hi, which may span series, into one block; a slice of
-    step 1 cuts just their features, over `scale`, the job's fitted scale,
-    for predict to walk.
+    """Test feature rows, cut on demand in _windows' order: `rows` per series
+    of each series of an (N, S, D) view, from block `start` on. A slice of
+    step 1 cuts the windows of the series it spans and returns its rows over
+    `scale`, the job's fitted scale, for predict to walk.
     """
 
     view: np.ndarray
@@ -140,33 +135,16 @@ class LazyWindows:
 
     n_rows = property(__len__)
 
-    def _spans(self, lo: int, hi: int) -> list:
-        """(rows of the cut, series view, first block, row count) of each series in lo..hi."""
-        if not 0 <= lo < hi <= self.n_rows:
-            raise ContractError(f"rows {lo}..{hi} are not a non-empty cut of {self.n_rows} rows")
-        spans = []
-        for s in range(lo // self.rows, (hi - 1) // self.rows + 1):
-            a, b = max(lo, s * self.rows), min(hi, (s + 1) * self.rows)   # rows a..b of series s
-            spans.append((slice(a - lo, b - lo), self.view[:, s:s + 1],
-                          self.start + a - s * self.rows, b - a))
-        return spans
-
-    def cut(self, lo: int, hi: int) -> WindowedDataset:
-        d = self.view.shape[2]
-        spans = self._spans(lo, hi)
-        out = WindowedDataset(np.empty((hi - lo, 2 * self.n0 * d)), np.empty((hi - lo, 2 * d)))
-        for rows, series, start, n in spans:
-            out.features[rows], out.labels[rows] = _windows(series, start, n, self.n0)
-        return out
-
     def __getitem__(self, rows: slice) -> np.ndarray:
         if not isinstance(rows, slice) or rows.step not in (None, 1):
             raise ContractError(f"test windows are read by a slice of step 1, not {rows!r}")
-        lo, hi = rows.indices(self.n_rows)[:2]
-        spans = self._spans(lo, hi)
-        features = np.empty((hi - lo, 2 * self.n0 * self.view.shape[2]))
-        for cut, series, start, n in spans:
-            features[cut] = _features(series, start, n, self.n0)
+        lo = 0 if rows.start is None else rows.start
+        hi = self.n_rows if rows.stop is None else rows.stop
+        if not 0 <= lo < hi <= self.n_rows:
+            raise ContractError(f"rows {lo}..{hi} are not a non-empty cut of {self.n_rows} rows")
+        first, last = lo // self.rows, (hi - 1) // self.rows + 1   # the series lo..hi spans
+        spanned = _windows(self.view[:, first:last], self.start, self.rows, self.n0)
+        features = spanned[lo - first * self.rows:hi - first * self.rows]
         features /= self.scale
         return features
 
@@ -180,22 +158,22 @@ def _datasets(est: ChannelTensor, domain: str, index: int | None, spec: DatasetS
     cols = _columns(est.values, domain, index)
     for start, rows in ((0, spec.n_tr), (spec.n_gap, spec.n_te)):
         require_finite(cols[start:start + rows + spec.n0])
-    return (WindowedDataset(*_windows(cols, 0, spec.n_tr, spec.n0)),
+    return (WindowedDataset(_windows(cols, 0, spec.n_tr, spec.n0),
+                            _windows(cols, spec.n0, spec.n_tr, 1)),
             LazyWindows(cols, spec.n_gap, spec.n_te, spec.n0))
 
 
-def assemble_predictions(parts, shape: tuple, lo: int = 0, hi: int | None = None) -> ChannelTensor:
+def assemble_predictions(parts, shape: tuple, lo: int, hi: int) -> ChannelTensor:
     """Put blocks lo..hi of predicted test rows back into a subcarrier tensor.
 
     `shape` is the (n_te, L, M) of the whole prediction, of which the result
-    holds blocks lo..hi (all n_te by default). `parts` holds (domain, series,
-    real rows) per job, `series` as the builders take it. The rows are label
-    rows in _windows' order, so they go back by position, their real and
+    holds blocks lo..hi. `parts` holds (domain, series, real rows) per job,
+    `series` as the builders take it. The rows are label rows, one-block
+    windows in _windows' order, so they go back by position, their real and
     imaginary halves straight into the real and imaginary parts. An entry
     that no job predicts stays NaN and fails validation.
     """
     n_te = shape[0]
-    hi = n_te if hi is None else hi
     values = np.full((hi - lo, *shape[1:]), np.nan, dtype=np.complex128)
     for domain, series, rows in parts:
         target = _columns(values, domain, series)   # a view: writes reach `values`

@@ -103,9 +103,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} has duplicate entries: {list(values)}")
         return self
 
-    def dataset_spec(self, n_tr: int | None = None) -> DatasetSpec:
-        return DatasetSpec(self.n0, self.n_tr if n_tr is None else n_tr,
-                           self.n_te, self.n_gap)
+    def dataset_spec(self) -> DatasetSpec:
+        return DatasetSpec(self.n0, self.n_tr, self.n_te, self.n_gap)
 
     @property
     def required_blocks(self) -> int:

@@ -27,7 +27,7 @@ from chanpred import (
     synthesize,
 )
 from chanpred.channel import DOMAIN_ANTENNA
-from chanpred.datasets import DatasetSpec, build_jl, build_jldt
+from chanpred.datasets import DatasetSpec, _windows, build_jl, build_jldt
 from chanpred.estimation import estimate_trace
 from chanpred.mlp import AdamState, MlpModel, _layer_views, backward
 from chanpred.cli import main, parse_config
@@ -285,13 +285,16 @@ def test_criterion_8_no_leakage_and_determinism(tmp_path):
             spec = DatasetSpec(cfg.n0, n_tr, cfg.n_te, cfg.n_gap)
             for builder in (build_jl, build_jldt):
                 train, test = builder(est, spec)
-                test = test.cut(0, test.n_rows)
+                # the test features as predict reads them, and their labels,
+                # the one-block windows n0 blocks on
+                test_features = test[0:test.n_rows]
+                test_labels = _windows(test.view, test.start + spec.n0, test.rows, 1)
                 seen = np.concatenate([train.features.ravel(), train.labels.ravel()])
                 leak_ok = leak_ok and (
-                    seen.max() < test.features.min()
+                    seen.max() < test_features.min()
                     # training reads blocks 1 .. n_tr+n0, test n_gap+1 .. n_gap+n_te+n0
                     and (seen.min(), seen.max()) == (1, n_tr + spec.n0)
-                    and (test.features.min(), test.labels.max())
+                    and (test_features.min(), test_labels.max())
                     == (spec.n_gap + 1, spec.n_gap + spec.n_te + spec.n0))
 
     # (b) identical seeds -> byte-identical output files for every subcommand

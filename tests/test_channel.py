@@ -1,7 +1,9 @@
 """Channel generator: path statistics, steering geometry, trace synthesis and I/O."""
 
+import os
 import re
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -517,6 +519,27 @@ class TestStreamedImport:
         with pytest.raises(TraceFormatError) as err:
             import_trace(path)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("n_blocks", [
+        pytest.param(10 ** 17, id="more-than-an-address-space"),   # numpy: MemoryError
+        pytest.param(10 ** 20, id="more-than-a-dimension")])       # numpy: ValueError
+    def test_piped_header_declaring_more_than_memory_holds(self, tmp_path, n_blocks):
+        # a pipe has no size to check the header against: the tensor it
+        # declares cannot be made, and that is a format error of line 2
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        header = f"chanpred-trace v1\nN={n_blocks} L=1 M=1 domain=subcarrier provenance=true\n"
+        writer = threading.Thread(target=fifo.write_text, args=(header,), daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(TraceFormatError) as err:
+                import_trace(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(err.value).startswith(
+            f"line 2: trace header declares {n_blocks}x1x1 = {n_blocks} records, "
+            "more than memory holds: ")
 
     def test_records_split_by_any_line_break_are_read(self, tmp_path):
         # two records on one line, parted by \u2029, are two lines to splitlines

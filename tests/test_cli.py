@@ -312,6 +312,23 @@ class TestSubcommands:
         a, b = (load_model(f) for f in files)
         assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
 
+    @pytest.mark.parametrize("command, flag, path, message", [
+        pytest.param("run", "--out", "missing/x.csv",
+                     "[Errno 2] No such file or directory: '{}'", id="out-parent-missing"),
+        pytest.param("sweep", "--loss-out", "missing/loss.csv",
+                     "[Errno 2] No such file or directory: '{}'", id="loss-out-parent-missing"),
+        pytest.param("run", "--save-models", "file.txt",
+                     "[Errno 17] File exists: '{}'", id="save-models-is-a-file")])
+    def test_output_paths_refused_before_training(self, tmp_path, micro_cfg_file, capsys,
+                                                  command, flag, path, message):
+        (tmp_path / "file.txt").write_text("")
+        path = str(tmp_path / path)
+        argv = [command, "--config", micro_cfg_file, flag, path]
+        argv += ["--approach", "jl"] if command == "run" else ["--out", str(tmp_path / "x.csv")]
+        with mock.patch("chanpred.cli.snr_sweep", side_effect=AssertionError("trained")):
+            assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {message.format(path)}\n"
+
     def test_emit_config_round_trip(self, tmp_path, micro_cfg_file):
         emitted = str(tmp_path / "effective.json")
         trace = str(tmp_path / "t.trace")

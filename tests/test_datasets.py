@@ -12,6 +12,7 @@ from chanpred import (
     ConfigError,
     ContractError,
     DatasetSpec,
+    WindowedDataset,
     build_jl,
     build_jldt,
     build_series_dataset,
@@ -50,8 +51,11 @@ def _numbered(n_blocks, l=1, m=1):
 
 
 def _whole(ds):
-    """Every row of a builder's dataset: the test phase's LazyWindows cut at once."""
-    return ds.cut(0, ds.n_rows) if isinstance(ds, LazyWindows) else ds
+    """Every row of a builder's dataset. The test phase's features are one slice
+    of its LazyWindows; its labels are the one-block windows n0 blocks later."""
+    if not isinstance(ds, LazyWindows):
+        return ds
+    return WindowedDataset(ds[0:ds.n_rows], _windows(ds.view, ds.start + ds.n0, ds.rows, 1))
 
 
 def _read(ds, n0):
@@ -349,43 +353,59 @@ class TestWindowsProperty:
                     assert np.array_equal(ds.labels, labels)
 
 
+def _sl_job(est, spec):
+    """The (train, test) datasets of an sl job: one series, subcarrier 1."""
+    return build_series_dataset(est, ("subcarrier", 1), spec)
+
+
 class TestLazyWindows:
-    # 7 test rows per series: blocks of 5 rows straddle every series boundary
+    # 7 test rows per series: blocks of 5 rows straddle every series boundary,
+    # blocks of 7 end on one
     SPEC = DatasetSpec(n0=3, n_tr=4, n_te=7, n_gap=9)
-    BUILDERS = [(build_jl, "subcarrier"), (build_jldt, "antenna")]
+    # (builder, domain, series ids, n0); the n0 = 3 pooled cases keep their ids
+    VIEWS = [pytest.param(build_jl, "subcarrier", None, 3, id="build_jl-subcarrier"),
+             pytest.param(build_jldt, "antenna", None, 3, id="build_jldt-antenna"),
+             pytest.param(build_jl, "subcarrier", None, 1, id="build_jl-subcarrier-n0=1"),
+             pytest.param(build_jldt, "antenna", None, 1, id="build_jldt-antenna-n0=1"),
+             pytest.param(_sl_job, "subcarrier", [1], 3, id="sl-subcarrier"),
+             pytest.param(_sl_job, "subcarrier", [1], 1, id="sl-subcarrier-n0=1")]
 
-    def _test_rows(self, builder):
-        _, est = _pair(n=self.SPEC.min_blocks)   # 3 subcarriers, 4 antennas
-        return est, builder(est, self.SPEC)[1]
+    def _test_rows(self, builder, n0=3):
+        spec = dataclasses.replace(self.SPEC, n0=n0)
+        _, est = _pair(n=spec.min_blocks)   # 3 subcarriers, 4 antennas
+        return est, spec, builder(est, spec)[1]
 
-    @pytest.mark.parametrize("builder, domain", BUILDERS)
-    @pytest.mark.parametrize("block", [1, 3, 5, 8, 13, 28])
-    def test_cuts_equal_whole_phase_rows(self, builder, domain, block):
-        est, test = self._test_rows(builder)
-        feats, labels = _windows(series_view(est.values, domain), self.SPEC.n_gap,
-                                 self.SPEC.n_te, self.SPEC.n0)
-        assert test.n_rows == len(feats)
-        for lo in range(0, test.n_rows, block):
-            cut = test.cut(lo, min(lo + block, test.n_rows))
-            assert np.array_equal(cut.features, feats[lo:lo + block])
-            assert np.array_equal(cut.labels, labels[lo:lo + block])
+    @pytest.mark.parametrize("builder, domain, ids, n0", VIEWS)
+    @pytest.mark.parametrize("block", [1, 3, 5, 7, 8, 13, 28])
+    def test_cuts_equal_whole_phase_rows(self, builder, domain, ids, n0, block):
+        est, spec, test = self._test_rows(builder, n0)
+        ids = range(series_view(est.values, domain).shape[1]) if ids is None else ids
+        feats, _ = _naive_rows(est.values, domain, ids, spec, "test")
+        n = test.n_rows
+        assert n == len(feats)
+        # blocks of `block` rows with a short tail, and as predict walks them,
+        # the last block taking the remainder
+        for bounds in ([*range(0, n, block), n], [*range(0, max(n // block, 1) * block, block), n]):
+            for lo, hi in zip(bounds, bounds[1:]):
+                assert np.array_equal(test[lo:hi], feats[lo:hi])
 
     @pytest.mark.parametrize("builder", [build_jl, build_jldt])
     def test_predict_on_cut_rows_equals_predict_on_matrix(self, monkeypatch, builder):
         monkeypatch.setattr(mlp, "_PREDICT_ROWS", 5)
-        _, test = self._test_rows(builder)
-        whole = test.cut(0, test.n_rows).features / 1.7
-        cuts, getitem = [], LazyWindows.__getitem__
+        _, _, test = self._test_rows(builder)
+        whole = test[0:test.n_rows] / 1.7
+        cuts, windows, getitem, cut_windows = [], [], LazyWindows.__getitem__, _windows
 
         def spy(ds, rows):
             cuts.append((rows.start, rows.stop))
             return getitem(ds, rows)
 
-        def no_labels(*args):
-            raise AssertionError("predict cut test labels")
+        def windows_spy(view, start, rows, n0):
+            windows.append((start, n0))
+            return cut_windows(view, start, rows, n0)
 
         monkeypatch.setattr(LazyWindows, "__getitem__", spy)
-        monkeypatch.setattr("chanpred.datasets._windows", no_labels)
+        monkeypatch.setattr("chanpred.datasets._windows", windows_spy)
         model = init_mlp((whole.shape[1], 8, 2 * whole.shape[1] // 6), stream(3, "mlp-init"))
         rows = mlp.predict(model, dataclasses.replace(test, scale=1.7))
         assert np.array_equal(rows, mlp.predict(model, whole))
@@ -393,18 +413,20 @@ class TestLazyWindows:
         # takes the remainder
         bounds = {21: [0, 5, 10, 15, 21], 28: [0, 5, 10, 15, 20, 28]}[test.n_rows]
         assert cuts == list(zip(bounds, bounds[1:]))
+        # only feature windows are cut: no one-block (label) window, n0 blocks on
+        assert windows == [(test.start, test.n0)] * len(cuts)
 
     @pytest.mark.parametrize("lo, hi", [(3, 3), (4, 2), (-1, 2), (0, 22)])
     def test_empty_or_outside_cut_rejected(self, lo, hi):
-        _, test = self._test_rows(build_jl)
+        _, _, test = self._test_rows(build_jl)
         with pytest.raises(ContractError, match=f"rows {lo}..{hi} are not a non-empty cut of 21"):
-            test.cut(lo, hi)
+            test[lo:hi]
 
     @pytest.mark.parametrize("rows", [slice(0, 6, 2), slice(6, 0, -1), 3])
     def test_index_other_than_unit_step_slice_rejected(self, rows):
         # predict reads consecutive rows; a step or an index is refused, not
         # read as the consecutive rows lo..hi
-        _, test = self._test_rows(build_jl)
+        _, _, test = self._test_rows(build_jl)
         assert np.array_equal(test[0:6], test[0:6:1])
         with pytest.raises(ContractError, match="slice of step 1"):
             test[rows]
@@ -422,8 +444,10 @@ def _perfect_part(est, domain, series, spec):
 class TestAssemblePredictions:
     SPEC = DatasetSpec(n0=2, n_tr=3, n_te=4, n_gap=6)
 
-    def _shape(self, est):
-        return (self.SPEC.n_te, *est.values.shape[1:])
+    def _assemble(self, parts, est):
+        """All n_te blocks of the prediction `parts` make of `est`'s test phase."""
+        return assemble_predictions(parts, (self.SPEC.n_te, *est.values.shape[1:]),
+                                    0, self.SPEC.n_te)
 
     def _label_blocks(self, est):
         return est.values[self.SPEC.n_gap + self.SPEC.n0 + np.arange(self.SPEC.n_te)]
@@ -433,7 +457,7 @@ class TestAssemblePredictions:
         for parts in ([_perfect_part(est, "subcarrier", l, self.SPEC) for l in range(3)],
                       [_perfect_part(est, "subcarrier", None, self.SPEC)],
                       [_perfect_part(est, "antenna", None, self.SPEC)]):
-            rebuilt = assemble_predictions(parts, self._shape(est))
+            rebuilt = self._assemble(parts, est)
             assert rebuilt.provenance == "predicted"
             assert np.array_equal(rebuilt.values, self._label_blocks(est))
 
@@ -446,14 +470,14 @@ class TestAssemblePredictions:
                  _perfect_part(negated, "subcarrier", 1, self.SPEC)]
         expected = self._label_blocks(est)
         expected[:, 1] *= -1
-        rebuilt = assemble_predictions(parts, self._shape(est))
+        rebuilt = self._assemble(parts, est)
         assert np.array_equal(rebuilt.values, expected)
 
     def test_unpredicted_column_rejected(self):
         est = _numbered(self.SPEC.min_blocks, l=3, m=2)
         parts = [_perfect_part(est, "subcarrier", l, self.SPEC) for l in (0, 2)]
         with pytest.raises(ContractError, match="non-finite"):
-            assemble_predictions(parts, self._shape(est))
+            self._assemble(parts, est)
 
     @pytest.mark.parametrize("domain, series, name", [
         ("subcarrier", 1, "subcarrier series 1"), ("antenna", None, "antenna series all")])
@@ -465,4 +489,4 @@ class TestAssemblePredictions:
         rows = {"row": rows[:-1], "column": rows[:, :-2],
                 "reshaped": rows.reshape(2 * rows.shape[0], -1)}[cut]
         with pytest.raises(ContractError, match=name):
-            assemble_predictions([(domain, series, rows)], self._shape(est))
+            self._assemble([(domain, series, rows)], est)

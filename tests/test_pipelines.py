@@ -31,6 +31,7 @@ from chanpred.cli import config_from_dict
 from chanpred.correlation import correlation_report
 from chanpred.datasets import (
     DatasetSpec,
+    _windows,
     build_jl,
     build_jldt,
     build_series_dataset,
@@ -252,12 +253,15 @@ class TestJldtReconstruction:
         cfg = micro_config()
         truth = _full_truth(cfg, 4)
         labels, _ = prepare_link(cfg, 10.0, seed=4)
-        spec = cfg.dataset_spec(cfg.n_tr_prime)
-        # windows cut from the truth itself: each test label is the true channel
-        # of its row, so predicting the labels must rebuild the truth exactly
+        spec = DatasetSpec(cfg.n0, cfg.n_tr_prime, cfg.n_te, cfg.n_gap)
+        # windows cut from the truth itself: each test label, the one-block
+        # window n0 blocks after its features, is the true channel of its row,
+        # so predicting the labels must rebuild the truth exactly
         _, test_ds = build_jldt(ChannelTensor(truth.values, "estimated"), spec)
-        part = ("antenna", None, test_ds.cut(0, test_ds.n_rows).labels)
-        rebuilt = assemble_predictions([part], (spec.n_te, *truth.values.shape[1:]))
+        part = ("antenna", None,
+                _windows(test_ds.view, test_ds.start + spec.n0, test_ds.rows, 1))
+        rebuilt = assemble_predictions([part], (spec.n_te, *truth.values.shape[1:]),
+                                       0, spec.n_te)
         label_blocks = spec.n_gap + spec.n0 + np.arange(spec.n_te)
         assert np.array_equal(rebuilt.values, truth.values[label_blocks])
         assert np.array_equal(rebuilt.values, _label_values(labels))
