@@ -187,10 +187,12 @@ def assemble_predictions(parts, shape: tuple, lo: int, hi: int) -> ChannelTensor
     return ChannelTensor(values, PROVENANCE_PREDICTED).validate()
 
 
-def build_series_dataset(est: ChannelTensor, series: tuple[str, int], spec: DatasetSpec):
-    """(train, test) datasets of one series (one subcarrier or one antenna).
+def build_series_dataset(est: ChannelTensor, series: tuple[str, int | None],
+                         spec: DatasetSpec):
+    """(train, test) datasets of one series (one subcarrier or one antenna), or of all.
 
-    `series` is (domain, index): series `index` of series_view(est.values, domain).
+    `series` is (domain, index): series `index` of series_view(est.values, domain),
+    or every series of it pooled, series-major, when `index` is None.
     """
     domain, index = series
     return _datasets(est, domain, index, spec)

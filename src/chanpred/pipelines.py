@@ -1,19 +1,9 @@
 """End-to-end experiments: per-subcarrier, pooled, and antenna-domain training.
 
-Four approach labels are understood throughout:
-
-* ``sl``       one predictor per subcarrier, n_tr training rows each
-* ``sl_small`` same, but only n_tr_prime rows (matches the pooled overhead)
-* ``jl``       one predictor trained on all subcarriers pooled (n_tr_prime each)
-* ``jldt``     one predictor trained on all antenna-domain series pooled,
-               predictions mapped back to the subcarrier domain
-
 At a fixed (SNR, seed) every approach consumes the identical estimated tensor;
 NMSE is always scored in the subcarrier domain against the true channel at the
 predicted block, averaged over subcarriers and test blocks. Those label
-blocks are the only true channels a cell reads, a chunk at a time. The
-per-series time overhead of collecting training data is n_tr blocks for
-``sl`` and n_tr_prime blocks for the other three.
+blocks are the only true channels a cell reads, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -33,21 +23,22 @@ from .channel import (
     PROVENANCE_TRUE,
     SynthesizedLink,
     draw_paths,
+    series_view,
 )
-from .datasets import (
-    DatasetSpec,
-    assemble_predictions,
-    build_jl,
-    build_jldt,
-    build_series_dataset,
-    fit_scale,
-)
+from .datasets import DatasetSpec, assemble_predictions, build_series_dataset, fit_scale
 from .errors import ConfigError, ContractError
 from .estimation import PilotScheme, estimate_trace
 from .mlp import TrainConfig, init_mlp, predict, train
 from .rng import derive_seed, stream
 
-APPROACHES = ("sl", "sl_small", "jl", "jldt")
+# CSV label -> (series domain, every series pooled in one job, ExperimentConfig field
+# of the training blocks each series spends): the time overhead of collecting them
+APPROACHES = {
+    "sl": (DOMAIN_SUBCARRIER, False, "n_tr"),
+    "sl_small": (DOMAIN_SUBCARRIER, False, "n_tr_prime"),
+    "jl": (DOMAIN_SUBCARRIER, True, "n_tr_prime"),
+    "jldt": (DOMAIN_ANTENNA, True, "n_tr_prime"),
+}
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,7 @@ class ExperimentConfig:
     learning_rate: float = 1e-3
     epochs: int = 1000
     seeds: tuple = (1, 2, 3)
-    approaches: tuple = APPROACHES
+    approaches: tuple = tuple(APPROACHES)
 
     @property
     def n_tr(self) -> int:
@@ -95,7 +86,7 @@ class ExperimentConfig:
             raise ConfigError("seeds list must be non-empty")
         unknown = set(self.approaches) - set(APPROACHES)
         if unknown or not self.approaches:
-            raise ConfigError(f"approaches must be a non-empty subset of {APPROACHES}, "
+            raise ConfigError(f"approaches must be a non-empty subset of {tuple(APPROACHES)}, "
                               f"got {self.approaches}")
         for key in ("snr_db", "seeds", "approaches"):
             values = getattr(self, key)
@@ -126,7 +117,10 @@ class ExperimentConfig:
                            self.n_te, self.head_blocks)
 
     def overhead_blocks(self, approach: str) -> int:
-        return self.n_tr if approach == "sl" else self.n_tr_prime
+        if approach not in APPROACHES:
+            raise ConfigError(f"unknown approach {approach!r}; "
+                              f"expected one of {tuple(APPROACHES)}")
+        return getattr(self, APPROACHES[approach][2])
 
     def scheme(self, snr_db: float) -> PilotScheme:
         return PilotScheme.dft(self.tau, self.pilot_column, snr_db)
@@ -244,27 +238,25 @@ def evaluate_cell(labels: ChannelTensor | SynthesizedLink, est: ChannelTensor,
                   collect_models: bool = False) -> CellResult:
     """Train and score one approach on a link from prepare_link.
 
-    jldt windows the antenna domain, the others the subcarrier domain. jl and
-    jldt pool every series into one model, job 0; sl and sl_small train job l
-    on subcarrier l alone. Job k's tag k names its init stream, its shuffle
-    seed and its entry in the histories and models. A job scales its training
-    windows and predictions in place, and its test rows as predict cuts them.
-    The jobs' predicted rows are scored as they are, never put back whole.
+    The approach's APPROACHES row gives the domain its windows are cut from
+    and whether every series of that domain is pooled into one model, job 0,
+    or series l trains job l alone. Job k's tag k names its init stream, its
+    shuffle seed and its entry in the histories and models. A job scales its
+    training windows and predictions in place, and its test rows as predict
+    cuts them. The jobs' predicted rows are scored as they are, never put
+    back whole.
     """
     if approach not in cfg.approaches:   # the kept head may be too short for another
         raise ConfigError(f"approach {approach!r} is not one of the configured "
                           f"{cfg.approaches}")
-    domain = DOMAIN_ANTENNA if approach == "jldt" else DOMAIN_SUBCARRIER
-    pooled = approach in ("jl", "jldt")
-    spec = cfg.kept_spec(cfg.overhead_blocks(approach))
+    spec = cfg.kept_spec(cfg.overhead_blocks(approach))   # refuses an unknown label
+    domain, pooled, _ = APPROACHES[approach]
     _require_kept(est, spec)
     result = CellResult(approach, float("nan"), seed, float("nan"))
     parts = []
-    for k in range(1 if pooled else cfg.channel.n_subcarriers):
-        if pooled:
-            train_ds, test_ds = (build_jldt if approach == "jldt" else build_jl)(est, spec)
-        else:
-            train_ds, test_ds = build_series_dataset(est, (domain, k), spec)
+    jobs = [None] if pooled else range(series_view(est.values, domain).shape[1])
+    for k, series in enumerate(jobs):
+        train_ds, test_ds = build_series_dataset(est, (domain, series), spec)
         scale = fit_scale(train_ds)
         for a in (train_ds.features, train_ds.labels):
             a /= scale
@@ -276,7 +268,7 @@ def evaluate_cell(labels: ChannelTensor | SynthesizedLink, est: ChannelTensor,
         del train_ds, a   # no training window (a: the labels) is held while predict runs
         rows = predict(model, replace(test_ds, scale=scale))
         rows *= scale
-        parts.append((domain, None if pooled else k, rows))
+        parts.append((domain, series, rows))
         result.histories[k] = history
         if collect_models:
             result.models[k] = model

@@ -35,18 +35,18 @@ def test_tracing_targets_resolve_and_count_jobs(monkeypatch):
         channel=ChannelConfig(m_h=2, m_v=1, n_subcarriers=n_sub, n_paths=5),
         snr_db=(10.0,), n0=2, n_tr_prime=3, n_gap=3 * n_sub + 2, n_te=2,
         hidden=(4,), batch_size=8, epochs=2, seeds=(1,),
-        approaches=("sl", "jl", "jldt")).validate()
+        approaches=("sl", "sl_small", "jl", "jldt")).validate()
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         pipelines.snr_sweep(cfg)
     metrics = tracing.layer_metrics(tracer.spans)
-    assert metrics["mlp.jobs"] == n_sub + 1 + 1
+    assert metrics["mlp.jobs"] == 2 * n_sub + 1 + 1
     # train and test rows per series, times the series each builder reads:
-    # sl L*(n_tr + n_te), jl L*(n_tr' + n_te), jldt M*(n_tr' + n_te)
+    # sl L*(n_tr + n_te), sl_small and jl L*(n_tr' + n_te), jldt M*(n_tr' + n_te)
     n_ant, n_tr_prime, n_te = 2, 3, 2
     assert metrics["datasets.rows"] == (n_sub * (n_sub * n_tr_prime + n_te)
-                                        + n_sub * (n_tr_prime + n_te)
-                                        + n_ant * (n_tr_prime + n_te)) == 58
+                                        + 2 * n_sub * (n_tr_prime + n_te)
+                                        + n_ant * (n_tr_prime + n_te)) == 73
 
 
 @pytest.mark.parametrize("workload", ["desk-separate", "paper-jldt"])

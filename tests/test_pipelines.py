@@ -247,6 +247,19 @@ class TestKeptLayout:
         with pytest.raises(ConfigError, match="'sl' is not one of the configured"):
             evaluate_cell(labels, est, cfg, "sl", seed=3)
 
+    def test_unknown_label_refused_unvalidated(self):
+        # a misspelled label on a config that skipped validate() is not
+        # trained as some other approach; the link is refused before estimation
+        cfg = micro_config(approaches=("jldt",), n_gap=30)
+        labels, est = prepare_link(cfg, 10.0, seed=3)
+        typo = dataclasses.replace(cfg, approaches=("jdlt",))
+        unknown = r"unknown approach 'jdlt'; expected one of \('sl', 'sl_small', 'jl', 'jldt'\)"
+        for call in (lambda: typo.overhead_blocks("jdlt"),
+                     lambda: prepare_link(typo, 10.0, seed=3),
+                     lambda: evaluate_cell(labels, est, typo, "jdlt", seed=3)):
+            with pytest.raises(ConfigError, match=unknown):
+                call()
+
 
 class TestJldtReconstruction:
     def test_true_labels_reconstruct_exactly(self):
@@ -272,7 +285,7 @@ class TestJldtReconstruction:
 def _link_case(blocks, n_te, head=None):
     """A link of `blocks` for a cell of every approach, or of jldt alone with a `head`."""
     if head is None:
-        return pytest.param(blocks, n_te, 4, APPROACHES, id=f"{blocks}-{n_te}")
+        return pytest.param(blocks, n_te, 4, tuple(APPROACHES), id=f"{blocks}-{n_te}")
     return pytest.param(blocks, n_te, head - 2, ("jldt",), id=f"{blocks}-{n_te}-head{head}")
 
 

@@ -3,7 +3,8 @@
     python3 tools/cmp_outputs.py --checkout PARENT CHANGE
 
 Runs a fixed set of `chanpred` commands in each checkout, each a fresh
-process with PYTHONPATH set to the checkout's `src` and 1 BLAS thread:
+process with PYTHONPATH set to the checkout's `src` and 1 BLAS thread,
+through `tools/score_driver.py`:
 
 - `sweep --preset desk --seed 1 --snr-db 15` at 20 epochs;
 - `run --preset paper --seed 1 --snr-db 15` for jldt, jl and sl_small at
@@ -14,10 +15,14 @@ Every command writes its NMSE report (`--out`) and loss history
 (`--loss-out`). Each output file is hashed (SHA-256) as soon as its command
 ends, in a temporary directory removed then, so the disk holds one
 command's outputs at a time; paper sl_small's 50 checkpoints are about
-0.6 GB. The tool then prints one `same` or `differs` line per output file
-and exits 0 only if every command succeeded in both checkouts and every
-file is identical in both. It reads nothing of the checkouts but what their
-commands write.
+0.6 GB. The driver also records each scored prediction: `float.hex` of its
+NMSE (`score[i].nmse`) and, for a cell's jobs, a SHA-256 of their predicted
+rows (`score[i].rows`). The CSVs print 10 significant digits, so these are
+what shows a change in the predicted bits. The tool then prints one `same`
+or `differs` line per output file and per record, and exits 0 only if every
+command succeeded in both checkouts and every file and record is identical
+in both. It reads nothing of the checkouts but what their commands write and
+score.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+DRIVER = Path(__file__).resolve().with_name("score_driver.py")
 BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 # name -> (chanpred arguments, epochs, whether checkpoints are saved)
@@ -50,12 +56,12 @@ def _sha256(path: Path) -> str:
 
 
 def _outputs(checkout: Path, name: str, scratch: Path) -> dict:
-    """{output file: SHA-256} of one command run in `checkout`, its files written under `scratch`."""
+    """{output file or score record: digest} of one command run in `checkout`, under `scratch`."""
     argv, epochs, save_models = COMMANDS[name]
-    config, work = scratch / "config.json", scratch / "out"
+    config, work, scores = scratch / "config.json", scratch / "out", scratch / "scores.txt"
     config.write_text(json.dumps({"epochs": epochs}))
     work.mkdir()
-    argv = [sys.executable, "-m", "chanpred.cli", *argv, "--config", str(config),
+    argv = [sys.executable, str(DRIVER), str(scores), *argv, "--config", str(config),
             "--out", "nmse.csv", "--loss-out", "loss.csv"]
     if save_models:
         argv += ["--save-models", "models"]
@@ -64,7 +70,14 @@ def _outputs(checkout: Path, name: str, scratch: Path) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{name} failed in {checkout} (exit {proc.returncode}): "
                            f"{proc.stderr.strip()[-2000:]}")
-    return {str(p.relative_to(work)): _sha256(p) for p in sorted(work.rglob("*")) if p.is_file()}
+    records = {}
+    for i, line in enumerate(scores.read_text().splitlines()):
+        value, *rows = line.split()
+        records[f"score[{i}].nmse"] = value
+        if rows:
+            records[f"score[{i}].rows"] = rows[0]
+    files = {str(p.relative_to(work)): _sha256(p) for p in sorted(work.rglob("*")) if p.is_file()}
+    return {**files, **records}
 
 
 def main(argv=None) -> int:
@@ -82,10 +95,10 @@ def main(argv=None) -> int:
                 except RuntimeError as exc:
                     print(f"failed  {exc}")
                     return 1
-        for file in sorted(hashes[0].keys() | hashes[1].keys()):
-            same = file in hashes[0] and hashes[0].get(file) == hashes[1].get(file)
+        for key in dict.fromkeys([*hashes[0], *hashes[1]]):   # files, then score records
+            same = key in hashes[0] and hashes[0].get(key) == hashes[1].get(key)
             identical = identical and same
-            print(f"{'same' if same else 'differs':7s} {name}/{file}", flush=True)
+            print(f"{'same' if same else 'differs':7s} {name}/{key}", flush=True)
     return 0 if identical else 1
 
 
