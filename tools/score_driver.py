@@ -20,18 +20,18 @@ import sys
 
 import numpy as np
 
+from chanpred import cli, pipelines   # from the checkout on PYTHONPATH
+
 
 def _rows_digest(parts) -> str:
     digest = hashlib.sha256()
     for domain, series, rows in parts:
-        digest.update(repr((domain, series, rows.shape, rows.dtype.str)).encode())
+        digest.update(repr((domain, series, rows.shape)).encode())
         digest.update(np.ascontiguousarray(rows))
     return digest.hexdigest()
 
 
 def main(argv) -> int:
-    from chanpred import cli, pipelines   # from the checkout on PYTHONPATH
-
     digests_path, args = argv[0], argv[1:]
     score = pipelines.score
     with open(digests_path, "w") as digests:
