@@ -311,9 +311,9 @@ def _cmd_sweep(args) -> int:
     for path in (args.out, args.loss_out):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if getattr(args, "save_models", None):
+    if args.save_models:
         os.makedirs(args.save_models, exist_ok=True)
-    report = snr_sweep(cfg, collect_models=bool(getattr(args, "save_models", None)))
+    report = snr_sweep(cfg, collect_models=bool(args.save_models))
     for entry in report.entries:
         print(f"{entry.approach:9s} snr={entry.snr_db:6.1f} dB  "
               f"nmse={entry.nmse_db:8.2f} dB  overhead={entry.overhead_blocks} blocks")
@@ -335,7 +335,7 @@ def _cmd_sweep(args) -> int:
         _write_csv(args.loss_out, cfg,
                    ("approach", "snr_db", "seed", "series", "epoch", "loss"), rows)
         print(f"wrote loss history: {args.loss_out}")
-    if getattr(args, "save_models", None):
+    if args.save_models:
         for cell in report.cells:
             for series, model in cell.models.items():
                 name = f"{cell.approach}_snr{cell.snr_db!r}_seed{cell.seed}_series{series}.txt"
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-out", dest="loss_out")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, save_models=None)
 
     return parser
 
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ChanpredError, OSError) as exc:
+    except (ChanpredError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

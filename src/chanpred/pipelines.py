@@ -19,13 +19,13 @@ from .channel import (
     DOMAIN_ANTENNA,
     DOMAIN_SUBCARRIER,
     PROVENANCE_ESTIMATED,
-    PROVENANCE_PREDICTED,
     PROVENANCE_TRUE,
     SynthesizedLink,
     draw_paths,
     series_view,
 )
-from .datasets import DatasetSpec, assemble_predictions, build_series_dataset, fit_scale
+from .datasets import (DatasetSpec, LazyWindows, assemble_predictions, build_series_dataset,
+                       fit_scale)
 from .errors import ConfigError, ContractError
 from .estimation import PilotScheme, estimate_trace
 from .mlp import TrainConfig, init_mlp, predict, train
@@ -169,32 +169,27 @@ def prepare_link(cfg: ExperimentConfig, snr_db: float, seed: int):
 _SCORE_BLOCKS = 64   # test blocks scored at a time
 
 
-def score(pred, labels: ChannelTensor | SynthesizedLink) -> float:
-    """NMSE of an (n_te, L, M) prediction against the true label blocks.
+def score(parts, labels: ChannelTensor | SynthesizedLink) -> float:
+    """NMSE of evaluate_cell's parts, (domain, series, rows) per job, against the truth.
 
-    The only reader of the true channels, a ChannelTensor or SynthesizedLink.
-    `pred` is a ChannelTensor or evaluate_cell's parts, (domain, series, rows)
-    per job. Rows are the length-M subcarrier vectors in (subcarrier, block)
-    order: nmse of the (L * n_te, M) rows, bit for bit. Each _SCORE_BLOCKS
-    test blocks read the truth and put the parts back for those blocks
-    alone, and the squared norms go into (L, n_te) arrays one subcarrier at
-    a time, so no tensor-sized copy is made.
+    The only reader of the true channels, the (n_te, L, M) label blocks of a
+    ChannelTensor or SynthesizedLink, which must hold every block the first
+    part predicts. Rows are the length-M subcarrier vectors in (subcarrier,
+    block) order: nmse of the (L * n_te, M) rows, bit for bit. Each
+    _SCORE_BLOCKS test blocks read the truth and put the parts back for
+    those blocks alone, and the squared norms go into (L, n_te) arrays one
+    subcarrier at a time, so no tensor-sized copy is made.
     """
-    n_te = pred.n_blocks if isinstance(pred, ChannelTensor) else labels.n_blocks
-    labels.require(PROVENANCE_TRUE, n_te)
     shape = (labels.n_blocks, labels.n_subcarriers, labels.n_antennas)
-    if isinstance(pred, ChannelTensor):
-        if pred.values.shape != shape:
-            raise ContractError(f"prediction shape {pred.values.shape} != label shape {shape}")
-        read = pred.read
-    else:
-        def read(lo, hi):
-            return assemble_predictions(pred, shape, lo, hi).values
+    domain, series, rows = parts[0]   # one row per series it holds and block it predicts
+    n_series = 1 if series is not None else len(series_view(np.empty(shape[1:]), domain))
+    labels.require(PROVENANCE_TRUE, len(rows) // n_series)
+    n_te = shape[0]
     err = np.empty((shape[1], n_te))
     power = np.empty_like(err)
     for lo in range(0, n_te, _SCORE_BLOCKS):
         hi = min(lo + _SCORE_BLOCKS, n_te)
-        p, t = read(lo, hi), labels.read(lo, hi)
+        p, t = assemble_predictions(parts, shape, lo, hi).values, labels.read(lo, hi)
         for l in range(shape[1]):
             err[l, lo:hi] = _squared_norms(p[:, l] - t[:, l])
             power[l, lo:hi] = _squared_norms(t[:, l])
@@ -213,12 +208,15 @@ def _require_kept(est: ChannelTensor, spec: DatasetSpec) -> None:
 
 def persistence_nmse(labels: ChannelTensor | SynthesizedLink, est: ChannelTensor,
                      cfg: ExperimentConfig) -> float:
-    """Sanity floor: predict h_(n+1) by the newest estimate g_n."""
+    """Sanity floor: predict h_(n+1) by the newest estimate g_n.
+
+    One pooled subcarrier part: the one-block windows before the test labels.
+    """
     spec = cfg.kept_spec()
     _require_kept(est, spec)
-    first = spec.n_gap + spec.n0 - 1
-    newest = est.values[first:first + spec.n_te]
-    return score(ChannelTensor(newest, PROVENANCE_PREDICTED), labels)
+    newest = LazyWindows(series_view(est.values, DOMAIN_SUBCARRIER),
+                         spec.n_gap + spec.n0 - 1, spec.n_te, 1)[:]
+    return score([(DOMAIN_SUBCARRIER, None, newest)], labels)
 
 
 @dataclass

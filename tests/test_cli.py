@@ -355,6 +355,20 @@ class TestSubcommands:
     def test_runtime_error_exit_code(self, tmp_path):
         assert main(["import", "--trace", str(tmp_path / "missing.trace")]) == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("command, config", [
+        (["generate", "--blocks", str(10 ** 12)], {"preset": "desk"}),   # in synthesize
+        (["run", "--approach", "jldt"], {"preset": "desk", "n_te": 10 ** 12}),   # estimate_trace
+    ])
+    def test_unallocatable_size_is_runtime_error(self, tmp_path, capsys, command, config):
+        # petabytes: past any address space, so refused at once under any overcommit mode
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_trace_exit_code(self, tmp_path):
         bad = tmp_path / "bad.trace"
         bad.write_text("chanpred-trace v1\nN=2 L=2 M=2 domain=subcarrier provenance=true\n1 1 1 0 0\n")

@@ -261,6 +261,22 @@ class TestKeptLayout:
                 call()
 
 
+class TestPersistence:
+    @pytest.mark.parametrize("seed, approaches", [(1, tuple(APPROACHES)), (2, tuple(APPROACHES)),
+                                                  (1, ("jldt",))], ids=["s1", "s2", "jldt-s1"])
+    def test_equals_nmse_of_newest_estimate_rows(self, seed, approaches):
+        # each label block predicted by the estimate of the block before it,
+        # both read from the whole link; rows in (subcarrier, block) order
+        cfg = micro_config(approaches=approaches)
+        labels, est = prepare_link(cfg, 10.0, seed=seed)
+        truth = _full_truth(cfg, seed)
+        full = estimate_trace(truth, cfg.scheme(10.0), stream(seed, "pilot-noise")).values
+        label_blocks = cfg.n_gap + cfg.n0 + np.arange(cfg.n_te)
+        rows = [v.transpose(1, 0, 2).reshape(-1, v.shape[2])
+                for v in (full[label_blocks - 1], truth.values[label_blocks])]
+        assert persistence_nmse(labels, est, cfg) == nmse(*rows)
+
+
 class TestJldtReconstruction:
     def test_true_labels_reconstruct_exactly(self):
         cfg = micro_config()
@@ -381,12 +397,18 @@ class TestPrepareLink:
         assert peaks[1] <= peaks[0] + link_bytes // 8
 
 
+def _parts(pred):
+    """An (n_te, L, M) prediction tensor as score's input: one pooled subcarrier part."""
+    rows = complex_to_real(pred.values.swapaxes(0, 1)).reshape(-1, 2 * pred.n_antennas)
+    return [("subcarrier", None, rows)]
+
+
 class TestScore:
     def _perfect(self, seed):
         cfg = micro_config()
         link, est = prepare_link(cfg, 10.0, seed=seed)
         labels = ChannelTensor(_label_values(link), "true")
-        pred = ChannelTensor(labels.values.copy(), "predicted")
+        pred = _parts(ChannelTensor(labels.values.copy(), "predicted"))
         assert score(pred, labels) == score(pred, link) == 0.0
         return pred, labels, est
 
@@ -398,7 +420,7 @@ class TestScore:
     @pytest.mark.parametrize("missing", [1, 3])
     def test_short_truth_rejected(self, missing):
         pred, labels, _ = self._perfect(8)
-        short = ChannelTensor(labels.values[:pred.n_blocks - missing], "true")
+        short = ChannelTensor(labels.values[:labels.n_blocks - missing], "true")
         with pytest.raises(ContractError, match="too short"):
             score(pred, short)
 
@@ -407,7 +429,7 @@ class TestScore:
         longer = ChannelTensor(np.concatenate([labels.values, labels.values[:1]]), "true")
         narrower = ChannelTensor(labels.values[:, :, 1:], "true")
         for bad in (longer, narrower):
-            with pytest.raises(ContractError, match="shape"):
+            with pytest.raises(ContractError, match="predicted rows"):
                 score(pred, bad)
 
     @settings(max_examples=60, deadline=None)
@@ -422,7 +444,7 @@ class TestScore:
         pred = random_tensor(seed + 1, n=n_te, l=l, m=m, provenance="predicted")
         label = truth.values[spec.n_gap + spec.n0 + np.arange(n_te)]
         rows = [v.transpose(1, 0, 2).reshape(-1, m) for v in (pred.values, label)]
-        assert score(pred, ChannelTensor(label, "true")) == nmse(*rows)
+        assert score(_parts(pred), ChannelTensor(label, "true")) == nmse(*rows)
 
     @settings(max_examples=30, deadline=None)
     @given(n_te=st.integers(1, 200), l=st.integers(1, 4), m=st.integers(1, 5),
@@ -450,7 +472,7 @@ class TestScore:
             view = series_view(pred.values, d)[:, slice(None) if k is None else slice(k, k + 1)]
             parts.append((d, k, complex_to_real(view.swapaxes(0, 1)).reshape(-1, 2 * view.shape[2])))
         rows = [v.transpose(1, 0, 2).reshape(-1, m) for v in (pred.values, _label_values(labels))]
-        assert score(parts, labels) == score(pred, labels) == nmse(*rows)
+        assert score(parts, labels) == nmse(*rows)
 
     @pytest.mark.parametrize("block", [0, 63, 64, 130, 199])
     def test_unpredicted_entry_in_any_chunk_refused(self, block):
@@ -469,9 +491,10 @@ class TestScore:
         # no transient reaches a tensor's size
         labels = random_tensor(0, n=200, l=50, m=64)
         pred = random_tensor(1, n=200, l=50, m=64, provenance="predicted")
+        parts = _parts(pred)
         tracemalloc.start()
         try:
-            score(pred, labels)
+            score(parts, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -488,8 +511,8 @@ def _require_consumer(name):
         build = build_jl if name == "build_jl" else build_jldt
         return "estimated", spec.min_blocks, lambda t: build(t, spec)
     if name == "score":
-        pred = random_tensor(2, n=spec.n_te, provenance="predicted")
-        return "true", spec.n_te, lambda t: score(pred, t)
+        parts = _parts(random_tensor(2, n=spec.n_te, provenance="predicted"))
+        return "true", spec.n_te, lambda t: score(parts, t)
     if name == "persistence_nmse":
         cfg = micro_config(l=3, m_h=2, m_v=2, n_tr_prime=1)
         labels = random_tensor(3, n=cfg.n_te)

@@ -15,9 +15,11 @@ Every command writes its NMSE report (`--out`) and loss history
 (`--loss-out`). Each output file is hashed (SHA-256) as soon as its command
 ends, in a temporary directory removed then, so the disk holds one
 command's outputs at a time; paper sl_small's 50 checkpoints are about
-0.6 GB. The driver also records each scored prediction: `float.hex` of its
-NMSE (`score[i].nmse`) and, for a cell's jobs, a SHA-256 of their predicted
-rows (`score[i].rows`). The CSVs print 10 significant digits, so these are
+0.6 GB. The driver also records every scored prediction, each cell's and
+persistence's: `float.hex` of its NMSE (`score[i].nmse`) and a SHA-256 of
+the (n_te, L, M) prediction that `score` compares with the labels
+(`score[i].rows`), its job parts put back by the checkout's own
+`assemble_predictions`. The CSVs print 10 significant digits, so these are
 what shows a change in the predicted bits. The tool then prints one `same`
 or `differs` line per output file and per record, and exits 0 only if every
 command succeeded in both checkouts and every file and record is identical
@@ -72,10 +74,7 @@ def _outputs(checkout: Path, name: str, scratch: Path) -> dict:
                            f"{proc.stderr.strip()[-2000:]}")
     records = {}
     for i, line in enumerate(scores.read_text().splitlines()):
-        value, *rows = line.split()
-        records[f"score[{i}].nmse"] = value
-        if rows:
-            records[f"score[{i}].rows"] = rows[0]
+        records[f"score[{i}].nmse"], records[f"score[{i}].rows"] = line.split()
     files = {str(p.relative_to(work)): _sha256(p) for p in sorted(work.rglob("*")) if p.is_file()}
     return {**files, **records}
 

@@ -6,11 +6,14 @@ Calls `chanpred.cli.main` with the given arguments, with
 `chanpred.pipelines.score` wrapped, and exits with its status. `evaluate_cell`
 and `persistence_nmse` look `score` up when they call it, so the wrapper sees
 every scored prediction. For each call it writes one line to DIGESTS:
-`float.hex` of the NMSE and, when the prediction is a cell's job parts, a
-SHA-256 over each part's domain, series, rows shape and rows bytes, in order.
-The NMSE CSVs print 10 significant digits, and loss files and checkpoints are
-written before any test row is read, so these lines are what shows a change
-in the predicted bits. `tools/cmp_outputs.py` runs its commands through this.
+`float.hex` of the NMSE and a SHA-256 of the (n_te, L, M) complex prediction
+that `score` compares with the labels. Job parts are put back into it by
+the checkout's own `assemble_predictions`; a prediction tensor, which a
+checkout whose `score` still takes one passes, is hashed as it is. Either
+way every predicted bit is covered, persistence's included. The NMSE CSVs
+print 10 significant digits, and loss files and checkpoints are written
+before any test row is read, so these lines are what shows a change in the
+predicted bits. `tools/cmp_outputs.py` runs its commands through this.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ import sys
 import numpy as np
 
 from chanpred import cli, pipelines   # from the checkout on PYTHONPATH
+from chanpred.channel import ChannelTensor
+from chanpred.datasets import assemble_predictions
 
 
-def _rows_digest(parts) -> str:
-    digest = hashlib.sha256()
-    for domain, series, rows in parts:
-        digest.update(repr((domain, series, rows.shape)).encode())
-        digest.update(np.ascontiguousarray(rows))
-    return digest.hexdigest()
+def _prediction_digest(pred, labels) -> str:
+    """SHA-256 of the (n_te, L, M) prediction that `score` compares with `labels`."""
+    if not isinstance(pred, ChannelTensor):
+        shape = (labels.n_blocks, labels.n_subcarriers, labels.n_antennas)
+        pred = assemble_predictions(pred, shape, 0, shape[0])
+    return hashlib.sha256(np.ascontiguousarray(pred.values)).hexdigest()
 
 
 def main(argv) -> int:
@@ -37,8 +42,7 @@ def main(argv) -> int:
     with open(digests_path, "w") as digests:
         def recorded(pred, labels):
             value = score(pred, labels)
-            rows = "" if isinstance(pred, pipelines.ChannelTensor) else _rows_digest(pred)
-            print(float.hex(value), rows, file=digests, flush=True)
+            print(float.hex(value), _prediction_digest(pred, labels), file=digests, flush=True)
             return value
 
         pipelines.score = recorded
