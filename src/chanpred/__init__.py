@@ -45,9 +45,9 @@ from .mlp import (
 )
 from .pipelines import (
     APPROACHES,
+    CellResult,
     ExperimentConfig,
-    NmseEntry,
-    NmseReport,
+    mean_nmse,
     nmse,
     persistence_nmse,
     prepare_link,

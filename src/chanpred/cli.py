@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .correlation import check_window, correlation_report
 from .errors import ChanpredError, ConfigError
 from .estimation import estimate_trace
 from .mlp import save_model
-from .pipelines import APPROACHES, ExperimentConfig, snr_sweep
+from .pipelines import APPROACHES, PERSISTENCE, ExperimentConfig, mean_nmse, snr_sweep
 from .rng import stream
 
 EXIT_OK = 0
@@ -313,22 +314,24 @@ def _cmd_sweep(args) -> int:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if args.save_models:
         os.makedirs(args.save_models, exist_ok=True)
-    report = snr_sweep(cfg, collect_models=bool(args.save_models))
-    for entry in report.entries:
-        print(f"{entry.approach:9s} snr={entry.snr_db:6.1f} dB  "
-              f"nmse={entry.nmse_db:8.2f} dB  overhead={entry.overhead_blocks} blocks")
-    for snr, value in report.persistence.items():
-        print(f"persistence snr={snr:6.1f} dB  nmse={10*np.log10(value):8.2f} dB")
-    print(f"runtime: {report.runtime_seconds:.1f} s")
+    started = time.perf_counter()
+    cells = snr_sweep(cfg, collect_models=bool(args.save_models))
+    runtime = time.perf_counter() - started
+    rows = [(a, float(snr), 10.0 * float(np.log10(mean_nmse(cells, a, snr))), len(cfg.seeds),
+             cfg.overhead_blocks(a)) for a in cfg.approaches for snr in cfg.snr_db]
+    for approach, snr, db, _, overhead in rows:
+        print(f"{approach:9s} snr={snr:6.1f} dB  nmse={db:8.2f} dB  overhead={overhead} blocks")
+    for snr in cfg.snr_db:
+        value = mean_nmse(cells, PERSISTENCE, snr)
+        print(f"persistence snr={float(snr):6.1f} dB  nmse={10*np.log10(value):8.2f} dB")
+    print(f"runtime: {runtime:.1f} s")
     if args.out:
-        rows = [(e.approach, e.snr_db, e.nmse_db, e.seed_count, e.overhead_blocks)
-                for e in report.entries]
         _write_csv(args.out, cfg,
                    ("approach", "snr_db", "nmse_db", "seed_count", "overhead_blocks"), rows)
         print(f"wrote report: {args.out}")
     if args.loss_out:
         rows = []
-        for cell in report.cells:
+        for cell in cells:
             for series, hist in sorted(cell.histories.items()):
                 rows.extend((cell.approach, cell.snr_db, cell.seed, series, ep, loss)
                             for ep, loss in enumerate(hist))
@@ -336,7 +339,7 @@ def _cmd_sweep(args) -> int:
                    ("approach", "snr_db", "seed", "series", "epoch", "loss"), rows)
         print(f"wrote loss history: {args.loss_out}")
     if args.save_models:
-        for cell in report.cells:
+        for cell in cells:
             for series, model in cell.models.items():
                 name = f"{cell.approach}_snr{cell.snr_db!r}_seed{cell.seed}_series{series}.txt"
                 save_model(model, os.path.join(args.save_models, name))

@@ -149,20 +149,6 @@ class LazyWindows:
         return features
 
 
-def _datasets(est: ChannelTensor, domain: str, index: int | None, spec: DatasetSpec):
-    """(train, test) windows of series `index` of `est`'s `domain` view, or of all (None)."""
-    spec.validate()
-    # only the blocks of the windows cut here are checked finite: a cell
-    # checks its whole estimate once, not once per job
-    est.require(PROVENANCE_ESTIMATED, spec.min_blocks, finite=False)
-    cols = _columns(est.values, domain, index)
-    for start, rows in ((0, spec.n_tr), (spec.n_gap, spec.n_te)):
-        require_finite(cols[start:start + rows + spec.n0])
-    return (WindowedDataset(_windows(cols, 0, spec.n_tr, spec.n0),
-                            _windows(cols, spec.n0, spec.n_tr, 1)),
-            LazyWindows(cols, spec.n_gap, spec.n_te, spec.n0))
-
-
 def assemble_predictions(parts, shape: tuple, lo: int, hi: int) -> ChannelTensor:
     """Put blocks lo..hi of predicted test rows back into a subcarrier tensor.
 
@@ -195,7 +181,16 @@ def build_series_dataset(est: ChannelTensor, series: tuple[str, int | None],
     or every series of it pooled, series-major, when `index` is None.
     """
     domain, index = series
-    return _datasets(est, domain, index, spec)
+    spec.validate()
+    # only the blocks of the windows cut here are checked finite: a cell
+    # checks its whole estimate once, not once per job
+    est.require(PROVENANCE_ESTIMATED, spec.min_blocks, finite=False)
+    cols = _columns(est.values, domain, index)
+    for start, rows in ((0, spec.n_tr), (spec.n_gap, spec.n_te)):
+        require_finite(cols[start:start + rows + spec.n0])
+    return (WindowedDataset(_windows(cols, 0, spec.n_tr, spec.n0),
+                            _windows(cols, spec.n0, spec.n_tr, 1)),
+            LazyWindows(cols, spec.n_gap, spec.n_te, spec.n0))
 
 
 def build_jl(est: ChannelTensor, spec: DatasetSpec):
@@ -204,7 +199,7 @@ def build_jl(est: ChannelTensor, spec: DatasetSpec):
     spec.n_tr is interpreted per series (N'_tr), so the pooled training set
     has L*n_tr rows in series-major, time-minor order.
     """
-    return _datasets(est, DOMAIN_SUBCARRIER, None, spec)
+    return build_series_dataset(est, (DOMAIN_SUBCARRIER, None), spec)
 
 
 def build_jldt(est: ChannelTensor, spec: DatasetSpec):
@@ -212,7 +207,7 @@ def build_jldt(est: ChannelTensor, spec: DatasetSpec):
 
     Rows are length-L vector windows; the pooled training set has M*n_tr rows.
     """
-    return _datasets(est, DOMAIN_ANTENNA, None, spec)
+    return build_series_dataset(est, (DOMAIN_ANTENNA, None), spec)
 
 
 def fit_scale(train: WindowedDataset) -> float:

@@ -8,7 +8,6 @@ blocks are the only true channels a cell reads, a chunk at a time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +38,7 @@ APPROACHES = {
     "jl": (DOMAIN_SUBCARRIER, True, "n_tr_prime"),
     "jldt": (DOMAIN_ANTENNA, True, "n_tr_prime"),
 }
+PERSISTENCE = "persistence"   # the label of snr_sweep's baseline cells, in no APPROACHES row
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,7 @@ def score(parts, labels: ChannelTensor | SynthesizedLink) -> float:
     those blocks alone, and the squared norms go into (L, n_te) arrays one
     subcarrier at a time, so no tensor-sized copy is made.
     """
+    labels.require(PROVENANCE_TRUE, 1)   # a valid (N, L, M) before its shape is read
     shape = (labels.n_blocks, labels.n_subcarriers, labels.n_antennas)
     domain, series, rows = parts[0]   # one row per series it holds and block it predicts
     n_series = 1 if series is not None else len(series_view(np.empty(shape[1:]), domain))
@@ -275,63 +276,32 @@ def evaluate_cell(labels: ChannelTensor | SynthesizedLink, est: ChannelTensor,
     return result
 
 
-@dataclass(frozen=True)
-class NmseEntry:
-    approach: str
-    snr_db: float
-    nmse: float
-    nmse_db: float
-    overhead_blocks: int
-    seed_count: int
-
-
-@dataclass
-class NmseReport:
-    """Seed-averaged NMSE per (approach, SNR), plus diagnostics."""
-
-    entries: list
-    persistence: dict                 # snr_db -> seed-averaged persistence NMSE
-    runtime_seconds: float = 0.0
-    cells: list = field(default_factory=list)  # per-(approach, snr, seed) CellResult
-
-    def entry(self, approach: str, snr_db: float) -> NmseEntry:
-        for e in self.entries:
-            if e.approach == approach and e.snr_db == snr_db:
-                return e
-        raise KeyError((approach, snr_db))
-
-
-def snr_sweep(cfg: ExperimentConfig, collect_models: bool = False) -> NmseReport:
+def snr_sweep(cfg: ExperimentConfig, collect_models: bool = False) -> list:
     """Run the configured approaches over the SNR grid with shared links.
 
     Channel traces and pilot noise are regenerated deterministically per seed,
     so every approach sees byte-identical estimated tensors at each
-    (SNR, seed); NMSE is averaged over seeds.
+    (SNR, seed). Returns every CellResult in run order: per (SNR, seed), the
+    PERSISTENCE cell, then one cell per approach; mean_nmse averages them.
     """
     cfg.validate()
-    started = time.perf_counter()
     cells = []
-    persistence = {}
     for snr in cfg.snr_db:
-        per_seed_persist = []
         for seed in cfg.seeds:
             labels, est = prepare_link(cfg, snr, seed)
-            per_seed_persist.append(persistence_nmse(labels, est, cfg))
+            cells.append(CellResult(PERSISTENCE, float(snr), seed,
+                                    persistence_nmse(labels, est, cfg)))
             for approach in cfg.approaches:
                 cell = evaluate_cell(labels, est, cfg, approach, seed, collect_models)
                 cell.snr_db = float(snr)
                 cells.append(cell)
             del labels, est   # so the next link is never made beside this one
-        persistence[float(snr)] = float(np.mean(per_seed_persist))
+    return cells
 
-    entries = []
-    for approach in cfg.approaches:
-        for snr in cfg.snr_db:
-            vals = [c.nmse for c in cells
-                    if c.approach == approach and c.snr_db == float(snr)]
-            mean = float(np.mean(vals))
-            entries.append(NmseEntry(approach, float(snr), mean,
-                                     10.0 * float(np.log10(mean)),
-                                     cfg.overhead_blocks(approach), len(cfg.seeds)))
-    return NmseReport(entries, persistence,
-                      time.perf_counter() - started, cells)
+
+def mean_nmse(cells, label: str, snr_db: float) -> float:
+    """Mean NMSE over seeds of the cells of one label (an approach or PERSISTENCE) at one SNR."""
+    vals = [c.nmse for c in cells if c.approach == label and c.snr_db == float(snr_db)]
+    if not vals:
+        raise KeyError((label, snr_db))
+    return float(np.mean(vals))

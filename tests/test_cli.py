@@ -8,12 +8,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from chanpred import ConfigError, import_trace, prepare_link
+from chanpred import ConfigError, import_trace, mean_nmse, prepare_link, snr_sweep
 from chanpred.channel import SYNTH_CHUNK
 from chanpred.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    _fmt,
     canonical_json,
     config_from_dict,
     config_hash,
@@ -21,6 +22,7 @@ from chanpred.cli import (
     main,
     parse_config,
 )
+from chanpred.pipelines import PERSISTENCE
 
 MICRO = {
     "m_h": 2, "m_v": 2, "subcarriers": 3, "paths": 7,
@@ -289,6 +291,32 @@ class TestSubcommands:
         loss_lines = [l for l in Path(loss).read_text().splitlines() if not l.startswith("#")]
         assert loss_lines[0] == "approach,snr_db,seed,series,epoch,loss"
         assert len(loss_lines) > MICRO["epochs"]
+
+    def test_sweep_table_follows_from_the_cells(self, tmp_path, capsys):
+        config = tmp_path / "micro.json"
+        config.write_text(json.dumps({**MICRO, "seeds": [1, 2], "snr_db": [0.0, 10.0]}))
+        out = tmp_path / "nmse.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        cfg = parse_config(str(config))
+        cells = snr_sweep(cfg)
+        for label in (PERSISTENCE, *cfg.approaches):
+            for snr in cfg.snr_db:
+                seeds = [c.nmse for c in cells if c.approach == label and c.snr_db == snr]
+                assert len(seeds) == len(cfg.seeds)
+                assert mean_nmse(cells, label, snr) == float(np.mean(seeds))
+        with pytest.raises(KeyError):
+            mean_nmse(cells, "jdlt", cfg.snr_db[0])
+        rows = [",".join(_fmt(v) for v in (
+                    a, snr, 10.0 * float(np.log10(mean_nmse(cells, a, snr))), len(cfg.seeds),
+                    cfg.overhead_blocks(a)))
+                for a in cfg.approaches for snr in cfg.snr_db]
+        persistence = [f"persistence snr={snr:6.1f} dB  "
+                       f"nmse={10 * np.log10(mean_nmse(cells, PERSISTENCE, snr)):8.2f} dB"
+                       for snr in cfg.snr_db]
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[1:] == rows   # no persistence row
+        assert [l for l in printed if l.startswith("persistence")] == persistence
 
     def test_save_models_writes_checkpoints(self, tmp_path, micro_cfg_file):
         outdir = tmp_path / "models"

@@ -19,8 +19,9 @@ command's outputs at a time; paper sl_small's 50 checkpoints are about
 persistence's: `float.hex` of its NMSE (`score[i].nmse`) and a SHA-256 of
 the (n_te, L, M) prediction that `score` compares with the labels
 (`score[i].rows`), its job parts put back by the checkout's own
-`assemble_predictions`. The CSVs print 10 significant digits, so these are
-what shows a change in the predicted bits. The tool then prints one `same`
+`assemble_predictions`; so both checkouts must score job parts, which
+every checkout does since persistence became one. The CSVs print 10
+significant digits, so these are what shows a change in the predicted bits. The tool then prints one `same`
 or `differs` line per output file and per record, and exits 0 only if every
 command succeeded in both checkouts and every file and record is identical
 in both. It reads nothing of the checkouts but what their commands write and

@@ -7,10 +7,10 @@ Calls `chanpred.cli.main` with the given arguments, with
 and `persistence_nmse` look `score` up when they call it, so the wrapper sees
 every scored prediction. For each call it writes one line to DIGESTS:
 `float.hex` of the NMSE and a SHA-256 of the (n_te, L, M) complex prediction
-that `score` compares with the labels. Job parts are put back into it by
-the checkout's own `assemble_predictions`; a prediction tensor, which a
-checkout whose `score` still takes one passes, is hashed as it is. Either
-way every predicted bit is covered, persistence's included. The NMSE CSVs
+that `score` compares with the labels, its job parts put back by the
+checkout's own `assemble_predictions`, so every predicted bit is covered,
+persistence's included. The checkout's `score` must take job parts, as
+every `score` does since persistence became one. The NMSE CSVs
 print 10 significant digits, and loss files and checkpoints are written
 before any test row is read, so these lines are what shows a change in the
 predicted bits. `tools/cmp_outputs.py` runs its commands through this.
@@ -24,15 +24,13 @@ import sys
 import numpy as np
 
 from chanpred import cli, pipelines   # from the checkout on PYTHONPATH
-from chanpred.channel import ChannelTensor
 from chanpred.datasets import assemble_predictions
 
 
-def _prediction_digest(pred, labels) -> str:
+def _prediction_digest(parts, labels) -> str:
     """SHA-256 of the (n_te, L, M) prediction that `score` compares with `labels`."""
-    if not isinstance(pred, ChannelTensor):
-        shape = (labels.n_blocks, labels.n_subcarriers, labels.n_antennas)
-        pred = assemble_predictions(pred, shape, 0, shape[0])
+    shape = (labels.n_blocks, labels.n_subcarriers, labels.n_antennas)
+    pred = assemble_predictions(parts, shape, 0, shape[0])
     return hashlib.sha256(np.ascontiguousarray(pred.values)).hexdigest()
 
 
@@ -40,9 +38,9 @@ def main(argv) -> int:
     digests_path, args = argv[0], argv[1:]
     score = pipelines.score
     with open(digests_path, "w") as digests:
-        def recorded(pred, labels):
-            value = score(pred, labels)
-            print(float.hex(value), _prediction_digest(pred, labels), file=digests, flush=True)
+        def recorded(parts, labels):
+            value = score(parts, labels)
+            print(float.hex(value), _prediction_digest(parts, labels), file=digests, flush=True)
             return value
 
         pipelines.score = recorded
